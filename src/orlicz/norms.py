@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .errors import BudgetExceeded, Inconclusive, NotDominated
-from .numerics import DEFAULT_SPEC, FiniteOrDivergent, LadderTrace, QuadratureSpec, integrate
+from .numerics import (DEFAULT_SPEC, FiniteOrDivergent, LadderTrace, QuadratureSpec,
+                       find_root, integrate)
 from .tails import StepTail, TailRepFunction, chebyshev_tail, tail_norm
 from .young import YoungFunction
 
@@ -95,81 +96,107 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float,
         )
 
 
-def _modular_above_one(N, f, k, spec) -> bool:
-    """Bisection predicate: treat a divergent modular as > 1."""
-    r = modular(N, f, k, spec)
-    return r.is_divergent or r.value > 1.0
-
-
 def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
                    rel_tol: float = 1e-12,
                    spec: Optional[QuadratureSpec] = None) -> NormResult:
     """The strong (Luxemburg) norm inf{k > 0 : modular(f, k) <= 1}.
 
-    The modular is non-increasing in k, so the infimum is bisected between
-    a bracket with modular(lo) >= 1 >= modular(hi).  If the modular stays
-    divergent while k doubles up to 2^64 the norm is infinite (the cap is
-    recorded in the trace).  An inconclusive modular anywhere aborts with
-    BudgetExceeded rather than silently guessing a side.
+    The modular is non-increasing in k.  Doubling or halving k from 1
+    gives a bracket lo < hi with modular(lo) > 1 >= modular(hi); if the
+    modular stays above 1 while k doubles up to 2^64 the norm is infinite,
+    if it stays at or below 1 down to 2^-64 it is 0 (the cap is recorded
+    in the trace).  While the modular at lo is divergent (or 0 at hi) the
+    bracket is bisected, and if that bisection narrows it to ``rel_tol``
+    first its upper end is returned.  Otherwise Brent's method on log
+    modular solves the bracket to 4 ulp.  Modular values are cached by k,
+    and the returned k is the end of the final bracket where the modular
+    is at most 1.  An inconclusive modular anywhere aborts with
+    BudgetExceeded rather than silently guessing a side; a root search
+    that stalls raises NonConvergence.
     """
     tail = f.tail
     if isinstance(tail, StepTail) and tail.is_zero:
-        return NormResult(0.0, 0.0, {"iterations": 0, "note": "zero function"})
+        return NormResult(0.0, 0.0, {"modular_evaluations": 0, "note": "zero function"})
 
-    evals = 0
+    cache: Dict[float, float] = {}
 
-    def above(k: float) -> bool:
-        nonlocal evals
-        evals += 1
-        try:
-            return _modular_above_one(N, f, k, spec)
-        except (BudgetExceeded, Inconclusive) as exc:
-            raise BudgetExceeded(
-                f"modular at k={k:g} could not be classified: {exc}"
-            ) from exc
+    def mod(k: float) -> float:
+        """modular(f, k), with +inf standing for a divergent modular."""
+        if k not in cache:
+            try:
+                r = modular(N, f, k, spec)
+            except (BudgetExceeded, Inconclusive) as exc:
+                raise BudgetExceeded(
+                    f"modular at k={k:g} could not be classified: {exc}"
+                ) from exc
+            cache[k] = r.value if r.is_finite else math.inf
+        return cache[k]
+
+    def capped(value: float, note: str) -> NormResult:
+        return NormResult(value, None, {"modular_evaluations": len(cache), "note": note})
 
     hi = 1.0
-    while above(hi):
+    while mod(hi) > 1.0:
         hi *= 2.0
         if hi > NORM_CAP:
-            return NormResult(
-                math.inf, None,
-                {"iterations": evals, "note": f"modular above 1 up to cap {NORM_CAP:g}"},
-            )
+            return capped(math.inf, f"modular above 1 up to cap {NORM_CAP:g}")
     lo = hi * 0.5
     if hi == 1.0:
-        while not above(lo):
+        while not mod(lo) > 1.0:
             hi = lo
             lo *= 0.5
             if lo < 1.0 / NORM_CAP:
-                return NormResult(
-                    0.0, None,
-                    {"iterations": evals, "note": "modular below 1 down to cap"},
-                )
-    iters = 0
-    while hi - lo > rel_tol * hi:
+                return capped(0.0, "modular below 1 down to cap")
+
+    def result() -> NormResult:
+        return NormResult(
+            hi, cache[hi], {"modular_evaluations": len(cache), "bracket": (lo, hi)}
+        )
+
+    # log modular needs finite, positive values at both ends
+    while mod(lo) == math.inf or mod(hi) == 0.0:
         mid = 0.5 * (lo + hi)
-        if above(mid):
+        if hi - lo <= rel_tol * hi or not lo < mid < hi:
+            return result()
+        if mod(mid) > 1.0:
             lo = mid
         else:
             hi = mid
-        iters += 1
-        if iters > 400:
-            break
-    mod_at = modular(N, f, hi, spec)
-    return NormResult(
-        hi,
-        mod_at.value if mod_at.is_finite else None,
-        {"iterations": iters, "modular_evaluations": evals + 1,
-         "bracket": (lo, hi)},
-    )
+
+    def log_mod(k: float) -> float:
+        nonlocal lo, hi
+        m = mod(k)
+        if m > 1.0:
+            lo = max(lo, k)
+        else:
+            hi = min(hi, k)
+        return math.log(m) if m > 0.0 else -math.inf
+
+    find_root(log_mod, (lo, hi), tol=4.0 * math.ulp(hi))
+    return result()
 
 
 def weak_norm(N: YoungFunction, f: TailRepFunction,
               rel_tol: float = 1e-12) -> NormResult:
-    """The weak Orlicz norm: scaling norm of T[f] against the Chebyshev tail."""
+    """The weak Orlicz norm: scaling norm of T[f] against the Chebyshev tail.
+
+    For a step tail it is the closed form max_i t_i / N^{-1}(1/level_i):
+    the levels are held on left-open intervals, so domination by
+    min(mass, 1/N(t/K)) binds at each threshold t_i.  A level is capped at
+    the total mass, which it may exceed by rounding.  Analytic tails go
+    through ``tail_norm``.
+    """
     theta = chebyshev_tail(N, f.total_mass)
-    value = tail_norm(f.tail, theta, rel_tol)
+    tail = f.tail
+    if isinstance(tail, StepTail):
+        mass = f.total_mass
+        value = max(
+            (t / N.inverse(1.0 / min(level, mass))
+             for t, level in zip(tail.thresholds, tail.levels)),
+            default=0.0,
+        )
+    else:
+        value = tail_norm(tail, theta, rel_tol)
     return NormResult(value, None, {"reference": theta.label})
 
 

@@ -14,11 +14,11 @@ evaluation order, no randomness.
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
-
-from scipy.optimize import brentq as _brentq
 
 from .errors import (
     BudgetExceeded,
@@ -194,17 +194,14 @@ def _adaptive_finite(f, a, b, spec: QuadratureSpec, abs_budget: float):
         return 0.0, 0.0
     resk, err = _panel(f, a, b)
     panels = [[err, a, b, resk, 0]]
+    # max-heap of (-error, index): ties go to the lowest index
+    heap = [(-err, 0)]
     total, toterr = resk, err
     while True:
         tol = max(abs_budget, spec.rel_tol * abs(total))
         if toterr <= tol:
             break
-        worst = 0
-        we = -1.0
-        for i, p in enumerate(panels):
-            if p[0] > we:
-                we = p[0]
-                worst = i
+        worst = heap[0][1]
         perr, pa, pb, pval, pdepth = panels[worst]
         if pdepth >= spec.max_depth:
             raise BudgetExceeded(
@@ -218,6 +215,8 @@ def _adaptive_finite(f, a, b, spec: QuadratureSpec, abs_budget: float):
         lval, lerr = _panel(f, pa, mid)
         rval, rerr = _panel(f, mid, pb)
         panels[worst] = [lerr, pa, mid, lval, pdepth + 1]
+        heapq.heapreplace(heap, (-lerr, worst))
+        heapq.heappush(heap, (-rerr, len(panels)))
         panels.append([rerr, mid, pb, rval, pdepth + 1])
         total += lval + rval - pval
         toterr += lerr + rerr - perr
@@ -438,6 +437,10 @@ def divergence_classify(
     return integrate(f, a, math.inf, spec)
 
 
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon  # brentq's smallest rtol
+_ROOT_MAXITER = 200
+
+
 def find_root(
     g: Callable[[float], float],
     bracket: Sequence[float],
@@ -445,29 +448,65 @@ def find_root(
 ) -> float:
     """Root of a continuous function inside a sign-changing bracket.
 
-    Brent's method; the returned point lies within ``tol`` of a sign
-    change.  Deterministic for fixed inputs.
+    Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973), step for step as scipy's ``brentq`` runs it, so
+    roots agree with it bit for bit.  The returned point lies within
+    ``tol + 4 eps |root|`` of a sign change; the other end of the final
+    bracket is the closest point evaluated on the other side.
+    Deterministic for fixed inputs.  Raises NonEvaluable when g returns
+    NaN and NonConvergence after 200 iterations.
     """
     lo, hi = bracket
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid bracket ({lo!r}, {hi!r})")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    glo = g(lo)
-    ghi = g(hi)
-    if glo != glo or ghi != ghi:
-        raise NonEvaluable("bracket endpoint evaluated to NaN")
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo > 0.0) == (ghi > 0.0):
+
+    def checked(x: float) -> float:
+        v = g(x)
+        if v != v:
+            raise NonEvaluable(f"root function returned NaN at x={x!r}")
+        return v
+
+    xpre, xcur = lo, hi
+    fpre, fcur = checked(xpre), checked(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre > 0.0) == (fcur > 0.0):
         raise NoSignChange(
-            f"g({lo!r})={glo!r} and g({hi!r})={ghi!r} have the same sign"
+            f"g({lo!r})={fpre!r} and g({hi!r})={fcur!r} have the same sign"
         )
-    root, info = _brentq(
-        g, lo, hi, xtol=tol, rtol=8.881784197001252e-16, maxiter=200, full_output=True
-    )
-    if not info.converged:
-        raise NonConvergence(f"root refinement stalled after {info.iterations} iterations")
-    return root
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre > 0.0) != (fcur > 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + _ROOT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = checked(xcur)
+    raise NonConvergence(f"root refinement stalled after {_ROOT_MAXITER} iterations")

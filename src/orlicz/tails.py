@@ -228,24 +228,33 @@ _GRID_DECADES = range(-15, 16)
 _GRID_PER_DECADE = 20
 
 
-def _feasible_analytic(T: AnalyticTail, theta: TailFunction, K: float) -> bool:
-    # sample in s = t/K coordinates: the reference tail's transition region
-    # is then independent of the candidate K, so no violation can escape
-    # the grid by sliding off with K
-    worst_s = None
-    worst_margin = math.inf
+def _reference_grid(theta: TailFunction) -> List[Tuple[float, float]]:
+    """(s, theta(s)) on the fixed s-grid that ``_feasible_analytic`` samples."""
     step = 1.0 / _GRID_PER_DECADE
+    grid = []
     for e10 in _GRID_DECADES:
         for j in range(_GRID_PER_DECADE):
             s = 10.0 ** (e10 + j * step)
-            tv = T.value(s * K)
-            th = theta.value(s)
-            if tv > th:
-                return False
-            margin = th - tv
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_s = s
+            grid.append((s, theta.value(s)))
+    return grid
+
+
+def _feasible_analytic(T: AnalyticTail, theta: TailFunction,
+                       grid: List[Tuple[float, float]], K: float) -> bool:
+    # sample in s = t/K coordinates: the reference tail's transition region
+    # is then independent of the candidate K, so no violation can escape
+    # the grid by sliding off with K, and theta on the grid is computed once
+    worst_s = None
+    worst_margin = math.inf
+    step = 1.0 / _GRID_PER_DECADE
+    for s, th in grid:
+        tv = T.value(s * K)
+        if tv > th:
+            return False
+        margin = th - tv
+        if margin < worst_margin:
+            worst_margin = margin
+            worst_s = s
     # refine around the tightest point to catch violations between grid nodes
     if worst_s is not None:
         lo, hi = worst_s * 10.0 ** (-step), worst_s * 10.0 ** step
@@ -267,13 +276,13 @@ def tail_norm(T: TailFunction, theta: TailFunction, rel_tol: float = 1e-12) -> f
     between a halving lower bracket and a doubling upper bracket.  Returns
     0 for the zero tail and inf when no K dominates.
     """
-    if isinstance(T, StepTail) and T.is_zero:
-        return 0.0
-    feasible = (
-        (lambda K: _feasible_step(T, theta, K))
-        if isinstance(T, StepTail)
-        else (lambda K: _feasible_analytic(T, theta, K))
-    )
+    if isinstance(T, StepTail):
+        if T.is_zero:
+            return 0.0
+        feasible = lambda K: _feasible_step(T, theta, K)
+    else:
+        grid = _reference_grid(theta)
+        feasible = lambda K: _feasible_analytic(T, theta, grid, K)
     hi = 1.0
     while not feasible(hi):
         hi *= 2.0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from orlicz.norms import (
     modular,
     weak_norm,
 )
-from orlicz.tails import AnalyticTail, TailRepFunction, step_tail
+from orlicz.tails import AnalyticTail, TailRepFunction, chebyshev_tail, step_tail, tail_norm
 from orlicz.young import delta_young, exp_young, power_young
 
 from oracle_values import INDICATOR_EXP2
@@ -19,6 +20,19 @@ from oracle_values import INDICATOR_EXP2
 @pytest.fixture
 def two_piece():
     return step_tail([(2.0, 0.3), (1.0, 0.5)], 1.0)
+
+
+def random_steps(seed, count=40):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        pieces = [(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(1e-3, 1.0 / 8))
+                  for _ in range(rng.randint(1, 8))]
+        out.append(step_tail(pieces, 1.0))
+    return out
+
+
+FAMILIES = (power_young(2.0), exp_young(2.0), delta_young(2.0))
 
 
 @pytest.fixture
@@ -81,6 +95,13 @@ class TestLuxemburgNorm:
         r = luxemburg_norm(exp_young(2.0), two_piece)
         assert r.modular_at_value == pytest.approx(1.0, abs=1e-9)
 
+    def test_step_norm_is_the_last_feasible_scale(self):
+        for N in FAMILIES:
+            for f in random_steps(3, 15):
+                r = luxemburg_norm(N, f)
+                assert modular(N, f, r.value).value == r.modular_at_value <= 1.0
+                assert modular(N, f, r.value * (1.0 - 1e-9)).value > 1.0
+
 
 class TestWeakNorm:
     def test_extremal_tail_has_unit_norm(self):
@@ -99,6 +120,22 @@ class TestWeakNorm:
 
     def test_zero_function(self):
         assert weak_norm(exp_young(2.0), step_tail([], 1.0)).value == 0.0
+
+    def test_step_closed_form_matches_tail_norm(self):
+        for N in FAMILIES:
+            theta = chebyshev_tail(N, 1.0)
+            for f in random_steps(5):
+                assert weak_norm(N, f).value == pytest.approx(
+                    tail_norm(f.tail, theta), rel=1e-10
+                )
+
+    def test_level_rounding_above_the_mass(self):
+        # step_tail accepts a top level 1e-13 above the total mass; the
+        # level is capped at the mass, so the value is 1/N^{-1}(1)
+        f = step_tail([(1.0, 1.0 + 1e-13)], 1.0)
+        assert weak_norm(exp_young(2.0), f).value == pytest.approx(
+            0.8493218002880191, rel=1e-15
+        )
 
     def test_never_exceeds_strong(self, two_piece):
         for N in (power_young(2.0), exp_young(2.0), delta_young(2.0)):

@@ -1,8 +1,13 @@
 import math
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from orlicz.errors import BudgetExceeded, NoSignChange, NonEvaluable
+import orlicz
+from orlicz.errors import BudgetExceeded, NoSignChange, NonConvergence, NonEvaluable
 from orlicz.numerics import (
     DEFAULT_SPEC,
     FiniteOrDivergent,
@@ -158,6 +163,49 @@ class TestFindRoot:
             find_root(lambda x: x, (1.0, 1.0), 1e-9)
         with pytest.raises(ValueError):
             find_root(lambda x: x, (-1.0, 1.0), 0.0)
+
+    def test_nan_mid_iteration_raises(self):
+        ends = {-1.0: -1.0, 2.0: 2.0}
+        with pytest.raises(NonEvaluable):
+            find_root(lambda x: ends.get(x, math.nan), (-1.0, 2.0), 1e-12)
+
+    def test_iteration_cap_raises(self):
+        # a sign step gives no interpolation step, and bisecting to 1e-300
+        # around 0 takes about a thousand halvings
+        with pytest.raises(NonConvergence):
+            find_root(lambda x: math.copysign(1.0, x), (-1.0, 3.0), 1e-300)
+
+    def test_roots_match_scipy_brentq_bit_for_bit(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        rng = random.Random(11)
+        families = (
+            lambda a, c: lambda x: x ** 3 - a + c * math.sin(x),
+            lambda a, c: lambda x: math.atan(c * (x - a)) + 0.1 * (x - a) ** 3,
+            lambda a, c: lambda x: math.log(c * x * x + 1.0) - a * a,
+        )
+        checked = 0
+        for i in range(3000):
+            a, c = rng.uniform(-5.0, 5.0), rng.uniform(0.1, 3.0)
+            g = families[i % 3](a, c)
+            lo, hi = rng.uniform(-20.0, 0.0) - abs(a), rng.uniform(0.0, 20.0) + abs(a)
+            if (g(lo) > 0.0) == (g(hi) > 0.0):
+                continue
+            tol = 10.0 ** rng.uniform(-16.0, -2.0)
+            expected = brentq(g, lo, hi, xtol=tol, rtol=4.0 * sys.float_info.epsilon,
+                              maxiter=200)
+            assert find_root(g, (lo, hi), tol) == expected
+            checked += 1
+        assert checked > 1500
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    src = str(Path(orlicz.__file__).resolve().parents[1])
+    code = "import sys, orlicz; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestSpecValidation:
