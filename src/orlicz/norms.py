@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from .errors import BudgetExceeded, Inconclusive, NotDominated
 from .numerics import (DEFAULT_SPEC, FiniteOrDivergent, LadderTrace, QuadratureSpec,
                        find_root, integrate)
-from .tails import StepTail, TailRepFunction, chebyshev_tail, tail_norm
+from .tails import StepTail, TailRepFunction, chebyshev_tail
 from .young import YoungFunction
 
 __all__ = [
@@ -176,28 +176,105 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
     return result()
 
 
+_GRID_PER_DECADE = 20  # weak-norm sample nodes t = 10^(j/20)
+_GRID_FIRST = (-15 * _GRID_PER_DECADE, 16 * _GRID_PER_DECADE)  # t in [1e-15, 1e16]
+_GRID_LIMIT = 300 * _GRID_PER_DECADE  # the grid grows by decades up to t = 1e+-300
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _log_t_sup(g: Callable[[float], float],
+               rel_tol: float) -> Tuple[float, Optional[float], int]:
+    """(sup, argmax, evaluations) of g over t > 0, sampled in x = log10 t.
+
+    g is sampled on the nodes x = j/20 for t in [1e-15, 1e16].  While the
+    largest sample (the first, on ties) sits at an end node, the grid grows
+    by a whole decade at that end, up to t = 1e+-300; past the last node
+    where T vanishes g is 0, so the upper end stops there by itself.  A
+    golden-section search (Kiefer, 1953) then refines over the two cells
+    beside the largest node until they are ``rel_tol`` wide in t.  The
+    largest value evaluated is returned, +inf once it exceeds NORM_CAP.
+    """
+    best, argmax, count = 0.0, None, 0
+
+    def at(x: float) -> float:
+        nonlocal best, argmax, count
+        t = 10.0 ** x
+        v = g(t)
+        count += 1
+        if v > best:
+            best, argmax = v, t
+        return v
+
+    step = _GRID_PER_DECADE
+    lo, hi = _GRID_FIRST
+    vals = [at(j / step) for j in range(lo, hi + 1)]
+    while best <= NORM_CAP:
+        i = vals.index(max(vals))
+        if i == 0 and lo > -_GRID_LIMIT:
+            lo -= step
+            vals[:0] = [at(j / step) for j in range(lo, lo + step)]
+        elif i == len(vals) - 1 and hi < _GRID_LIMIT:
+            vals += [at(j / step) for j in range(hi + 1, hi + step + 1)]
+            hi += step
+        else:
+            break
+    if best > NORM_CAP:
+        return math.inf, argmax, count
+
+    a = (lo + max(i - 1, 0)) / step
+    b = (lo + min(i + 1, len(vals) - 1)) / step
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    gc, gd = at(c), at(d)
+    width = rel_tol / math.log(10.0)
+    while b - a > width and a < c < d < b:
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - _INV_PHI * (b - a)
+            gc = at(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + _INV_PHI * (b - a)
+            gd = at(d)
+    return (math.inf if best > NORM_CAP else best), argmax, count
+
+
 def weak_norm(N: YoungFunction, f: TailRepFunction,
               rel_tol: float = 1e-12) -> NormResult:
     """The weak Orlicz norm: scaling norm of T[f] against the Chebyshev tail.
 
-    For a step tail it is the closed form max_i t_i / N^{-1}(1/level_i):
-    the levels are held on left-open intervals, so domination by
-    min(mass, 1/N(t/K)) binds at each threshold t_i.  A level is capped at
-    the total mass, which it may exceed by rounding.  Analytic tails go
-    through ``tail_norm``.
+    T(t) <= min(mass, 1/N(t/K)) holds iff t/K <= N^{-1}(1/min(T(t), mass)),
+    so the norm is sup_t g(t) with g(t) = t / N^{-1}(1/min(T(t), mass)),
+    and no search over K is needed.  A level is capped at the total mass,
+    which a step level may exceed by rounding; a level of 0 gives g = 0,
+    and an infinite level on infinite mass gives g = +inf.  On a step tail
+    the levels are held on left-open intervals, so the sup is the maximum
+    over the thresholds t_i.  On an analytic tail it is taken by
+    ``_log_t_sup``.  The trace records the number of g evaluations and
+    the t where the returned value was attained (None for 0).
     """
-    theta = chebyshev_tail(N, f.total_mass)
+    mass = f.total_mass
     tail = f.tail
+
+    def g(t: float, level: float) -> float:
+        if level == 0.0:
+            return 0.0
+        u = N.inverse(1.0 / min(level, mass))
+        return t / u if u > 0.0 else math.inf
+
     if isinstance(tail, StepTail):
-        mass = f.total_mass
-        value = max(
-            (t / N.inverse(1.0 / min(level, mass))
-             for t, level in zip(tail.thresholds, tail.levels)),
-            default=0.0,
-        )
+        value, argmax = 0.0, None
+        for t, level in zip(tail.thresholds, tail.levels):
+            v = g(t, level)
+            if v > value:
+                value, argmax = v, t
+        count = len(tail.thresholds)
     else:
-        value = tail_norm(tail, theta, rel_tol)
-    return NormResult(value, None, {"reference": theta.label})
+        value, argmax, count = _log_t_sup(lambda t: g(t, tail.value(t)), rel_tol)
+    return NormResult(value, None, {
+        "reference": chebyshev_tail(N, mass).label,
+        "evaluations": count,
+        "argmax_t": argmax,
+    })
 
 
 def lebesgue_norm(f: TailRepFunction, p: float,

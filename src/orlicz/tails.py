@@ -269,12 +269,17 @@ def _feasible_analytic(T: AnalyticTail, theta: TailFunction,
 
 
 def tail_norm(T: TailFunction, theta: TailFunction, rel_tol: float = 1e-12) -> float:
-    """Scaling norm against a reference tail.
+    """Scaling norm against a reference tail, computed from its definition.
 
     The infimum of K > 0 such that T(t) <= theta(t/K) for every t > 0;
     feasibility is monotone in K, so the infimum is found by bisection
     between a halving lower bracket and a doubling upper bracket.  Returns
-    0 for the zero tail and inf when no K dominates.
+    0 for the zero tail and inf when no K dominates.  This is the
+    definition-level reference that tests compare against, not the
+    library path: ``norms.weak_norm`` takes sup_t t / N^{-1}(1/min(T(t),
+    mass)) directly.  On an analytic tail feasibility is sampled on a
+    fixed s-grid over [1e-15, 1e16], so a violation outside it, or between
+    its nodes away from the tightest one, goes unseen.
     """
     if isinstance(T, StepTail):
         if T.is_zero:

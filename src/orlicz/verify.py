@@ -31,7 +31,7 @@ from .expfamily import (
     gauge_slope_at_zero,
 )
 from .norms import coupling_check, luxemburg_norm, modular, weak_norm
-from .tails import step_tail
+from .tails import AnalyticTail, TailRepFunction, step_tail
 from .young import YoungFunction, delta_young, exp_young, power_young
 
 __all__ = [
@@ -285,6 +285,21 @@ def _suite_norms(col: _Collector, seed: int) -> None:
     col.add(
         "NR-05", "indicator norms coincide and equal 1/N^{-1}(1/a)",
         "<= 1e-8", worst_ind, 1e-8, worst_ind <= 1e-8,
+    )
+
+    worst_unit = 0.0
+    for name, N in _families():
+        for mass in (0.25, 1.0, 4.0):
+            worst_unit = max(worst_unit, abs(weak_norm(N, extremal_function(N, mass)).value - 1.0))
+    for p in (1.5, 2.0, 3.0):
+        for gap in (1e-3, 0.5, 2.0):
+            q = p + gap
+            f = TailRepFunction(AnalyticTail(lambda t, q=q: min(1.0, t ** -q)), 1.0)
+            worst_unit = max(worst_unit, abs(weak_norm(power_young(p), f).value - 1.0))
+    col.add(
+        "NR-06", "analytic weak norms equal 1: extremal fns (3 families x masses 0.25, 1, 4)"
+        " and min(1, t^-q) under power(p), p in {1.5, 2, 3}, q - p in {1e-3, 0.5, 2}",
+        "<= 1e-12", worst_unit, 1e-12, worst_unit <= 1e-12,
     )
 
 

@@ -143,6 +143,56 @@ class TestWeakNorm:
             s = luxemburg_norm(N, two_piece).value
             assert w <= s + 1e-8
 
+    def test_power_tail_kink_between_grid_nodes(self):
+        # for K < 1 the tail exceeds the reference only on s in (1, 1/K],
+        # narrower than a feasibility grid cell; the sup sits at the kink t = 1
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.150422762281792)), 1.0)
+        assert weak_norm(power_young(2.445074845566358), f).value == pytest.approx(1.0, rel=1e-12)
+
+    def test_sup_below_the_first_grid(self):
+        # the kink of min(1, (t/c)^-4) sits at t = c, far below t = 1e-15
+        c = 1e-18
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / c) ** -4.0)), 1.0)
+        assert weak_norm(power_young(2.0), f).value == pytest.approx(c, rel=1e-12, abs=0.0)
+
+    def test_unbounded_at_small_t_on_infinite_mass(self):
+        # t / N^{-1}(t^3) = t^(-1/2) under power(2) grows without bound as t -> 0
+        f = TailRepFunction(AnalyticTail(lambda t: t ** -3.0), math.inf)
+        assert weak_norm(power_young(2.0), f).value == math.inf
+
+    def test_smooth_interior_maximum(self):
+        # sup_t t / N^{-1}(e^t) = sup_t t e^(-t/2) = 2/e under power(2), at t = 2
+        f = TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0)
+        r = weak_norm(power_young(2.0), f)
+        assert r.value == pytest.approx(2.0 / math.e, rel=1e-12)
+        assert r.trace["argmax_t"] == pytest.approx(2.0, rel=1e-5)
+
+    def test_infinite_level_on_infinite_mass(self):
+        # N^{-1}(1/inf) = 0: no K dominates an infinite level
+        f = TailRepFunction(AnalyticTail(lambda t: math.inf if t <= 1.0 else 0.0), math.inf)
+        assert weak_norm(power_young(2.0), f).value == math.inf
+        # on finite mass the level is capped at the mass
+        f = TailRepFunction(AnalyticTail(lambda t: math.inf if t <= 1.0 else 0.0), 1.0)
+        assert weak_norm(power_young(2.0), f).value == pytest.approx(1.0, rel=1e-12)
+
+    def test_invalid_tail_values_rejected(self):
+        for bad in (math.nan, -1.0):
+            f = TailRepFunction(AnalyticTail(lambda t, bad=bad: bad), 1.0)
+            with pytest.raises(ValueError):
+                weak_norm(power_young(2.0), f)
+
+    def test_trace_counts_and_locates_the_sup(self):
+        f = step_tail([(2.0, 0.3), (1.0, 0.5)], 1.0)
+        r = weak_norm(power_young(2.0), f)
+        assert r.trace["evaluations"] == 2
+        assert r.trace["argmax_t"] == 2.0
+        assert r.value == 2.0 / math.sqrt(1.0 / 0.3)
+        g = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0)), 1.0)
+        first = weak_norm(power_young(2.0), g)
+        assert first.trace["argmax_t"] == 1.0
+        assert first.trace["evaluations"] > 621
+        assert weak_norm(power_young(2.0), g).trace == first.trace
+
 
 class TestLebesgueNorm:
     def test_exact_sum(self, two_piece):
