@@ -13,6 +13,7 @@ the quadrature kernel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -180,6 +181,7 @@ _GRID_PER_DECADE = 20  # weak-norm sample nodes t = 10^(j/20)
 _GRID_FIRST = (-15 * _GRID_PER_DECADE, 16 * _GRID_PER_DECADE)  # t in [1e-15, 1e16]
 _GRID_LIMIT = 300 * _GRID_PER_DECADE  # the grid grows by decades up to t = 1e+-300
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_FLOAT_MAX = sys.float_info.max
 
 
 def _log_t_sup(g: Callable[[float], float],
@@ -187,12 +189,21 @@ def _log_t_sup(g: Callable[[float], float],
     """(sup, argmax, evaluations) of g over t > 0, sampled in x = log10 t.
 
     g is sampled on the nodes x = j/20 for t in [1e-15, 1e16].  While the
-    largest sample (the first, on ties) sits at an end node, the grid grows
-    by a whole decade at that end, up to t = 1e+-300; past the last node
-    where T vanishes g is 0, so the upper end stops there by itself.  A
-    golden-section search (Kiefer, 1953) then refines over the two cells
-    beside the largest node until they are ``rel_tol`` wide in t.  The
-    largest value evaluated is returned, +inf once it exceeds NORM_CAP.
+    sample at an end node exceeds every other sample by more than the
+    factor 1 + ``rel_tol`` (so rounding noise on a flat g does not count),
+    the grid grows by a whole decade at that end, up to t = 1e+-300; past
+    the last node where T vanishes g is 0, so the upper end stops there by
+    itself.  A golden-section search (Kiefer, 1953) then refines over the
+    two cells beside the largest node until they are ``rel_tol`` wide in
+    t.  The largest value evaluated is returned, +inf once it exceeds
+    NORM_CAP.
+
+    The result is the sup to ``rel_tol`` when g is unimodal near its
+    largest node.  Otherwise a peak in another cell can be missed, but as
+    T is nonincreasing, g(t) <= 10^(1/20) g(t_j) on each cell [t_j,
+    t_j 10^(1/20)], so the result is within that factor of the sup over
+    the sampled range.  A larger peak beyond a dip (or a flat stretch)
+    past the ends of the grid is not seen.
     """
     best, argmax, count = 0.0, None, 0
 
@@ -208,12 +219,12 @@ def _log_t_sup(g: Callable[[float], float],
     step = _GRID_PER_DECADE
     lo, hi = _GRID_FIRST
     vals = [at(j / step) for j in range(lo, hi + 1)]
+    margin = 1.0 + rel_tol
     while best <= NORM_CAP:
-        i = vals.index(max(vals))
-        if i == 0 and lo > -_GRID_LIMIT:
+        if vals[0] > margin * max(vals[1:]) and lo > -_GRID_LIMIT:
             lo -= step
             vals[:0] = [at(j / step) for j in range(lo, lo + step)]
-        elif i == len(vals) - 1 and hi < _GRID_LIMIT:
+        elif vals[-1] > margin * max(vals[:-1]) and hi < _GRID_LIMIT:
             vals += [at(j / step) for j in range(hi + 1, hi + step + 1)]
             hi += step
         else:
@@ -221,6 +232,7 @@ def _log_t_sup(g: Callable[[float], float],
     if best > NORM_CAP:
         return math.inf, argmax, count
 
+    i = vals.index(max(vals))
     a = (lo + max(i - 1, 0)) / step
     b = (lo + min(i + 1, len(vals) - 1)) / step
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
@@ -245,21 +257,34 @@ def weak_norm(N: YoungFunction, f: TailRepFunction,
     T(t) <= min(mass, 1/N(t/K)) holds iff t/K <= N^{-1}(1/min(T(t), mass)),
     so the norm is sup_t g(t) with g(t) = t / N^{-1}(1/min(T(t), mass)),
     and no search over K is needed.  A level is capped at the total mass,
-    which a step level may exceed by rounding; a level of 0 gives g = 0,
-    and an infinite level on infinite mass gives g = +inf.  On a step tail
-    the levels are held on left-open intervals, so the sup is the maximum
-    over the thresholds t_i.  On an analytic tail it is taken by
-    ``_log_t_sup``.  The trace records the number of g evaluations and
-    the t where the returned value was attained (None for 0).
+    which a step level may exceed by rounding, and at the largest float.
+    A level of +inf is what 1/N(t) gives wherever N(t) underflows, and a
+    tail value that raises OverflowError reads as +inf too, so such a
+    level stands for one just beyond the float range; it gives the norm
+    +inf at every t above 2^64 N^{-1}(1/max_float).  A level
+    of 0 gives g = 0.  On a step tail the levels are held on left-open
+    intervals, so the sup is the maximum over the thresholds t_i.  On an
+    analytic tail it is taken by ``_log_t_sup``, whose docstring states
+    what its grid can miss.  The trace records the number of g
+    evaluations and the t where the returned value was attained (None
+    for 0).
     """
     mass = f.total_mass
     tail = f.tail
+    cap = min(mass, _FLOAT_MAX)
 
     def g(t: float, level: float) -> float:
         if level == 0.0:
             return 0.0
-        u = N.inverse(1.0 / min(level, mass))
+        u = N.inverse(1.0 / min(level, cap))
         return t / u if u > 0.0 else math.inf
+
+    def g_analytic(t: float) -> float:
+        try:
+            level = tail.value(t)
+        except OverflowError:
+            level = math.inf
+        return g(t, level)
 
     if isinstance(tail, StepTail):
         value, argmax = 0.0, None
@@ -269,7 +294,7 @@ def weak_norm(N: YoungFunction, f: TailRepFunction,
                 value, argmax = v, t
         count = len(tail.thresholds)
     else:
-        value, argmax, count = _log_t_sup(lambda t: g(t, tail.value(t)), rel_tol)
+        value, argmax, count = _log_t_sup(g_analytic, rel_tol)
     return NormResult(value, None, {
         "reference": chebyshev_tail(N, mass).label,
         "evaluations": count,

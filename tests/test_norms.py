@@ -1,8 +1,11 @@
 import math
 import random
+import sys
 
 import pytest
 
+from orlicz.descriptors import parse_descriptor
+from orlicz.embedding import extremal_function
 from orlicz.errors import NotDominated
 from orlicz.norms import (
     coupling_check,
@@ -105,8 +108,6 @@ class TestLuxemburgNorm:
 
 class TestWeakNorm:
     def test_extremal_tail_has_unit_norm(self):
-        from orlicz.embedding import extremal_function
-
         for N in (exp_young(2.0), power_young(2.0)):
             g = extremal_function(N, 1.0)
             assert weak_norm(N, g).value == pytest.approx(1.0, abs=1e-8)
@@ -168,12 +169,45 @@ class TestWeakNorm:
         assert r.trace["argmax_t"] == pytest.approx(2.0, rel=1e-5)
 
     def test_infinite_level_on_infinite_mass(self):
-        # N^{-1}(1/inf) = 0: no K dominates an infinite level
+        # an infinite level reads as the largest float, and
+        # 1 / N^{-1}(1/max_float) = 1.3e154 exceeds the cap under power(2)
         f = TailRepFunction(AnalyticTail(lambda t: math.inf if t <= 1.0 else 0.0), math.inf)
         assert weak_norm(power_young(2.0), f).value == math.inf
         # on finite mass the level is capped at the mass
         f = TailRepFunction(AnalyticTail(lambda t: math.inf if t <= 1.0 else 0.0), 1.0)
         assert weak_norm(power_young(2.0), f).value == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [power_young(2.0), power_young(4.0), power_young(25.0),
+                                   exp_young(2.0), delta_young(2.0)],
+                             ids=["power2", "power4", "power25", "exp2", "delta2"])
+    def test_extremal_on_infinite_mass(self, N):
+        # 1/N(t) overflows where N(t) underflows; that must not read as an infinite level
+        r = weak_norm(N, extremal_function(N, math.inf))
+        assert r.value == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mass", [1.0, math.inf])
+    def test_overflowing_tail_value(self, mass):
+        # t ** -p raises OverflowError below t = max_float^(-1/p); such a level
+        # is beyond the float range.  Under power(2) on infinite mass the sup of
+        # t^(-1/40) is at that boundary, where both sides equal max_float^(1/42).
+        f = parse_descriptor(
+            {"kind": "analytic-tail", "family": "power", "p": 2.1, "mass": mass}
+        ).build()
+        expected = 1.0 if mass == 1.0 else sys.float_info.max ** (1.0 / 42.0)
+        assert weak_norm(power_young(2.0), f).value == pytest.approx(expected, rel=1e-10)
+        f = parse_descriptor({"kind": "analytic-tail", "family": "power", "p": 25, "mass": 1}).build()
+        assert weak_norm(power_young(2.0), f).value == pytest.approx(1.0, rel=1e-12)
+
+    def test_off_peak_cell_within_a_grid_step(self):
+        # T = 1 on (0, 1.1], 0.011025 on (1.1, 10], 0 after: g = t up to the
+        # sup 1.1, then 0.105 t up to 1.05 at the node t = 10.  Only the cells
+        # beside the largest node are refined, so the peak inside the cell
+        # [1, 10^(1/20)] is missed, by less than the documented factor 10^(1/20).
+        f = TailRepFunction(
+            AnalyticTail(lambda t: 1.0 if t <= 1.1 else (0.011025 if t <= 10.0 else 0.0)), 1.0
+        )
+        v = weak_norm(power_young(2.0), f).value
+        assert 1.1 / 10.0 ** (1.0 / 20.0) <= v <= 1.1
 
     def test_invalid_tail_values_rejected(self):
         for bad in (math.nan, -1.0):
