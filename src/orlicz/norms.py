@@ -102,24 +102,33 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
                    spec: Optional[QuadratureSpec] = None) -> NormResult:
     """The strong (Luxemburg) norm inf{k > 0 : modular(f, k) <= 1}.
 
-    The modular is non-increasing in k.  Doubling or halving k from 1
-    gives a bracket lo < hi with modular(lo) > 1 >= modular(hi); if the
-    modular stays above 1 while k doubles up to 2^64 the norm is infinite,
-    if it stays at or below 1 down to 2^-64 it is 0 (the cap is recorded
-    in the trace).  While the modular at lo is divergent (or 0 at hi) the
+    The weak norm w is a lower bound: modular(f, k) >= T(t) N(t/k) for
+    every t (Chebyshev), and that exceeds 1 for some t at every k < w.
+    So ``weak_norm`` runs first.  If w exceeds 2^64 (NORM_CAP), as it
+    does whenever it is +inf, the norm is +inf with no modular evaluated.
+    Otherwise the modular, non-increasing in k, is bracketed by doubling
+    or halving k from w (from 1 if w is 0): lo < hi with modular(lo) > 1
+    >= modular(hi).  If the modular stays above 1 while k doubles up to
+    2^64 the norm is infinite, if it stays at or below 1 down to 2^-64 it
+    is 0 (the cap is recorded in the trace).  Under power(p), modular(k)
+    = k^-p modular(1), so the first divergent modular makes the norm
+    infinite.  While the modular at lo is divergent (or 0 at hi) the
     bracket is bisected, and if that bisection narrows it to ``rel_tol``
     first its upper end is returned.  Otherwise Brent's method on log
     modular solves the bracket to 4 ulp.  Modular values are cached by k,
     and the returned k is the end of the final bracket where the modular
-    is at most 1.  An inconclusive modular anywhere aborts with
+    is at most 1.  The trace records ``modular_evaluations`` and w as
+    ``weak_lower_bound``.  An inconclusive modular anywhere aborts with
     BudgetExceeded rather than silently guessing a side; a root search
     that stalls raises NonConvergence.
     """
     tail = f.tail
     if isinstance(tail, StepTail) and tail.is_zero:
-        return NormResult(0.0, 0.0, {"modular_evaluations": 0, "note": "zero function"})
+        return NormResult(0.0, 0.0, {"modular_evaluations": 0, "weak_lower_bound": 0.0,
+                                     "note": "zero function"})
 
     cache: Dict[float, float] = {}
+    w = weak_norm(N, f, rel_tol).value
 
     def mod(k: float) -> float:
         """modular(f, k), with +inf standing for a divergent modular."""
@@ -134,15 +143,22 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
         return cache[k]
 
     def capped(value: float, note: str) -> NormResult:
-        return NormResult(value, None, {"modular_evaluations": len(cache), "note": note})
+        return NormResult(value, None, {"modular_evaluations": len(cache),
+                                        "weak_lower_bound": w, "note": note})
 
-    hi = 1.0
+    if w > NORM_CAP:
+        return capped(math.inf, f"weak norm (a lower bound) above cap {NORM_CAP:g}")
+    start = w if w > 0.0 else 1.0
+    lo, hi = 0.0, start
     while mod(hi) > 1.0:
-        hi *= 2.0
-        if hi > NORM_CAP:
+        if N.family == "power" and mod(hi) == math.inf:
+            return capped(math.inf, f"modular divergent at k={hi:g}, so at every k under "
+                                    f"power: above cap {NORM_CAP:g}")
+        if hi == NORM_CAP:
             return capped(math.inf, f"modular above 1 up to cap {NORM_CAP:g}")
-    lo = hi * 0.5
-    if hi == 1.0:
+        lo, hi = hi, min(2.0 * hi, NORM_CAP)
+    if hi == start:
+        lo = hi * 0.5
         while not mod(lo) > 1.0:
             hi = lo
             lo *= 0.5
@@ -150,9 +166,8 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
                 return capped(0.0, "modular below 1 down to cap")
 
     def result() -> NormResult:
-        return NormResult(
-            hi, cache[hi], {"modular_evaluations": len(cache), "bracket": (lo, hi)}
-        )
+        return NormResult(hi, cache[hi], {"modular_evaluations": len(cache),
+                                          "weak_lower_bound": w, "bracket": (lo, hi)})
 
     # log modular needs finite, positive values at both ends
     while mod(lo) == math.inf or mod(hi) == 0.0:

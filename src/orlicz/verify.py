@@ -213,6 +213,11 @@ def _families() -> List[Tuple[str, YoungFunction]]:
     ]
 
 
+def _power_tail(q: float) -> TailRepFunction:
+    """min(1, t^-q) on unit mass."""
+    return TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -q)), 1.0)
+
+
 def _suite_norms(col: _Collector, seed: int) -> None:
     rng = random.Random(seed)
     worst_gap = -math.inf
@@ -294,12 +299,30 @@ def _suite_norms(col: _Collector, seed: int) -> None:
     for p in (1.5, 2.0, 3.0):
         for gap in (1e-3, 0.5, 2.0):
             q = p + gap
-            f = TailRepFunction(AnalyticTail(lambda t, q=q: min(1.0, t ** -q)), 1.0)
-            worst_unit = max(worst_unit, abs(weak_norm(power_young(p), f).value - 1.0))
+            worst_unit = max(worst_unit, abs(weak_norm(power_young(p), _power_tail(q)).value - 1.0))
     col.add(
         "NR-06", "analytic weak norms equal 1: extremal fns (3 families x masses 0.25, 1, 4)"
         " and min(1, t^-q) under power(p), p in {1.5, 2, 3}, q - p in {1e-3, 0.5, 2}",
         "<= 1e-12", worst_unit, 1e-12, worst_unit <= 1e-12,
+    )
+
+    worst_strong = 0.0
+    for p in (1.5, 2.0, 3.0):
+        for gap in (0.5, 2.0):
+            q = p + gap
+            closed = (q / gap) ** (1.0 / p)
+            s = luxemburg_norm(power_young(p), _power_tail(q)).value
+            worst_strong = max(worst_strong, abs(s - closed) / closed)
+    infinite = all(
+        luxemburg_norm(N, _power_tail(q)).value == math.inf
+        for N in (exp_young(2.0), delta_young(2.0))
+        for q in (2.0, 4.0, 6.0)
+    )
+    col.add(
+        "NR-07", "analytic strong norms: min(1, t^-q) under power(p) equals (q/(q-p))^(1/p),"
+        " p in {1.5, 2, 3}, q - p in {0.5, 2}; +inf under exp_m(2) and delta(2), q in {2, 4, 6}",
+        "<= 1e-12; +inf: True", f"{worst_strong!r}; +inf: {infinite}", 1e-12,
+        worst_strong <= 1e-12 and infinite,
     )
 
 

@@ -166,6 +166,12 @@ class TestVerifyCommand:
         assert rec["summary"]["failed"] == 0
         assert rc == 0
 
+    def test_norms_suite_passes(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--suite", "norms")
+        rec = json.loads(out)
+        assert rec["summary"]["failed"] == 0
+        assert rc == 0
+
     def test_exit_code_tracks_failures(self, capsys):
         rc, out, _ = run(capsys, "verify", "--suite", "embedding")
         rec = json.loads(out)

@@ -105,6 +105,44 @@ class TestLuxemburgNorm:
                 assert modular(N, f, r.value).value == r.modular_at_value <= 1.0
                 assert modular(N, f, r.value * (1.0 - 1e-9)).value > 1.0
 
+    @pytest.mark.parametrize("N", [exp_young(2.0), delta_young(2.0)], ids=["exp_m", "delta"])
+    @pytest.mark.parametrize("q", [4.0, 6.0])
+    def test_power_tail_infinite_under_exponential_families(self, N, q):
+        # N'(t/k) outgrows every power of t, so the modular diverges at every
+        # k; the weak norm is already +inf, and no modular is evaluated
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -q)), 1.0)
+        r = luxemburg_norm(N, f)
+        assert r.value == math.inf
+        assert "cap" in r.trace["note"]
+        assert r.trace["modular_evaluations"] == 0
+
+    def test_power_divergence_settles_in_one_modular(self, heavy):
+        # under power(p), modular(k) = k^-p modular(1): divergent at every k
+        r = luxemburg_norm(power_young(2.0), heavy)
+        assert r.value == math.inf
+        assert r.trace["modular_evaluations"] <= 1
+
+    def test_cap_is_the_same_from_any_bracket_start(self):
+        # the weak norm 1.06e19 doubles past 2^64; the bracket is cut at the
+        # cap, so a norm just below it stays finite, and one above it is +inf
+        N = power_young(2.0)
+        below = step_tail([(1.5e19, 0.5), (1.0e19, 0.5)], 1.0)
+        assert luxemburg_norm(N, below).value == pytest.approx(
+            math.sqrt(0.5 * (1.5e19 ** 2 + 1.0e19 ** 2)), rel=1e-12)
+        assert luxemburg_norm(N, step_tail([(3.0e19, 0.5)], 1.0)).value == math.inf
+
+    @pytest.mark.parametrize("f", [
+        step_tail([(2.0, 0.3), (1.0, 0.5)], 1.0),
+        TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -4.0)), 1.0),
+    ], ids=["step", "analytic"])
+    def test_trace_records_the_weak_lower_bound(self, f):
+        N = power_young(2.0)
+        r = luxemburg_norm(N, f)
+        w = r.trace["weak_lower_bound"]
+        assert w == weak_norm(N, f).value
+        assert 0.0 < w <= r.value < math.inf
+        assert luxemburg_norm(N, f).trace == r.trace
+
 
 class TestWeakNorm:
     def test_extremal_tail_has_unit_norm(self):
