@@ -21,16 +21,7 @@ from .errors import (
     NotDominated,
     OrliczError,
 )
-from .numerics import (
-    DEFAULT_SPEC,
-    FiniteOrDivergent,
-    LadderPoint,
-    LadderTrace,
-    QuadratureSpec,
-    divergence_classify,
-    find_root,
-    integrate,
-)
+from .numerics import FiniteOrDivergent, LadderPoint, LadderTrace, find_root, integrate
 from .young import (
     Delta2Estimate,
     ValidationReport,
@@ -66,7 +57,8 @@ from .norms import (
 )
 from .embedding import (
     ANALYTIC_VERDICTS,
-    DEFAULT_C_LADDER,
+    C_LADDER,
+    Q_TOL,
     CriterionResult,
     EmbeddingReport,
     coincidence_criterion,

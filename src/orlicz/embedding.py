@@ -15,7 +15,8 @@ of N, which also keeps its value where N itself overflows; the
 substituted form over w = N(t) decays too slowly for the cutoff ladder
 when N grows like exp((ln t)^D).  Q is continuous, strictly decreasing,
 infinite at 1+ and vanishing at infinity, and the bound is attained by
-that extremal function; k0 is found by Brent's method on log Q.
+that extremal function; k0 is its Luxemburg norm, found by the crossing
+solver the Luxemburg norm uses.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, DivergentModular, Inconclusive,
                      NonConvergence, NonEvaluable)
-from .numerics import (DEFAULT_SPEC, FiniteOrDivergent, LadderTrace,
-                       QuadratureSpec, find_root, integrate)
+from .numerics import FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
 from .tails import TailRepFunction, chebyshev_tail
 from .young import YoungFunction
 
@@ -41,11 +41,14 @@ __all__ = [
     "extremal_function",
     "embedding_report",
     "EmbeddingReport",
-    "DEFAULT_C_LADDER",
+    "C_LADDER",
+    "Q_TOL",
     "ANALYTIC_VERDICTS",
 ]
 
-DEFAULT_C_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+# decreasing scalings C tried by the coincidence criterion
+C_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
+Q_TOL = 1e-8  # k0 is accepted when |Q(k0) - 1| <= Q_TOL
 
 # Builtin families have known verdicts on finite-mass spaces; the numeric
 # classifier runs anyway and the report records whether it concurred.
@@ -104,21 +107,16 @@ def _criterion_integrand(N: YoungFunction, c: float):
     return direct
 
 
-def _criterion_integral(N, c, t0, spec) -> FiniteOrDivergent:
+def _criterion_integral(N, c, t0) -> FiniteOrDivergent:
     try:
-        return integrate(_criterion_integrand(N, c), t0, math.inf, spec)
+        return integrate(_criterion_integrand(N, c), t0, math.inf)
     except _IntegrandOverflow as exc:
         return FiniteOrDivergent.divergent(
             LadderTrace((), note=f"integrand overflow near t={exc.args[0]:g} at scaling {c:g}")
         )
 
 
-def embedding_modular(
-    N: YoungFunction,
-    k: float,
-    total_mass: float,
-    spec: Optional[QuadratureSpec] = None,
-) -> FiniteOrDivergent:
+def embedding_modular(N: YoungFunction, k: float, total_mass: float) -> FiniteOrDivergent:
     """Q(k): the modular of the extremal function at scale k.
 
     Computed on the t-axis as int N(t/k) N'(t) / N(t)^2 dt from the unit
@@ -129,7 +127,7 @@ def embedding_modular(
     if not (k > 0.0):
         raise ValueError("scale k must be positive")
     t0 = unit_threshold(N, total_mass)
-    return _criterion_integral(N, 1.0 / k, t0, spec or DEFAULT_SPEC)
+    return _criterion_integral(N, 1.0 / k, t0)
 
 
 @dataclass(frozen=True)
@@ -145,31 +143,20 @@ class CriterionResult:
     trail: Tuple[Tuple[float, str, object], ...]
 
 
-def coincidence_criterion(
-    N: YoungFunction,
-    total_mass: float,
-    c_ladder: Sequence[float] = DEFAULT_C_LADDER,
-    spec: Optional[QuadratureSpec] = None,
-) -> CriterionResult:
-    """Scan decreasing scalings C for a finite criterion integral.
+def coincidence_criterion(N: YoungFunction, total_mass: float) -> CriterionResult:
+    """Scan the decreasing scalings C of C_LADDER for a finite criterion integral.
 
     Finiteness propagates downward in C, so the scan stops at the first
     (largest) finite witness.  Non-coincident requires a conclusive
     divergent verdict at every tested C; anything mixed stays
     inconclusive, never silently resolved.
     """
-    if not c_ladder or any(c <= 0.0 for c in c_ladder):
-        raise ValueError("c_ladder must be non-empty and positive")
-    if any(b >= a for a, b in zip(c_ladder, c_ladder[1:])):
-        raise ValueError("c_ladder must be strictly decreasing")
-
-    spec = spec or DEFAULT_SPEC
     t0 = unit_threshold(N, total_mass)
     trail: List[Tuple[float, str, object]] = []
     saw_inconclusive = False
-    for c in c_ladder:
+    for c in C_LADDER:
         try:
-            r = _criterion_integral(N, c, t0, spec)
+            r = _criterion_integral(N, c, t0)
         except (BudgetExceeded, Inconclusive) as exc:
             trail.append((c, INCONCLUSIVE, str(exc)))
             saw_inconclusive = True
@@ -209,23 +196,21 @@ def _resolve_verdict(
 def _k0_search(
     N: YoungFunction,
     total_mass: float,
-    q_tol: float,
-    spec: Optional[QuadratureSpec],
     criterion_trail: Sequence[Tuple[float, str, object]],
     trace: List[Tuple[float, str, object]],
 ) -> Tuple[float, float]:
-    """Root k0 of Q(k) = 1 by Brent's method on log Q, with Q(k0).
+    """Root k0 of Q(k) = 1 by the shared crossing solver, with Q(k0).
 
-    The bracket comes from doubling k from 2 while Q >= 1; its lower end
-    is then moved toward the upper one until Q there is finite (a
-    divergent Q counts as Q > 1, since Q is decreasing with Q(1+)
-    infinite).  Q(1/C) is already known at every scaling C of the
-    criterion trail, and those values are reused.  Every new Q
-    evaluation is appended to ``trace`` as (k, tag, value).  The returned
-    k0 satisfies |Q(k0) - 1| <= q_tol; when Q cannot be settled on the
-    way (budget, inconclusive ladder, Q divergent or 0 inside the bracket,
-    or a root that misses q_tol) the last trace entry is (k, "inconclusive",
-    reason) and NonConvergence is raised.
+    Q is decreasing with Q(1+) infinite, so a divergent Q counts as
+    +inf; the solver starts at k = 2 and k0 is the end of its final
+    bracket where Q <= 1, as for the Luxemburg norm.  Q(1/C) is already
+    known at every scaling C of the criterion trail, and those values are
+    reused.  Every new Q evaluation is appended to ``trace`` as (k, tag,
+    value).  The returned k0 satisfies 1 - Q_TOL <= Q(k0) <= 1; when Q
+    cannot be settled on the way (budget, inconclusive ladder, or a
+    bracket end that misses Q_TOL) the last trace entry is (k,
+    "inconclusive", reason) and NonConvergence is raised.  DivergentModular
+    is raised when Q stays above 1 up to the solver's cap.
     """
     cache: Dict[float, Tuple[str, object]] = {
         1.0 / c: (tag, value) for c, tag, value in criterion_trail
@@ -240,7 +225,7 @@ def _k0_search(
         """Q(k), with +inf standing for a divergent Q."""
         if k not in cache:
             try:
-                r = embedding_modular(N, k, total_mass, spec)
+                r = embedding_modular(N, k, total_mass)
             except (BudgetExceeded, Inconclusive) as exc:
                 cache[k] = (INCONCLUSIVE, str(exc))
             else:
@@ -251,52 +236,31 @@ def _k0_search(
             raise unsettled(k, value)
         return value if tag == "finite" else math.inf
 
-    lo, hi = 1.0, 2.0
-    while q(hi) >= 1.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 2.0 ** 40:
-            raise DivergentModular("embedding modular stayed at or above 1 up to k = 2^40")
-    while q(lo) == math.inf:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise unsettled(hi, "no finite lower end for the k0 bracket")
-        if q(mid) < 1.0:
-            hi = mid
-        else:
-            lo = mid
-
-    def log_q(k: float) -> float:
-        value = q(k)
-        if not 0.0 < value < math.inf:
-            raise unsettled(k, f"Q = {value!r} inside a bracket with finite ends")
-        return math.log(value)
-
-    k0 = find_root(log_q, (lo, hi), tol=4.0 * math.ulp(hi))
+    # a Q that jumps from +inf to below 1 is bisected to 1e-12 and then
+    # fails Q_TOL at the upper end
+    _, k0 = _unit_crossing(q, 2.0, 1e-12)
+    if k0 == math.inf:
+        raise DivergentModular("embedding modular stayed above 1 up to the cap")
     value = q(k0)
-    if not abs(value - 1.0) <= q_tol:
-        raise unsettled(k0, f"|Q - 1| = {abs(value - 1.0):.3g} exceeds {q_tol:g}")
+    if not abs(value - 1.0) <= Q_TOL:
+        raise unsettled(k0, f"|Q - 1| = {abs(value - 1.0):.3g} exceeds {Q_TOL:g}")
     return k0, value
 
 
-def embedding_constant(
-    N: YoungFunction,
-    total_mass: float,
-    q_tol: float = 1e-8,
-    spec: Optional[QuadratureSpec] = None,
-) -> float:
+def embedding_constant(N: YoungFunction, total_mass: float) -> float:
     """The exact constant k0 in strong <= k0 * weak, when the spaces coincide.
 
     Raises DivergentModular when the coincidence criterion fails (the
     constant is then infinite) and NonConvergence when Q cannot be
     settled on the way to k0.
     """
-    crit = coincidence_criterion(N, total_mass, spec=spec)
+    crit = coincidence_criterion(N, total_mass)
     verdict, _, _ = _resolve_verdict(N, total_mass, crit.verdict)
     if verdict != COINCIDENT:
         raise DivergentModular(
             f"criterion verdict for {N.describe()} at mass {total_mass:g} is {verdict}"
         )
-    k0, _ = _k0_search(N, total_mass, q_tol, spec, crit.trail, [])
+    k0, _ = _k0_search(N, total_mass, crit.trail, [])
     if k0 <= 1.0:
         raise NonConvergence(f"computed embedding constant {k0!r} not above 1")
     return k0
@@ -359,19 +323,14 @@ class EmbeddingReport:
         }
 
 
-def embedding_report(
-    N: YoungFunction,
-    total_mass: float,
-    q_tol: float = 1e-8,
-    spec: Optional[QuadratureSpec] = None,
-) -> EmbeddingReport:
+def embedding_report(N: YoungFunction, total_mass: float) -> EmbeddingReport:
     """Full coincidence report: verdict, witness, constant, evaluation traces.
 
     A coincident verdict whose k0 cannot be settled is reported as
     inconclusive, with no constant; ``q_trace`` then ends with the
     unsettled evaluation as (k, "inconclusive", reason).
     """
-    crit = coincidence_criterion(N, total_mass, spec=spec)
+    crit = coincidence_criterion(N, total_mass)
     verdict, override, agreement = _resolve_verdict(N, total_mass, crit.verdict)
 
     k0 = None
@@ -379,7 +338,7 @@ def embedding_report(
     trace: List[Tuple[float, str, object]] = []
     if verdict == COINCIDENT:
         try:
-            k0, q_at_k0 = _k0_search(N, total_mass, q_tol, spec, crit.trail, trace)
+            k0, q_at_k0 = _k0_search(N, total_mass, crit.trail, trace)
         except NonConvergence:
             verdict = INCONCLUSIVE
 

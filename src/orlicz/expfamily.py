@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import BadAlpha, BadParameter, NonConvergence
-from .numerics import DEFAULT_SPEC, QuadratureSpec, find_root, integrate
+from .numerics import find_root, integrate
 
 __all__ = [
     "GSeriesConfig",
@@ -77,18 +77,17 @@ def gauge_series(alpha: float, cfg: Optional[GSeriesConfig] = None) -> float:
     )
 
 
-def gauge_quadrature(alpha: float, spec: Optional[QuadratureSpec] = None) -> float:
+def gauge_quadrature(alpha: float) -> float:
     """Quadrature value of the gauge; the z^(-alpha) endpoint factor is
     absorbed by the kernel's exact substitution when alpha > 0."""
     if not (alpha < 1.0):
         raise BadAlpha(f"gauge requires alpha < 1, got {alpha!r}")
-    spec = spec or DEFAULT_SPEC
     regular = lambda z: (1.0 - z) ** -2.0
     if alpha > 0.0:
-        return integrate(regular, 0.0, 0.5, spec, lower_singularity=alpha).require_finite()
+        return integrate(regular, 0.0, 0.5, lower_singularity=alpha).require_finite()
     if alpha == 0.0:
-        return integrate(regular, 0.0, 0.5, spec).require_finite()
-    return integrate(lambda z: regular(z) * z ** (-alpha), 0.0, 0.5, spec).require_finite()
+        return integrate(regular, 0.0, 0.5).require_finite()
+    return integrate(lambda z: regular(z) * z ** (-alpha), 0.0, 0.5).require_finite()
 
 
 @lru_cache(maxsize=32)
@@ -129,14 +128,11 @@ def exp_embedding_modular(m: float, k: float) -> float:
     return gauge_series(k ** (-m)) - 1.0
 
 
-def gauge_slope_at_zero(spec: Optional[QuadratureSpec] = None) -> Tuple[float, float]:
+def gauge_slope_at_zero() -> Tuple[float, float]:
     """(quadrature, analytic) value of the gauge's slope at alpha = 0.
 
     The slope is int_0^(1/2) |ln z| (1-z)^(-2) dz = 2 ln 2; the quadrature
     side exercises the kernel on a logarithmic endpoint singularity.
     """
-    spec = spec or DEFAULT_SPEC
-    quad = integrate(
-        lambda z: abs(math.log(z)) * (1.0 - z) ** -2.0, 0.0, 0.5, spec
-    ).require_finite()
+    quad = integrate(lambda z: abs(math.log(z)) * (1.0 - z) ** -2.0, 0.0, 0.5).require_finite()
     return quad, GAUGE_SLOPE

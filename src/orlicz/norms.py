@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import BudgetExceeded, Inconclusive, NotDominated
-from .numerics import (DEFAULT_SPEC, FiniteOrDivergent, LadderTrace, QuadratureSpec,
-                       find_root, integrate)
+from .numerics import NORM_CAP, FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
 from .tails import StepTail, TailRepFunction, chebyshev_tail
 from .young import YoungFunction
 
@@ -33,8 +32,6 @@ __all__ = [
     "CouplingReport",
     "NORM_CAP",
 ]
-
-NORM_CAP = 2.0 ** 64
 
 
 class _ModularOverflow(Exception):
@@ -54,8 +51,7 @@ class NormResult:
         return math.isfinite(self.value)
 
 
-def modular(N: YoungFunction, f: TailRepFunction, k: float,
-            spec: Optional[QuadratureSpec] = None) -> FiniteOrDivergent:
+def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent:
     """The quantity int N(|f|/k) dmu computed through the tail of f.
 
     Exact sum over (value, mass) pieces for step tails; kernel quadrature
@@ -90,7 +86,7 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float,
         return v
 
     try:
-        return integrate(integrand, 0.0, math.inf, spec or DEFAULT_SPEC)
+        return integrate(integrand, 0.0, math.inf)
     except _ModularOverflow as exc:
         return FiniteOrDivergent.divergent(
             LadderTrace((), note=f"integrand overflow near t={exc.args[0]:g} at k={k:g}")
@@ -98,29 +94,25 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float,
 
 
 def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
-                   rel_tol: float = 1e-12,
-                   spec: Optional[QuadratureSpec] = None) -> NormResult:
+                   rel_tol: float = 1e-12) -> NormResult:
     """The strong (Luxemburg) norm inf{k > 0 : modular(f, k) <= 1}.
 
     The weak norm w is a lower bound: modular(f, k) >= T(t) N(t/k) for
     every t (Chebyshev), and that exceeds 1 for some t at every k < w.
     So ``weak_norm`` runs first.  If w exceeds 2^64 (NORM_CAP), as it
     does whenever it is +inf, the norm is +inf with no modular evaluated.
-    Otherwise the modular, non-increasing in k, is bracketed by doubling
-    or halving k from w (from 1 if w is 0): lo < hi with modular(lo) > 1
-    >= modular(hi).  If the modular stays above 1 while k doubles up to
-    2^64 the norm is infinite, if it stays at or below 1 down to 2^-64 it
-    is 0 (the cap is recorded in the trace).  Under power(p), modular(k)
-    = k^-p modular(1), so the first divergent modular makes the norm
-    infinite.  While the modular at lo is divergent (or 0 at hi) the
-    bracket is bisected, and if that bisection narrows it to ``rel_tol``
-    first its upper end is returned.  Otherwise Brent's method on log
-    modular solves the bracket to 4 ulp.  Modular values are cached by k,
-    and the returned k is the end of the final bracket where the modular
-    is at most 1.  The trace records ``modular_evaluations`` and w as
-    ``weak_lower_bound``.  An inconclusive modular anywhere aborts with
-    BudgetExceeded rather than silently guessing a side; a root search
-    that stalls raises NonConvergence.
+    Under power(p), modular(k) = k^-p modular(1) diverges at every k or
+    at none, so a divergent modular at the start point makes the norm
+    +inf.  Otherwise the modular, non-increasing in k, goes to the shared
+    crossing solver from w (from 1 if w is 0), a divergent modular
+    counting as +inf: the norm is +inf if the modular stays above 1 up to
+    2^64, 0 if it stays at or below 1 down to 2^-64 (the cap is recorded
+    in the trace), and else the end of the final bracket where the
+    modular is at most 1.  Modular values are cached by k.  The trace
+    records ``modular_evaluations`` and w as ``weak_lower_bound``.  An
+    inconclusive modular anywhere aborts with BudgetExceeded rather than
+    silently guessing a side; a root search that stalls raises
+    NonConvergence.
     """
     tail = f.tail
     if isinstance(tail, StepTail) and tail.is_zero:
@@ -134,7 +126,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
         """modular(f, k), with +inf standing for a divergent modular."""
         if k not in cache:
             try:
-                r = modular(N, f, k, spec)
+                r = modular(N, f, k)
             except (BudgetExceeded, Inconclusive) as exc:
                 raise BudgetExceeded(
                     f"modular at k={k:g} could not be classified: {exc}"
@@ -149,47 +141,16 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
     if w > NORM_CAP:
         return capped(math.inf, f"weak norm (a lower bound) above cap {NORM_CAP:g}")
     start = w if w > 0.0 else 1.0
-    lo, hi = 0.0, start
-    while mod(hi) > 1.0:
-        if N.family == "power" and mod(hi) == math.inf:
-            return capped(math.inf, f"modular divergent at k={hi:g}, so at every k under "
-                                    f"power: above cap {NORM_CAP:g}")
-        if hi == NORM_CAP:
-            return capped(math.inf, f"modular above 1 up to cap {NORM_CAP:g}")
-        lo, hi = hi, min(2.0 * hi, NORM_CAP)
-    if hi == start:
-        lo = hi * 0.5
-        while not mod(lo) > 1.0:
-            hi = lo
-            lo *= 0.5
-            if lo < 1.0 / NORM_CAP:
-                return capped(0.0, "modular below 1 down to cap")
-
-    def result() -> NormResult:
-        return NormResult(hi, cache[hi], {"modular_evaluations": len(cache),
-                                          "weak_lower_bound": w, "bracket": (lo, hi)})
-
-    # log modular needs finite, positive values at both ends
-    while mod(lo) == math.inf or mod(hi) == 0.0:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * hi or not lo < mid < hi:
-            return result()
-        if mod(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-
-    def log_mod(k: float) -> float:
-        nonlocal lo, hi
-        m = mod(k)
-        if m > 1.0:
-            lo = max(lo, k)
-        else:
-            hi = min(hi, k)
-        return math.log(m) if m > 0.0 else -math.inf
-
-    find_root(log_mod, (lo, hi), tol=4.0 * math.ulp(hi))
-    return result()
+    if N.family == "power" and mod(start) == math.inf:
+        return capped(math.inf, f"modular divergent at k={start:g}, so at every k under "
+                                f"power: above cap {NORM_CAP:g}")
+    lo, hi = _unit_crossing(mod, start, rel_tol)
+    if hi == math.inf:
+        return capped(math.inf, f"modular above 1 up to cap {NORM_CAP:g}")
+    if lo == 0.0:
+        return capped(0.0, "modular below 1 down to cap")
+    return NormResult(hi, cache[hi], {"modular_evaluations": len(cache),
+                                      "weak_lower_bound": w, "bracket": (lo, hi)})
 
 
 _GRID_PER_DECADE = 20  # weak-norm sample nodes t = 10^(j/20)
@@ -317,8 +278,7 @@ def weak_norm(N: YoungFunction, f: TailRepFunction,
     })
 
 
-def lebesgue_norm(f: TailRepFunction, p: float,
-                  spec: Optional[QuadratureSpec] = None) -> FiniteOrDivergent:
+def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     """(int |f|^p dmu)^(1/p) through the tail: (p int t^(p-1) T(t) dt)^(1/p)."""
     if not (p >= 1.0):
         raise ValueError("Lebesgue exponent must satisfy p >= 1")
@@ -341,7 +301,7 @@ def lebesgue_norm(f: TailRepFunction, p: float,
             return 0.0
         return p * t ** (p - 1.0) * T
 
-    r = integrate(integrand, 0.0, math.inf, spec or DEFAULT_SPEC)
+    r = integrate(integrand, 0.0, math.inf)
     if r.is_divergent:
         return r
     return FiniteOrDivergent.finite(r.value ** (1.0 / p))
@@ -356,8 +316,7 @@ class CouplingReport:
     holds: bool
 
 
-def coupling_check(N: YoungFunction, f: TailRepFunction, g: TailRepFunction,
-                   spec: Optional[QuadratureSpec] = None) -> CouplingReport:
+def coupling_check(N: YoungFunction, f: TailRepFunction, g: TailRepFunction) -> CouplingReport:
     """Verify T[f] <= T[g] pointwise, then modular(f) <= modular(g) at k = 1.
 
     Raises NotDominated when the pointwise precondition fails.  A divergent
@@ -373,8 +332,8 @@ def coupling_check(N: YoungFunction, f: TailRepFunction, g: TailRepFunction,
         if ft.value(t) > gt.value(t) * (1.0 + 1e-12):
             raise NotDominated(f"T[f]({t:g}) = {ft.value(t):g} exceeds T[g]({t:g}) = {gt.value(t):g}")
 
-    mf = modular(N, f, 1.0, spec)
-    mg = modular(N, g, 1.0, spec)
+    mf = modular(N, f, 1.0)
+    mg = modular(N, g, 1.0)
     if mg.is_divergent:
         holds = True
     elif mf.is_divergent:

@@ -5,11 +5,12 @@ Semi-infinite integrals run on a decade cutoff ladder: each decade is
 integrated adaptively, the local log-log slope of the integrand is tracked
 at the cutoffs, and the remainder past the last cutoff is estimated by
 power-law extrapolation.  The same slope trace drives the divergence
-classifier: persistent slope >= -1 - margin together with non-shrinking
-decade contributions means the integral cannot be finite.
+classifier: persistent slope >= -1 - SLOPE_MARGIN together with
+non-shrinking decade contributions means the integral cannot be finite.
 
-Everything here is pure and reproducible: fixed node sets, fixed
-evaluation order, no randomness.
+The tolerances and budgets are the module constants below; every caller
+uses the same ones.  Everything here is pure and reproducible: fixed node
+sets, fixed evaluation order, no randomness.
 """
 
 from __future__ import annotations
@@ -29,54 +30,24 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadratureSpec",
     "FiniteOrDivergent",
     "LadderPoint",
     "LadderTrace",
-    "DEFAULT_SPEC",
     "integrate",
     "find_root",
-    "divergence_classify",
 ]
 
-_DEFAULT_LADDER = tuple(10.0 ** j for j in range(13))  # 1.0 .. 1e12
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budgets for the quadrature kernel.
-
-    ``slope_margin`` is the width of the dead band around the critical
-    exponent -1 used by the divergence classifier; ``persistence`` is how
-    many consecutive decades of suspicious slope are required before a
-    divergent verdict fires.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_depth: int = 52
-    max_panels: int = 8192
-    ladder: Tuple[float, ...] = _DEFAULT_LADDER
-    slope_margin: float = 0.05
-    persistence: int = 3
-    sub_decades: int = 12
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 4 or self.max_panels < 16:
-            raise ValueError("subdivision budget too small")
-        if len(self.ladder) < 2 or any(
-            b <= a for a, b in zip(self.ladder, self.ladder[1:])
-        ):
-            raise ValueError("cutoff ladder must be strictly increasing")
-        if not (0.0 < self.slope_margin < 1.0):
-            raise ValueError("slope_margin must lie in (0, 1)")
-        if self.persistence < 2:
-            raise ValueError("persistence must be at least 2")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+REL_TOL = 1e-10
+ABS_TOL = 1e-14
+MAX_DEPTH = 52
+MAX_PANELS = 8192
+LADDER = tuple(10.0 ** j for j in range(13))  # upper-tail cutoffs 1.0 .. 1e12
+# width of the dead band around the critical exponent -1, and how many
+# consecutive decades of suspicious slope a divergent verdict needs
+SLOPE_MARGIN = 0.05
+PERSISTENCE = 3
+SUB_DECADES = 12  # decades below LADDER[0] swept toward a lower endpoint at 0
+NORM_CAP = 2.0 ** 64  # crossings are sought within [1/NORM_CAP, NORM_CAP]
 
 
 @dataclass(frozen=True)
@@ -96,7 +67,7 @@ class LadderTrace:
 
     def __str__(self):
         rows = ", ".join(
-            f"(w={p.cutoff:.3g}, f={p.value:.3g}, slope={p.slope if p.slope is None else round(p.slope, 4)})"
+            f"(cutoff={p.cutoff:.3g}, f={p.value:.3g}, slope={p.slope if p.slope is None else round(p.slope, 4)})"
             for p in self.points
         )
         return f"{self.note}: [{rows}]"
@@ -188,7 +159,7 @@ def _panel(f, a, b):
     return resk, abs(resk - resg)
 
 
-def _adaptive_finite(f, a, b, spec: QuadratureSpec, abs_budget: float):
+def _adaptive_finite(f, a, b, abs_budget: float):
     """Greedy adaptive refinement; returns (value, error_estimate)."""
     if b <= a:
         return 0.0, 0.0
@@ -198,17 +169,17 @@ def _adaptive_finite(f, a, b, spec: QuadratureSpec, abs_budget: float):
     heap = [(-err, 0)]
     total, toterr = resk, err
     while True:
-        tol = max(abs_budget, spec.rel_tol * abs(total))
+        tol = max(abs_budget, REL_TOL * abs(total))
         if toterr <= tol:
             break
         worst = heap[0][1]
         perr, pa, pb, pval, pdepth = panels[worst]
-        if pdepth >= spec.max_depth:
+        if pdepth >= MAX_DEPTH:
             raise BudgetExceeded(
-                f"max subdivision depth {spec.max_depth} reached on [{pa!r}, {pb!r}]"
+                f"max subdivision depth {MAX_DEPTH} reached on [{pa!r}, {pb!r}]"
             )
-        if len(panels) >= spec.max_panels:
-            raise BudgetExceeded(f"panel budget {spec.max_panels} exhausted")
+        if len(panels) >= MAX_PANELS:
+            raise BudgetExceeded(f"panel budget {MAX_PANELS} exhausted")
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb):
             raise BudgetExceeded(f"interval [{pa!r}, {pb!r}] no longer splittable")
@@ -229,7 +200,7 @@ def _adaptive_finite(f, a, b, spec: QuadratureSpec, abs_budget: float):
     return value, errsum
 
 
-def _ladder_pass(f, cuts, spec: QuadratureSpec, abs_budget, downward):
+def _ladder_pass(f, cuts, abs_budget, downward):
     """Sweep the decade segments defined by ``cuts`` and classify the far end.
 
     ``cuts`` runs away from the bulk of the integral: increasing for an
@@ -248,8 +219,8 @@ def _ladder_pass(f, cuts, spec: QuadratureSpec, abs_budget, downward):
     for i in range(1, len(cuts)):
         c_prev, c = cuts[i - 1], cuts[i]
         lo, hi = (c, c_prev) if downward else (c_prev, c)
-        seg_budget = max(abs_budget, 0.05 * spec.rel_tol * abs(partial))
-        seg, segerr = _adaptive_finite(f, lo, hi, spec, seg_budget)
+        seg_budget = max(abs_budget, 0.05 * REL_TOL * abs(partial))
+        seg, segerr = _adaptive_finite(f, lo, hi, seg_budget)
         partial += seg
         err += segerr
         probe = _checked(f, c)
@@ -261,9 +232,9 @@ def _ladder_pass(f, cuts, spec: QuadratureSpec, abs_budget, downward):
         if slope is None:
             suspicious = False
         elif downward:
-            suspicious = slope <= -1.0 + spec.slope_margin
+            suspicious = slope <= -1.0 + SLOPE_MARGIN
         else:
-            suspicious = slope >= -1.0 - spec.slope_margin
+            suspicious = slope >= -1.0 - SLOPE_MARGIN
         flags.append(suspicious)
 
         # "moving" guards against declaring divergence on contributions that
@@ -271,13 +242,13 @@ def _ladder_pass(f, cuts, spec: QuadratureSpec, abs_budget, downward):
         moving = seg > 32.0 * math.ulp(max(abs(partial), seg))
         if (
             moving
-            and len(flags) >= spec.persistence
-            and all(flags[-spec.persistence:])
+            and len(flags) >= PERSISTENCE
+            and all(flags[-PERSISTENCE:])
         ):
             trace = LadderTrace(
                 tuple(points),
                 note="decade contributions not Cauchy and local exponent"
-                f" within {spec.slope_margin} of -1",
+                f" within {SLOPE_MARGIN} of -1",
             )
             return FiniteOrDivergent.divergent(trace), err
 
@@ -285,9 +256,9 @@ def _ladder_pass(f, cuts, spec: QuadratureSpec, abs_budget, downward):
         if probe == 0.0:
             remainder = 0.0
         elif slope is not None:
-            if downward and slope > -1.0 + spec.slope_margin:
+            if downward and slope > -1.0 + SLOPE_MARGIN:
                 remainder = probe * c / (slope + 1.0)
-            elif not downward and slope < -1.0 - spec.slope_margin:
+            elif not downward and slope < -1.0 - SLOPE_MARGIN:
                 remainder = probe * c / (-slope - 1.0)
         if remainder is not None:
             estimates.append(partial + remainder)
@@ -304,7 +275,7 @@ def _ladder_pass(f, cuts, spec: QuadratureSpec, abs_budget, downward):
                         ratio = diff / prev_diff
                         if 0.0 < ratio < 0.95:
                             best = estimates[-1] + diff * ratio / (1.0 - ratio)
-            tol_here = 0.5 * max(abs_budget, spec.rel_tol * abs(best))
+            tol_here = 0.5 * max(abs_budget, REL_TOL * abs(best))
             if diff is not None:
                 settled = abs(diff) <= tol_here or (
                     prev_accel is not None
@@ -330,9 +301,9 @@ def _ladder_pass(f, cuts, spec: QuadratureSpec, abs_budget, downward):
     )
 
 
-def _up_cuts(start: float, spec: QuadratureSpec):
+def _up_cuts(start: float):
     cuts = [start]
-    for c in spec.ladder:
+    for c in LADDER:
         if c > start * (1.0 + 1e-12):
             cuts.append(c)
     while len(cuts) < 4:
@@ -340,31 +311,29 @@ def _up_cuts(start: float, spec: QuadratureSpec):
     return cuts
 
 
-def _down_cuts(top: float, spec: QuadratureSpec):
-    return [top * 10.0 ** (-j) for j in range(spec.sub_decades + 1)]
+def _down_cuts(top: float):
+    return [top * 10.0 ** (-j) for j in range(SUB_DECADES + 1)]
 
 
 def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: Optional[QuadratureSpec] = None,
     *,
     lower_singularity: Optional[float] = None,
 ) -> FiniteOrDivergent:
     """Integrate a non-negative function over (a, b), b possibly infinite.
 
-    When ``lower_singularity`` is alpha in (0, 1), the integral computed is
-    ``int (z - a)^(-alpha) * f(z) dz``: ``f`` is the regular cofactor and
-    the singular factor is absorbed exactly by the substitution
-    z - a = s^(1/(1-alpha)).  Without it, ``f`` is the full integrand and
-    endpoints may carry at most mild (logarithmic or small-power)
-    integrable singularities.
+    When ``lower_singularity`` is alpha in (0, 1), b must be finite and the
+    integral computed is ``int (z - a)^(-alpha) * f(z) dz``: ``f`` is the
+    regular cofactor and the singular factor is absorbed exactly by the
+    substitution z - a = s^(1/(1-alpha)).  Without it, ``f`` is the full
+    integrand and endpoints may carry at most mild (logarithmic or
+    small-power) integrable singularities.
 
     Returns finite(value) or divergent(trace); raises Inconclusive when the
     slope classifier cannot decide and BudgetExceeded when budgets run out.
     """
-    spec = spec or DEFAULT_SPEC
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
     if b <= a:
@@ -376,65 +345,35 @@ def integrate(
         alpha = lower_singularity
         if not (0.0 < alpha < 1.0):
             raise ValueError("lower_singularity must lie in (0, 1)")
-        q = 1.0 / (1.0 - alpha)
-
         if math.isinf(b):
-            # exactify the singular head, then ladder the plain integrand
-            head_top = a + 1.0 if a + 1.0 > a else a * 2.0
-            head = integrate(
-                f, a, head_top, spec, lower_singularity=alpha
-            ).require_finite()
-
-            def full(z):
-                return f(z) * (z - a) ** (-alpha)
-
-            rest = integrate(full, head_top, math.inf, spec)
-            if rest.is_divergent:
-                return rest
-            return FiniteOrDivergent.finite(head + rest.value)
-
+            raise ValueError("lower_singularity needs a finite upper limit")
+        q = 1.0 / (1.0 - alpha)
         s_top = (b - a) ** (1.0 - alpha)
 
         def transformed(s):
             return f(a + s ** q)
 
-        value, _ = _adaptive_finite(transformed, 0.0, s_top, spec, spec.abs_tol)
+        value, _ = _adaptive_finite(transformed, 0.0, s_top, ABS_TOL)
         return FiniteOrDivergent.finite(q * value)
 
     if math.isinf(b):
         parts = 0.0
         if a == 0.0:
-            base = spec.ladder[0]
-            down, _ = _ladder_pass(f, _down_cuts(base, spec), spec, spec.abs_tol, True)
+            base = LADDER[0]
+            down, _ = _ladder_pass(f, _down_cuts(base), ABS_TOL, True)
             if down.is_divergent:
                 return down
             parts += down.value
             start = base
         else:
             start = a
-        up, _ = _ladder_pass(f, _up_cuts(start, spec), spec, spec.abs_tol, False)
+        up, _ = _ladder_pass(f, _up_cuts(start), ABS_TOL, False)
         if up.is_divergent:
             return up
         return FiniteOrDivergent.finite(parts + up.value)
 
-    value, _ = _adaptive_finite(f, a, b, spec, spec.abs_tol)
+    value, _ = _adaptive_finite(f, a, b, ABS_TOL)
     return FiniteOrDivergent.finite(value)
-
-
-def divergence_classify(
-    f: Callable[[float], float],
-    a: float,
-    spec: Optional[QuadratureSpec] = None,
-) -> FiniteOrDivergent:
-    """Classify the upper tail of ``int_a^inf f``.
-
-    Divergent verdicts require both non-shrinking decade contributions and
-    a local log-log slope persistently within ``slope_margin`` of -1.
-    Finite verdicts return the ladder value with the extrapolated tail
-    folded in.  Slope oscillation across the threshold raises Inconclusive;
-    an exhausted ladder without any verdict raises BudgetExceeded.
-    """
-    return integrate(f, a, math.inf, spec)
 
 
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon  # brentq's smallest rtol
@@ -510,3 +449,52 @@ def find_root(
             xcur += delta if sbis > 0.0 else -delta
         fcur = checked(xcur)
     raise NonConvergence(f"root refinement stalled after {_ROOT_MAXITER} iterations")
+
+
+def _unit_crossing(f: Callable[[float], float], start: float,
+                   rel_tol: float) -> Tuple[float, float]:
+    """Bracket (lo, hi) of the point where a nonincreasing f crosses 1.
+
+    f may return +inf and should cache its values: ends are evaluated more
+    than once.  From ``start`` in [1/NORM_CAP, NORM_CAP], k doubles while
+    f(k) > 1 or else halves while f(k) <= 1, so that lo < hi are evaluated
+    points with f(lo) > 1 >= f(hi).  If f stays above 1 up to NORM_CAP,
+    hi is +inf; if it stays at or below 1 down to 1/NORM_CAP, lo is 0.
+    While f(lo) is +inf or f(hi) is 0 the bracket is bisected, and it is
+    returned as it stands once it is ``rel_tol`` wide.  Otherwise Brent's
+    method on log f narrows it to 4 ulp, and every point it evaluates
+    moves the end on its side of the crossing.
+    """
+    lo, hi = 0.0, start
+    while f(hi) > 1.0:
+        if hi == NORM_CAP:
+            return hi, math.inf
+        lo, hi = hi, min(2.0 * hi, NORM_CAP)
+    if hi == start:
+        lo = hi * 0.5
+        while not f(lo) > 1.0:
+            hi = lo
+            lo *= 0.5
+            if lo < 1.0 / NORM_CAP:
+                return 0.0, hi
+
+    while f(lo) == math.inf or f(hi) == 0.0:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rel_tol * hi or not lo < mid < hi:
+            return lo, hi
+        if f(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+    def log_f(k: float) -> float:
+        nonlocal lo, hi
+        v = f(k)
+        if v > 1.0:
+            lo = max(lo, k)
+        else:
+            hi = min(hi, k)
+        return math.log(v) if v > 0.0 else -math.inf
+
+    find_root(log_f, (lo, hi), tol=4.0 * math.ulp(hi))
+    return lo, hi

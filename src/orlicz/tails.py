@@ -178,41 +178,19 @@ def dilate(T: TailFunction, c: float) -> TailFunction:
     return AnalyticTail(lambda t: T.value(t / c), label=f"dilate({T.label}, {c:g})")
 
 
-def decreasing_rearrangement(T: TailFunction, s: float) -> float:
-    """Generalized left inverse inf{t > 0 : T(t) <= s} at level s."""
+def decreasing_rearrangement(T: StepTail, s: float) -> float:
+    """Generalized left inverse inf{t > 0 : T(t) <= s} of a step tail at level s."""
+    if not isinstance(T, StepTail):
+        raise TypeError("decreasing_rearrangement takes a step tail")
     if not (s >= 0.0):
         raise ValueError("level must be non-negative")
-    if isinstance(T, StepTail):
-        if T.is_zero or T.top_level <= s:
-            return 0.0
-        for i in range(len(T.thresholds)):
-            nxt = T.levels[i + 1] if i + 1 < len(T.levels) else 0.0
-            if nxt <= s:
-                return T.thresholds[i]
-        return T.thresholds[-1]
-    # analytic: the set {T <= s} is an upper ray; bisect its boundary
-    lo = hi = 1.0
-    if T.value(hi) <= s:
-        while hi > 1e-300 and T.value(hi * 0.5) <= s:
-            hi *= 0.5
-        lo = hi * 0.5
-        if lo <= 1e-300:
-            return 0.0
-    else:
-        while hi < _CAP and T.value(hi) > s:
-            hi *= 2.0
-        if hi >= _CAP:
-            return math.inf
-        lo = hi * 0.5
-    for _ in range(200):
-        if hi - lo <= 1e-13 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if T.value(mid) <= s:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if T.is_zero or T.top_level <= s:
+        return 0.0
+    for i in range(len(T.thresholds)):
+        nxt = T.levels[i + 1] if i + 1 < len(T.levels) else 0.0
+        if nxt <= s:
+            return T.thresholds[i]
+    return T.thresholds[-1]
 
 
 def _feasible_step(T: StepTail, theta: TailFunction, K: float) -> bool:

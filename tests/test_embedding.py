@@ -118,12 +118,6 @@ class TestCriterion:
         crit = coincidence_criterion(exp_young(2.0), math.inf)
         assert crit.verdict == NON_COINCIDENT
 
-    def test_ladder_validated(self):
-        with pytest.raises(ValueError):
-            coincidence_criterion(exp_young(2.0), 1.0, c_ladder=())
-        with pytest.raises(ValueError):
-            coincidence_criterion(exp_young(2.0), 1.0, c_ladder=(0.5, 0.5))
-
 
 class TestEmbeddingConstant:
     def test_exp_two(self):
@@ -219,6 +213,11 @@ class TestReport:
         assert rep2.verdict == COINCIDENT
         assert rep2.numeric_verdict == COINCIDENT
         assert rep2.classifier_agreement == "agreed"
+
+    def test_modular_at_k0_at_most_one(self):
+        # k0 is the bracket end where Q <= 1, as for the Luxemburg norm
+        rep = embedding_report(exp_young(1.5), 0.25)
+        assert rep.embedding_constant_modular <= 1.0
 
     def test_exp_smaller_mass(self):
         # halving the mass moves the constant but keeps coincidence

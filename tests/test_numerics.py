@@ -9,10 +9,12 @@ import pytest
 import orlicz
 from orlicz.errors import BudgetExceeded, NoSignChange, NonConvergence, NonEvaluable
 from orlicz.numerics import (
-    DEFAULT_SPEC,
+    NORM_CAP,
+    SLOPE_MARGIN,
     FiniteOrDivergent,
-    QuadratureSpec,
-    divergence_classify,
+    LadderPoint,
+    LadderTrace,
+    _unit_crossing,
     find_root,
     integrate,
 )
@@ -46,6 +48,10 @@ class TestFiniteIntegrals:
     def test_strong_endpoint_singularity(self):
         r = integrate(gauge_regular, 0.0, 0.5, lower_singularity=0.999)
         assert r.value == pytest.approx(GAUGE[0.999], rel=1e-9)
+
+    def test_singularity_needs_a_finite_upper_limit(self):
+        with pytest.raises(ValueError):
+            integrate(gauge_regular, 0.0, math.inf, lower_singularity=0.5)
 
     def test_plain_polynomial(self):
         assert integrate(lambda z: z * z, 0.0, 1.0).value == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -81,17 +87,17 @@ class TestFiniteIntegrals:
 
 class TestSemiInfinite:
     def test_harmonic_tail_divergent(self):
-        r = divergence_classify(lambda w: 1.0 / w, 1.0)
+        r = integrate(lambda w: 1.0 / w, 1.0, math.inf)
         assert r.is_divergent
         assert all(p.slope == pytest.approx(-1.0, abs=1e-12) for p in r.evidence.points)
 
     def test_inverse_square_tail(self):
-        r = divergence_classify(lambda w: w ** -2.0, 1.0)
+        r = integrate(lambda w: w ** -2.0, 1.0, math.inf)
         assert r.is_finite
         assert r.value == pytest.approx(1.0, abs=1e-9)
 
     def test_tiny_amplitude_harmonic_still_divergent(self):
-        r = divergence_classify(lambda w: 1e-18 / w, 1.0)
+        r = integrate(lambda w: 1e-18 / w, 1.0, math.inf)
         assert r.is_divergent
 
     def test_exponential_decay(self):
@@ -104,9 +110,9 @@ class TestSemiInfinite:
 
     def test_slowly_divergent_vs_slowly_convergent(self):
         # w^(-1.02) sits inside the classifier dead band: flagged divergent
-        assert divergence_classify(lambda w: w ** -1.02, 1.0).is_divergent
+        assert integrate(lambda w: w ** -1.02, 1.0, math.inf).is_divergent
         # w^(-1.2) is safely outside and must come back finite(5)
-        r = divergence_classify(lambda w: w ** -1.2, 1.0)
+        r = integrate(lambda w: w ** -1.2, 1.0, math.inf)
         assert r.value == pytest.approx(5.0, rel=1e-9)
 
     def test_delta_family_w_form_exhausts_ladder(self):
@@ -121,7 +127,7 @@ class TestSemiInfinite:
         with pytest.raises(BudgetExceeded) as err:
             integrate(integrand, 1.0, math.inf)
         slopes = [p.slope for p in err.value.trace.points if p.slope is not None]
-        assert all(s < -1.0 - DEFAULT_SPEC.slope_margin for s in slopes[1:])
+        assert all(s < -1.0 - SLOPE_MARGIN for s in slopes[1:])
 
     def test_delta_family_t_form_is_finite(self):
         # the same integral written on the original axis decays like a
@@ -198,6 +204,59 @@ class TestFindRoot:
         assert checked > 1500
 
 
+def _solve(f, start, rel_tol=1e-12):
+    """Run the crossing solver on a cached f; check its ends, return (lo, hi)."""
+    seen = {}
+
+    def cached(k):
+        if k not in seen:
+            seen[k] = f(k)
+        return seen[k]
+
+    lo, hi = _unit_crossing(cached, start, rel_tol)
+    assert lo < hi
+    assert lo == 0.0 or seen[lo] > 1.0
+    assert hi == math.inf or seen[hi] <= 1.0
+    return lo, hi
+
+
+class TestUnitCrossing:
+    @pytest.mark.parametrize("start", [0.01, 0.3, 1.0, 2.0, 7.0, 1e6])
+    def test_inverse_square_from_either_side(self, start):
+        lo, hi = _solve(lambda k: (2.0 / k) ** 2, start)
+        assert hi == pytest.approx(2.0, rel=1e-15)
+
+    def test_infinite_below_one(self):
+        f = lambda k: math.inf if k <= 1.0 else 0.25 / (k - 1.0)
+        for start in (0.5, 2.0, 100.0):
+            lo, hi = _solve(f, start)
+            assert hi == pytest.approx(1.25, rel=1e-15)
+
+    def test_jump_from_infinite_stops_at_rel_tol(self):
+        lo, hi = _solve(lambda k: math.inf if k < 1.3 else 0.5, 1.0, rel_tol=1e-9)
+        assert lo < 1.3 <= hi
+        assert hi - lo <= 1e-9 * hi
+
+    def test_zero_past_a_point(self):
+        lo, hi = _solve(lambda k: max(0.0, 3.5 - k), 1.0)
+        assert hi == pytest.approx(2.5, rel=1e-15)
+
+    def test_above_one_up_to_the_cap(self):
+        assert _solve(lambda k: 2.0, 1.0) == (NORM_CAP, math.inf)
+
+    def test_at_most_one_down_to_the_cap(self):
+        lo, hi = _solve(lambda k: 0.5, 1.0)
+        assert lo == 0.0 and hi <= 2.0 / NORM_CAP
+
+    def test_not_exported(self):
+        assert "_unit_crossing" not in orlicz.numerics.__all__
+
+
+def test_ladder_trace_labels_cutoffs():
+    trace = LadderTrace((LadderPoint(10.0, 0.1, -1.0, 1.0),), note="n")
+    assert str(trace) == "n: [(cutoff=10, f=0.1, slope=-1.0)]"
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     src = str(Path(orlicz.__file__).resolve().parents[1])
     code = "import sys, orlicz; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
@@ -209,17 +268,7 @@ def test_import_loads_neither_scipy_nor_numpy():
 
 
 class TestSpecValidation:
-    def test_bad_tolerances(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=-1.0)
-
-    def test_bad_ladder(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(ladder=(1.0, 1.0, 10.0))
-
     def test_require_finite(self):
         with pytest.raises(ValueError):
-            divergence_classify(lambda w: 1.0 / w, 1.0).require_finite()
+            integrate(lambda w: 1.0 / w, 1.0, math.inf).require_finite()
         assert FiniteOrDivergent.finite(3.0).require_finite() == 3.0

@@ -101,9 +101,9 @@ class TestRearrangement:
     def test_zero_tail(self):
         assert decreasing_rearrangement(step_tail([], 1.0).tail, 0.3) == 0.0
 
-    def test_analytic_power_tail(self):
-        T = AnalyticTail(lambda t: min(1.0, t ** -2.0))
-        assert decreasing_rearrangement(T, 0.25) == pytest.approx(2.0, rel=1e-12)
+    def test_analytic_tail_rejected(self):
+        with pytest.raises(TypeError):
+            decreasing_rearrangement(AnalyticTail(lambda t: min(1.0, t ** -2.0)), 0.25)
 
     def test_level_above_top(self, two_piece):
         assert decreasing_rearrangement(two_piece.tail, 0.9) == 0.0
