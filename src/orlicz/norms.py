@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .errors import BudgetExceeded, Inconclusive, NotDominated
 from .numerics import NORM_CAP, FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
-from .tails import StepTail, TailRepFunction, chebyshev_tail
+from .tails import StepTail, TailRepFunction, _reference_label
 from .young import YoungFunction
 
 __all__ = [
@@ -55,7 +55,8 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
     """The quantity int N(|f|/k) dmu computed through the tail of f.
 
     Exact sum over (value, mass) pieces for step tails; kernel quadrature
-    of T(t) N'(t/k)/k for analytic tails.  Divergence verdicts propagate.
+    of T(t) N'(t/k)/k for analytic tails, split at the tail's breaks.
+    Divergence verdicts propagate.
     """
     if not (k > 0.0):
         raise ValueError("modular scale k must be positive")
@@ -86,7 +87,7 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
         return v
 
     try:
-        return integrate(integrand, 0.0, math.inf)
+        return integrate(integrand, 0.0, math.inf, breaks=tail.breaks)
     except _ModularOverflow as exc:
         return FiniteOrDivergent.divergent(
             LadderTrace((), note=f"integrand overflow near t={exc.args[0]:g} at k={k:g}")
@@ -272,7 +273,7 @@ def weak_norm(N: YoungFunction, f: TailRepFunction,
     else:
         value, argmax, count = _log_t_sup(g_analytic, rel_tol)
     return NormResult(value, None, {
-        "reference": chebyshev_tail(N, mass).label,
+        "reference": _reference_label(N),
         "evaluations": count,
         "argmax_t": argmax,
     })
@@ -301,7 +302,7 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
             return 0.0
         return p * t ** (p - 1.0) * T
 
-    r = integrate(integrand, 0.0, math.inf)
+    r = integrate(integrand, 0.0, math.inf, breaks=tail.breaks)
     if r.is_divergent:
         return r
     return FiniteOrDivergent.finite(r.value ** (1.0 / p))

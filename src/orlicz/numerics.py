@@ -2,11 +2,15 @@
 
 Finite segments are handled by adaptive Gauss-Kronrod (7-15) panels.
 Semi-infinite integrals run on a decade cutoff ladder: each decade is
-integrated adaptively, the local log-log slope of the integrand is tracked
-at the cutoffs, and the remainder past the last cutoff is estimated by
-power-law extrapolation.  The same slope trace drives the divergence
-classifier: persistent slope >= -1 - SLOPE_MARGIN together with
-non-shrinking decade contributions means the integral cannot be finite.
+integrated adaptively in s = ln t, where a power-like tail is smooth, the
+local log-log slope of the integrand is tracked at the cutoffs, and the
+remainder past the last cutoff is estimated by power-law extrapolation.
+The same slope trace drives the divergence classifier: persistent slope
+>= -1 - SLOPE_MARGIN together with non-shrinking decade contributions
+means the integral cannot be finite.  Declared breaks (kinks of the
+integrand) start panels of their own, as in QUADPACK's QAGP (Piessens et
+al., 1983); on the log axis a kink between a cutoff and the nearest node
+is otherwise invisible to the error estimate.
 
 The tolerances and budgets are the module constants below; every caller
 uses the same ones.  Everything here is pure and reproducible: fixed node
@@ -159,15 +163,25 @@ def _panel(f, a, b):
     return resk, abs(resk - resg)
 
 
-def _adaptive_finite(f, a, b, abs_budget: float):
-    """Greedy adaptive refinement; returns (value, error_estimate)."""
+def _adaptive_finite(f, a, b, abs_budget: float, breaks: Sequence[float] = ()):
+    """Greedy adaptive refinement; returns (value, error_estimate).
+
+    The first panels end at the ``breaks`` inside (a, b), as in QUADPACK's
+    QAGP; all panels then share one error budget.
+    """
     if b <= a:
         return 0.0, 0.0
-    resk, err = _panel(f, a, b)
-    panels = [[err, a, b, resk, 0]]
+    ends = [a, *(x for x in breaks if a < x < b), b]
+    panels = []
+    total = toterr = 0.0
+    for pa, pb in zip(ends, ends[1:]):
+        resk, err = _panel(f, pa, pb)
+        panels.append([err, pa, pb, resk, 0])
+        total += resk
+        toterr += err
     # max-heap of (-error, index): ties go to the lowest index
-    heap = [(-err, 0)]
-    total, toterr = resk, err
+    heap = [(-p[0], i) for i, p in enumerate(panels)]
+    heapq.heapify(heap)
     while True:
         tol = max(abs_budget, REL_TOL * abs(total))
         if toterr <= tol:
@@ -200,15 +214,32 @@ def _adaptive_finite(f, a, b, abs_budget: float):
     return value, errsum
 
 
-def _ladder_pass(f, cuts, abs_budget, downward):
+def _log_axis(f):
+    """g(s) = f(e^s) e^s: the integral of f over [lo, hi] is that of g over
+    [ln lo, ln hi], and a power t^-a becomes the smooth e^((1-a)s)."""
+
+    def g(s: float) -> float:
+        t = math.exp(s)
+        v = _checked(f, t) * t
+        if v == math.inf:
+            raise NonEvaluable(f"integrand times t overflowed at t={t!r}")
+        return v
+
+    return g
+
+
+def _ladder_pass(f, cuts, abs_budget, downward, breaks):
     """Sweep the decade segments defined by ``cuts`` and classify the far end.
 
     ``cuts`` runs away from the bulk of the integral: increasing for an
-    upper tail, decreasing toward zero for a lower endpoint.  Returns
+    upper tail, decreasing toward zero for a lower endpoint.  Each segment
+    [lo, hi] is integrated in s = ln t, split at the ``breaks`` inside it;
+    probes, slopes and the remainder stay in t.  Returns
     (value, error) for a finite verdict, a divergent FiniteOrDivergent
     otherwise; raises Inconclusive / BudgetExceeded when the cutoffs are
     exhausted without a verdict.
     """
+    g = _log_axis(f)
     prev_probe = _checked(f, cuts[0])
     partial = 0.0
     err = 0.0
@@ -220,7 +251,10 @@ def _ladder_pass(f, cuts, abs_budget, downward):
         c_prev, c = cuts[i - 1], cuts[i]
         lo, hi = (c, c_prev) if downward else (c_prev, c)
         seg_budget = max(abs_budget, 0.05 * REL_TOL * abs(partial))
-        seg, segerr = _adaptive_finite(f, lo, hi, seg_budget)
+        seg, segerr = _adaptive_finite(
+            g, math.log(lo), math.log(hi), seg_budget,
+            [math.log(x) for x in breaks if lo < x < hi],
+        )
         partial += seg
         err += segerr
         probe = _checked(f, c)
@@ -315,14 +349,30 @@ def _down_cuts(top: float):
     return [top * 10.0 ** (-j) for j in range(SUB_DECADES + 1)]
 
 
+def _check_breaks(breaks: Sequence[float]) -> None:
+    prev = 0.0
+    for x in breaks:
+        if not prev < x < math.inf:  # NaN fails too
+            raise ValueError(
+                f"breaks must be positive, finite and increasing, got {tuple(breaks)!r}"
+            )
+        prev = x
+
+
 def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
     *,
     lower_singularity: Optional[float] = None,
+    breaks: Sequence[float] = (),
 ) -> FiniteOrDivergent:
     """Integrate a non-negative function over (a, b), b possibly infinite.
+
+    ``breaks`` are the points where f has a kink or a jump, positive,
+    finite and increasing.  Every panel that would straddle one is split
+    there; the ladder's cutoffs stay the decades.  They are not taken
+    together with ``lower_singularity``.
 
     When ``lower_singularity`` is alpha in (0, 1), b must be finite and the
     integral computed is ``int (z - a)^(-alpha) * f(z) dz``: ``f`` is the
@@ -340,6 +390,7 @@ def integrate(
         if b == a:
             return FiniteOrDivergent.finite(0.0)
         raise ValueError("integration bounds must satisfy a < b")
+    _check_breaks(breaks)
 
     if lower_singularity is not None:
         alpha = lower_singularity
@@ -347,6 +398,8 @@ def integrate(
             raise ValueError("lower_singularity must lie in (0, 1)")
         if math.isinf(b):
             raise ValueError("lower_singularity needs a finite upper limit")
+        if breaks:
+            raise ValueError("lower_singularity takes no breaks")
         q = 1.0 / (1.0 - alpha)
         s_top = (b - a) ** (1.0 - alpha)
 
@@ -360,19 +413,19 @@ def integrate(
         parts = 0.0
         if a == 0.0:
             base = LADDER[0]
-            down, _ = _ladder_pass(f, _down_cuts(base), ABS_TOL, True)
+            down, _ = _ladder_pass(f, _down_cuts(base), ABS_TOL, True, breaks)
             if down.is_divergent:
                 return down
             parts += down.value
             start = base
         else:
             start = a
-        up, _ = _ladder_pass(f, _up_cuts(start), ABS_TOL, False)
+        up, _ = _ladder_pass(f, _up_cuts(start), ABS_TOL, False, breaks)
         if up.is_divergent:
             return up
         return FiniteOrDivergent.finite(parts + up.value)
 
-    value, _ = _adaptive_finite(f, a, b, ABS_TOL)
+    value, _ = _adaptive_finite(f, a, b, ABS_TOL, breaks)
     return FiniteOrDivergent.finite(value)
 
 

@@ -366,7 +366,7 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
         worst_att = max(worst_att, abs(lux - k0) / k0)
     col.add(
         "EM-05", "strong norm of the extremal function attains the constant (rel)",
-        "<= 1e-4", worst_att, 1e-4, worst_att <= 1e-4,
+        "<= 1e-12", worst_att, 1e-12, worst_att <= 1e-12,
     )
 
     cls_ok = True

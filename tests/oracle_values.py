@@ -61,3 +61,15 @@ DELTA2_K0 = {
     1.0: 2.2372639976900167,
     4.0: 2.5412224429593426,
 }
+
+# embedding constant of exp_m(m) by total mass, a0^(-1/m): in x = t^m / m
+# the root condition reads int_{x0}^inf (e^(a x) - 1) e^x / (e^x - 1)^2 dx = 1
+# with x0 = ln(1 + 1/mass), and a0 is its mpmath ``findroot`` solution at
+# 40 digits (0.55218846508363562 at mass 0.25, 0.31671578650220125 at
+# mass 4; BETA0 at mass 1)
+EXP_K0_BY_MASS = {
+    (150.0, 0.25): 1.0039669534039148,
+    (150.0, 4.0): 1.0076944545358915,
+    (300.0, 0.25): 1.001981513504074,
+    (300.0, 4.0): 1.0038398550246406,
+}

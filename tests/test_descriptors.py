@@ -6,7 +6,8 @@ import pytest
 from orlicz.descriptors import parse_descriptor, parse_descriptor_json
 from orlicz.errors import DescriptorError
 from orlicz.tails import AnalyticTail, StepTail
-from orlicz.young import exp_young
+from orlicz.norms import lebesgue_norm, luxemburg_norm
+from orlicz.young import exp_young, power_young
 
 
 VALID = [
@@ -104,6 +105,23 @@ class TestBuild:
         assert isinstance(f.tail, AnalyticTail)
         assert f.tail.value(2.0) == 0.25
         assert f.tail.value(0.5) == 1.0
+
+    @pytest.mark.parametrize("mass", [0.1, 4.0])
+    @pytest.mark.parametrize("p, r", [(3.0, 2.0), (5.0, 1.5)])
+    def test_analytic_strong_norm_closed_form(self, p, r, mass):
+        # under power(r) the norm is (int |f|^r)^(1/r), and min(M, t^-p)
+        # has int |f|^r = M t1^r + r t1^(r-p) / (p - r) with t1 = M^(-1/p)
+        f = parse_descriptor(
+            {"kind": "analytic-tail", "family": "power", "p": p, "mass": mass}
+        ).build()
+        t1 = mass ** (-1.0 / p)
+        assert f.tail.breaks == (t1,)
+        exact = (mass * t1 ** r + r * t1 ** (r - p) / (p - r)) ** (1.0 / r)
+        assert luxemburg_norm(power_young(r), f).value == pytest.approx(exact, rel=1e-12)
+        assert lebesgue_norm(f, r).value == pytest.approx(exact, rel=1e-12)
+
+    def test_analytic_infinite_mass_has_no_break(self):
+        assert parse_descriptor(VALID[4]).build().tail.breaks == ()
 
     def test_extremal_needs_young(self):
         d = parse_descriptor({"kind": "extremal", "mass": 1.0})

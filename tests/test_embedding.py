@@ -19,7 +19,7 @@ from orlicz.expfamily import exp_embedding_constant, exp_embedding_modular
 from orlicz.norms import luxemburg_norm, weak_norm
 from orlicz.young import custom_young, delta_young, exp_young, power_young
 
-from oracle_values import DELTA2_CRITERION_T_FORM, DELTA2_K0, K0_EXP, Y0_EXP2
+from oracle_values import DELTA2_CRITERION_T_FORM, DELTA2_K0, EXP_K0_BY_MASS, K0_EXP, Y0_EXP2
 
 
 class TestUnitThreshold:
@@ -143,6 +143,14 @@ class TestEmbeddingConstant:
         for mass, k0 in DELTA2_K0.items():
             assert embedding_constant(delta_young(2.0), mass) == pytest.approx(k0, rel=1e-9)
 
+    @pytest.mark.parametrize("m", [150.0, 300.0])
+    @pytest.mark.parametrize("mass", [0.25, 1.0, 4.0])
+    def test_exp_large_m(self, m, mass):
+        # the integrand lives in a window about t0/m wide above t0, narrow
+        # against the decade that holds it
+        exact = exp_embedding_constant(m) if mass == 1.0 else EXP_K0_BY_MASS[(m, mass)]
+        assert embedding_constant(exp_young(m), mass) == pytest.approx(exact, rel=1e-12)
+
     def test_modular_at_result_is_one(self):
         N = exp_young(2.0)
         k0 = embedding_constant(N, 1.0)
@@ -159,6 +167,25 @@ class TestExtremalFunction:
         k0 = embedding_constant(N, 1.0)
         lux = luxemburg_norm(N, extremal_function(N, 1.0), rel_tol=1e-7)
         assert lux.value == pytest.approx(k0, rel=1e-4)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_exp_strong_norm_equals_k0(self, m):
+        N = exp_young(m)
+        assert luxemburg_norm(N, extremal_function(N, 1.0)).value == pytest.approx(
+            K0_EXP[m], rel=1e-13
+        )
+
+    @pytest.mark.parametrize("mass", sorted(DELTA2_K0))
+    def test_delta_strong_norm_equals_k0(self, mass):
+        N = delta_young(2.0)
+        assert luxemburg_norm(N, extremal_function(N, mass)).value == pytest.approx(
+            DELTA2_K0[mass], rel=1e-12
+        )
+
+    def test_tail_declares_its_kink(self):
+        N = delta_young(2.0)
+        assert extremal_function(N, 4.0).tail.breaks == (unit_threshold(N, 4.0),)
+        assert extremal_function(N, math.inf).tail.breaks == ()
 
     def test_power_family_strong_norm_infinite(self):
         N = power_young(2.0)

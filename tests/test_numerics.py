@@ -149,6 +149,47 @@ class TestSemiInfinite:
             assert r.value == pytest.approx(expected, rel=1e-7)
 
 
+class TestLogAxisAndBreaks:
+    def test_power_tail_one_panel_per_decade(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t ** -1.5
+
+        assert integrate(f, 1.0, math.inf).value == pytest.approx(2.0, rel=1e-12)
+        # three probes and one 15-point panel on each of two decades
+        assert len(calls) == 33
+
+    def test_declared_kink(self):
+        # p t^(p-1) min(M, t^-q): the modular of a kinked power tail under
+        # power(p), with the kink t1 = M^(-1/q) off the ladder's cutoffs
+        p, q, M = 2.696, 4.4786, 0.9841
+        t1 = M ** (-1.0 / q)
+        exact = M * t1 ** p + p * t1 ** (p - q) / (q - p)
+        r = integrate(lambda t: p * t ** (p - 1.0) * min(M, t ** -q), 0.0, math.inf,
+                      breaks=(t1,))
+        assert r.value == pytest.approx(exact, rel=1e-13)
+
+    def test_breaks_split_a_finite_interval(self):
+        r = integrate(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, breaks=(1.0 / 3.0,))
+        assert r.value == pytest.approx(5.0 / 18.0, rel=1e-14)
+
+    @pytest.mark.parametrize("breaks", [(0.0,), (-1.0,), (math.inf,), (math.nan,), (2.0, 1.0)])
+    def test_bad_breaks_rejected(self, breaks):
+        with pytest.raises(ValueError):
+            integrate(lambda t: t ** -2.0, 1.0, math.inf, breaks=breaks)
+
+    def test_no_breaks_with_a_singularity(self):
+        with pytest.raises(ValueError):
+            integrate(gauge_regular, 0.0, 0.5, lower_singularity=0.5, breaks=(0.25,))
+
+    def test_non_evaluable_names_t(self):
+        with pytest.raises(NonEvaluable) as err:
+            integrate(lambda t: math.nan if t > 50.0 else t ** -2.0, 1.0, math.inf)
+        assert float(str(err.value).rsplit("=", 1)[1]) > 50.0
+
+
 class TestFindRoot:
     def test_sqrt_two(self):
         root = find_root(lambda x: x * x - 2.0, (1.0, 2.0), 1e-12)

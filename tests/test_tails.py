@@ -94,6 +94,23 @@ class TestChebyshevTail:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+class TestBreaks:
+    def test_chebyshev_tail_breaks_at_the_unit_threshold(self):
+        V = chebyshev_tail(exp_young(2.0), 1.0)
+        assert V.breaks == (pytest.approx(Y0_EXP2, rel=1e-15),)
+        assert chebyshev_tail(exp_young(2.0), math.inf).breaks == ()
+
+    def test_dilate_scales_the_breaks(self):
+        T = AnalyticTail(lambda t: min(1.0, t ** -2.0), breaks=(1.0, 3.0))
+        assert dilate(T, 2.5).breaks == (2.5, 7.5)
+        assert dilate(T, 1e308).breaks == (1e308,)  # 3e308 is past the float range
+
+    @pytest.mark.parametrize("breaks", [(0.0,), (-1.0,), (math.inf,), (math.nan,), (3.0, 1.0)])
+    def test_bad_breaks_rejected(self, breaks):
+        with pytest.raises(ValueError):
+            AnalyticTail(lambda t: min(1.0, t ** -2.0), breaks=breaks)
+
+
 class TestRearrangement:
     def test_two_piece_example(self, two_piece):
         assert decreasing_rearrangement(two_piece.tail, 0.5) == 1.0
