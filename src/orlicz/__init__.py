@@ -44,7 +44,6 @@ from .tails import (
     decreasing_rearrangement,
     dilate,
     step_tail,
-    tail_norm,
 )
 from .norms import (
     CouplingReport,
@@ -70,7 +69,6 @@ from .embedding import (
 )
 from .expfamily import (
     GAUGE_SLOPE,
-    GSeriesConfig,
     critical_alpha,
     exp_embedding_constant,
     exp_embedding_modular,

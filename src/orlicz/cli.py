@@ -78,6 +78,9 @@ def _emit(payload: dict, fmt: str, rows: Optional[List[List[str]]] = None) -> No
 
 def _cmd_norm(args) -> int:
     young = _parse_young(args.young)
+    kind = args.kind
+    if kind not in ("strong", "weak", "both") and not kind.startswith("lp:"):
+        return _input_error(f"bad --kind {kind!r}: expected strong, weak, both or lp:<p>")
     try:
         desc = _load_descriptor(args.fn)
     except OSError as exc:
@@ -94,14 +97,15 @@ def _cmd_norm(args) -> int:
     except OrliczError as exc:
         return _input_error(str(exc))
 
-    kind = args.kind
     results = {}
     bad = False
     if kind.startswith("lp:"):
         p = float(kind[3:])
         r = lebesgue_norm(f, p)
         if r.is_finite:
-            results[f"lp({p:g})"] = {"value": r.value, "finite": True}
+            finite = math.isfinite(r.value)
+            results[f"lp({p:g})"] = {"value": _num(r.value), "finite": finite}
+            bad = not finite
         else:
             results[f"lp({p:g})"] = {"value": "divergent", "finite": False}
             bad = True

@@ -17,15 +17,13 @@ This module is the independent oracle for the generic embedding code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import BadAlpha, BadParameter, NonConvergence
 from .numerics import find_root, integrate
 
 __all__ = [
-    "GSeriesConfig",
     "gauge_series",
     "gauge_quadrature",
     "critical_alpha",
@@ -39,41 +37,25 @@ GAUGE_SLOPE = 2.0 * math.log(2.0)  # d gauge / d alpha at alpha = 0
 
 _BRACKET = (0.3, 0.6)  # fixed sign-change bracket for gauge = 2
 
-
-@dataclass(frozen=True)
-class GSeriesConfig:
-    """Series truncation: stop once a term falls below ``tol``.
-
-    Terms are positive with ratio approaching 1/2, so the truncation error
-    is at most twice the last term retained.
-    """
-
-    tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise ValueError("truncation tolerance must be positive")
-        if self.max_terms < 8:
-            raise ValueError("max_terms too small")
+# Series truncation: stop once a term falls below _SERIES_TOL.  Terms are
+# positive with ratio approaching 1/2, so the truncation error is at most
+# twice the last term retained.
+_SERIES_TOL = 1e-14
+_SERIES_MAX_TERMS = 10_000
 
 
-_DEFAULT_CFG = GSeriesConfig()
-
-
-def gauge_series(alpha: float, cfg: Optional[GSeriesConfig] = None) -> float:
+def gauge_series(alpha: float) -> float:
     """Series value of the gauge; BadAlpha for alpha >= 1."""
-    cfg = cfg or _DEFAULT_CFG
     if not (alpha < 1.0):
         raise BadAlpha(f"gauge requires alpha < 1, got {alpha!r}")
     total = 0.0
-    for n in range(cfg.max_terms):
+    for n in range(_SERIES_MAX_TERMS):
         term = (n + 1) * 2.0 ** (alpha - n - 1) / (n + 1 - alpha)
         total += term
-        if term < cfg.tol and n >= 2:
+        if term < _SERIES_TOL and n >= 2:
             return total
     raise NonConvergence(
-        f"gauge series did not reach tol={cfg.tol:g} within {cfg.max_terms} terms"
+        f"gauge series did not reach tol={_SERIES_TOL:g} within {_SERIES_MAX_TERMS} terms"
     )
 
 
@@ -109,14 +91,14 @@ def critical_alpha(tol: float = 1e-10) -> float:
     return root
 
 
-def exp_embedding_constant(m: float, tol: float = 1e-10) -> float:
+def exp_embedding_constant(m: float) -> float:
     """Exact embedding constant of exp_m(m) on a unit-mass space.
 
     Strictly decreasing in m with limit 1 as m grows.
     """
     if not (m > 0.0 and math.isfinite(m)):
         raise BadParameter("exp family requires m > 0")
-    return critical_alpha(tol) ** (-1.0 / m)
+    return critical_alpha(1e-10) ** (-1.0 / m)
 
 
 def exp_embedding_modular(m: float, k: float) -> float:

@@ -280,21 +280,22 @@ def weak_norm(N: YoungFunction, f: TailRepFunction,
 
 
 def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
-    """(int |f|^p dmu)^(1/p) through the tail: (p int t^(p-1) T(t) dt)^(1/p)."""
+    """(int |f|^p dmu)^(1/p) through the tail: (p int t^(p-1) T(t) dt)^(1/p).
+
+    On a step tail this is the exact sum top (sum_j (v_j/top)^p m_j)^(1/p)
+    over the (value, mass) pieces, scaled by the largest value top so that
+    v^p neither overflows nor underflows; a norm beyond the float range
+    reads +inf.
+    """
     if not (p >= 1.0):
         raise ValueError("Lebesgue exponent must satisfy p >= 1")
     tail = f.tail
     if isinstance(tail, StepTail):
         if tail.is_zero:
             return FiniteOrDivergent.finite(0.0)
-        total = 0.0
-        for v, m in tail.pieces():
-            total += v ** p * m
-        if math.isinf(total):
-            return FiniteOrDivergent.divergent(
-                LadderTrace((), note="exact moment sum overflows")
-            )
-        return FiniteOrDivergent.finite(total ** (1.0 / p))
+        top = tail.thresholds[-1]
+        total = sum((v / top) ** p * m for v, m in tail.pieces())
+        return FiniteOrDivergent.finite(top * total ** (1.0 / p))
 
     def integrand(t: float) -> float:
         T = tail.value(t)

@@ -1,4 +1,4 @@
-"""Tail functions, the Chebyshev reference tail, rearrangements, tail norms.
+"""Tail functions, the Chebyshev reference tail, rearrangements.
 
 A tail function maps t > 0 to the measure of {|f| >= t}: left-continuous,
 non-increasing, vanishing at infinity.  Functions are represented here
@@ -27,10 +27,7 @@ __all__ = [
     "chebyshev_tail",
     "dilate",
     "decreasing_rearrangement",
-    "tail_norm",
 ]
-
-_CAP = 2.0 ** 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,98 +221,3 @@ def decreasing_rearrangement(T: StepTail, s: float) -> float:
         if nxt <= s:
             return T.thresholds[i]
     return T.thresholds[-1]
-
-
-def _feasible_step(T: StepTail, theta: TailFunction, K: float) -> bool:
-    # levels are held on left-open intervals, so domination binds at the
-    # right endpoint of each constancy interval
-    for t, level in zip(T.thresholds, T.levels):
-        if level > theta.value(t / K):
-            return False
-    return True
-
-
-_GRID_DECADES = range(-15, 16)
-_GRID_PER_DECADE = 20
-
-
-def _reference_grid(theta: TailFunction) -> List[Tuple[float, float]]:
-    """(s, theta(s)) on the fixed s-grid that ``_feasible_analytic`` samples."""
-    step = 1.0 / _GRID_PER_DECADE
-    grid = []
-    for e10 in _GRID_DECADES:
-        for j in range(_GRID_PER_DECADE):
-            s = 10.0 ** (e10 + j * step)
-            grid.append((s, theta.value(s)))
-    return grid
-
-
-def _feasible_analytic(T: AnalyticTail, theta: TailFunction,
-                       grid: List[Tuple[float, float]], K: float) -> bool:
-    # sample in s = t/K coordinates: the reference tail's transition region
-    # is then independent of the candidate K, so no violation can escape
-    # the grid by sliding off with K, and theta on the grid is computed once
-    worst_s = None
-    worst_margin = math.inf
-    step = 1.0 / _GRID_PER_DECADE
-    for s, th in grid:
-        tv = T.value(s * K)
-        if tv > th:
-            return False
-        margin = th - tv
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_s = s
-    # refine around the tightest point to catch violations between grid nodes
-    if worst_s is not None:
-        lo, hi = worst_s * 10.0 ** (-step), worst_s * 10.0 ** step
-        for _ in range(2):
-            ss = [lo * (hi / lo) ** (i / 40.0) for i in range(41)]
-            margins = [(theta.value(s) - T.value(s * K), s) for s in ss]
-            if any(m < 0.0 for m, _ in margins):
-                return False
-            worst = min(margins)[1]
-            lo, hi = worst * 0.9, worst * 1.1
-    return True
-
-
-def tail_norm(T: TailFunction, theta: TailFunction, rel_tol: float = 1e-12) -> float:
-    """Scaling norm against a reference tail, computed from its definition.
-
-    The infimum of K > 0 such that T(t) <= theta(t/K) for every t > 0;
-    feasibility is monotone in K, so the infimum is found by bisection
-    between a halving lower bracket and a doubling upper bracket.  Returns
-    0 for the zero tail and inf when no K dominates.  This is the
-    definition-level reference that tests compare against, not the
-    library path: ``norms.weak_norm`` takes sup_t t / N^{-1}(1/min(T(t),
-    mass)) directly.  On an analytic tail feasibility is sampled on a
-    fixed s-grid over [1e-15, 1e16], so a violation outside it, or between
-    its nodes away from the tightest one, goes unseen.
-    """
-    if isinstance(T, StepTail):
-        if T.is_zero:
-            return 0.0
-        feasible = lambda K: _feasible_step(T, theta, K)
-    else:
-        grid = _reference_grid(theta)
-        feasible = lambda K: _feasible_analytic(T, theta, grid, K)
-    hi = 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > _CAP:
-            return math.inf
-    lo = hi * 0.5
-    while feasible(lo):
-        hi = lo
-        lo *= 0.5
-        if lo < 1.0 / _CAP:
-            return 0.0
-    for _ in range(300):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -58,6 +58,16 @@ class TestNormCommand:
         rec = json.loads(out)
         assert rec["results"]["lp(2)"]["value"] == pytest.approx(math.sqrt(1.7), rel=1e-12)
 
+    def test_lp_norm_of_a_huge_value(self, capsys):
+        rc, out, _ = run(
+            capsys, "norm", "--young", "power:2",
+            "--fn", '{"kind":"step","pieces":[{"value":1e200,"mass":0.5}],"mass":1}',
+            "--kind", "lp:2",
+        )
+        assert rc == 0
+        assert json.loads(out)["results"]["lp(2)"]["value"] == pytest.approx(
+            1e200 * math.sqrt(0.5), rel=1e-14)
+
     def test_descriptor_from_file(self, capsys, tmp_path):
         path = tmp_path / "fn.json"
         path.write_text('{"kind":"indicator","a":0.5,"mass":1}')
@@ -99,6 +109,14 @@ class TestNormCommand:
             capsys, "norm", "--young", "exp_m:2", "--fn", '{"kind":"indicator","mass":1}',
         )
         assert rc == 1 and "error" in err
+
+    def test_bad_kind(self, capsys):
+        rc, out, err = run(
+            capsys, "norm", "--young", "exp_m:2",
+            "--fn", '{"kind":"indicator","a":1,"mass":1}', "--kind", "strnog",
+        )
+        assert rc == 1 and "error" in err and "strnog" in err
+        assert out == ""
 
     def test_missing_file(self, capsys):
         rc, _, err = run(

@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from orlicz.errors import BadAlpha, BadParameter, NonConvergence
+from orlicz.errors import BadAlpha, BadParameter
 from orlicz.expfamily import (
-    GSeriesConfig,
     critical_alpha,
     exp_embedding_constant,
     exp_embedding_modular,
@@ -33,17 +32,6 @@ class TestGaugeSeries:
             gauge_series(1.0)
         with pytest.raises(BadAlpha):
             gauge_series(1.5)
-
-    def test_truncation_budget(self):
-        with pytest.raises(NonConvergence):
-            gauge_series(0.5, GSeriesConfig(tol=1e-14, max_terms=10))
-
-    def test_truncation_error_bounded_by_last_term(self):
-        # coarse truncation must stay within twice its last retained term
-        coarse_cfg = GSeriesConfig(tol=1e-6)
-        coarse = gauge_series(0.5, coarse_cfg)
-        fine = gauge_series(0.5)
-        assert abs(fine - coarse) <= 2e-6
 
 
 class TestGaugeQuadrature:

@@ -14,7 +14,7 @@ from orlicz.norms import (
     modular,
     weak_norm,
 )
-from orlicz.tails import AnalyticTail, TailRepFunction, chebyshev_tail, step_tail, tail_norm
+from orlicz.tails import AnalyticTail, TailRepFunction, chebyshev_tail, step_tail
 from orlicz.young import delta_young, exp_young, power_young
 
 from oracle_values import INDICATOR_EXP2
@@ -161,12 +161,16 @@ class TestWeakNorm:
         assert weak_norm(exp_young(2.0), step_tail([], 1.0)).value == 0.0
 
     def test_step_closed_form_matches_tail_norm(self):
+        # the definition: K is the least scale with T(t) <= min(mass, 1/N(t/K))
+        # at every t, which on a step tail binds at the thresholds
         for N in FAMILIES:
             theta = chebyshev_tail(N, 1.0)
             for f in random_steps(5):
-                assert weak_norm(N, f).value == pytest.approx(
-                    tail_norm(f.tail, theta), rel=1e-10
-                )
+                K = weak_norm(N, f).value
+                steps = list(zip(f.tail.thresholds, f.tail.levels))
+                assert all(level <= theta.value(t / K) * (1.0 + 1e-12) for t, level in steps)
+                below = K * (1.0 - 1e-10)
+                assert any(level > theta.value(t / below) for t, level in steps)
 
     def test_level_rounding_above_the_mass(self):
         # step_tail accepts a top level 1e-13 above the total mass; the
@@ -270,6 +274,14 @@ class TestLebesgueNorm:
     def test_exact_sum(self, two_piece):
         r = lebesgue_norm(two_piece, 2.0)
         assert r.value == pytest.approx(math.sqrt(1.7), rel=1e-14)
+
+    def test_step_sum_past_the_float_range(self):
+        # v^p overflows at v = 1e100, p = 4 and underflows at v = 1e-3, p = 200;
+        # the expected values are 0.5^(1/p) v from mpmath
+        big = lebesgue_norm(step_tail([(1e100, 0.5)], 1.0), 4.0)
+        assert big.value == pytest.approx(8.408964152537145e99, rel=1e-14)
+        small = lebesgue_norm(step_tail([(0.001, 0.5)], 1.0), 200.0)
+        assert small.value == pytest.approx(9.965402628278678e-4, rel=1e-14)
 
     def test_heavy_tail_divergent(self, heavy):
         assert lebesgue_norm(heavy, 2.0).is_divergent

@@ -7,7 +7,7 @@ from hypothesis import assume, given, seed
 from hypothesis import strategies as st
 
 from orlicz.norms import coupling_check, luxemburg_norm, modular, weak_norm
-from orlicz.tails import decreasing_rearrangement, dilate, step_tail, tail_norm, chebyshev_tail
+from orlicz.tails import TailRepFunction, decreasing_rearrangement, dilate, step_tail
 from orlicz.verify import random_step_pieces
 from orlicz.young import delta_young, exp_young, power_young
 
@@ -43,9 +43,9 @@ def test_norm_homogeneity(pieces, c):
 @given(pieces=pieces_strategy, c=scales)
 def test_tail_norm_dilation_homogeneity(pieces, c):
     T = step_tail(pieces, 1.0).tail
-    theta = chebyshev_tail(exp_young(2.0), 1.0)
-    base = tail_norm(T, theta)
-    scaled = tail_norm(dilate(T, c), theta)
+    N = exp_young(2.0)
+    base = weak_norm(N, TailRepFunction(T, 1.0)).value
+    scaled = weak_norm(N, TailRepFunction(dilate(T, c), 1.0)).value
     assert abs(scaled - c * base) <= 1e-9 * max(1.0, c * base)
 
 
@@ -88,12 +88,12 @@ def test_coupling_on_dominated_pairs(pieces, factor):
 @seed(29)
 @given(pieces=pieces_strategy, extra_value=values, extra_mass=masses)
 def test_tail_norm_monotone(pieces, extra_value, extra_mass):
-    theta = chebyshev_tail(exp_young(2.0), 1.0)
+    N = exp_young(2.0)
     total = sum(m for _, m in pieces)
     assume(total + extra_mass < 1.0)
-    small = step_tail(pieces, 1.0).tail
-    large = step_tail(pieces + [(extra_value, extra_mass)], 1.0).tail
-    assert tail_norm(small, theta) <= tail_norm(large, theta) * (1.0 + 1e-9)
+    small = step_tail(pieces, 1.0)
+    large = step_tail(pieces + [(extra_value, extra_mass)], 1.0)
+    assert weak_norm(N, small).value <= weak_norm(N, large).value * (1.0 + 1e-9)
 
 
 def test_seeded_generator_is_stable():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from orlicz.errors import MassOverflow
+from orlicz.norms import weak_norm
 from orlicz.tails import (
     AnalyticTail,
     StepTail,
@@ -11,7 +12,6 @@ from orlicz.tails import (
     decreasing_rearrangement,
     dilate,
     step_tail,
-    tail_norm,
 )
 from orlicz.young import exp_young, power_young
 
@@ -127,40 +127,29 @@ class TestRearrangement:
 
 
 class TestTailNorm:
-    def test_identical_strictly_decreasing(self):
-        V = chebyshev_tail(exp_young(2.0), 1.0)
-        assert tail_norm(V, V) == pytest.approx(1.0, rel=1e-9)
-
-    def test_indicator_closed_form(self):
-        N = exp_young(2.0)
-        T = step_tail([(1.0, 0.25)], 1.0).tail
-        expected = 1.0 / N.inverse(4.0)
-        assert tail_norm(T, chebyshev_tail(N, 1.0)) == pytest.approx(expected, rel=1e-10)
-
-    def test_zero_tail_gives_zero(self):
-        assert tail_norm(step_tail([], 1.0).tail, chebyshev_tail(exp_young(2.0), 1.0)) == 0.0
+    """The weak norm: the scaling norm of a tail against the Chebyshev tail."""
 
     def test_positivity(self):
-        T = step_tail([(0.01, 1e-6)], 1.0).tail
-        assert tail_norm(T, chebyshev_tail(exp_young(2.0), 1.0)) > 0.0
+        f = step_tail([(0.01, 1e-6)], 1.0)
+        assert weak_norm(exp_young(2.0), f).value > 0.0
 
     def test_heavy_tail_not_dominated(self):
-        T = AnalyticTail(lambda t: min(1.0, t ** -2.0))
-        assert tail_norm(T, chebyshev_tail(exp_young(2.0), 1.0)) == math.inf
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -2.0)), 1.0)
+        assert weak_norm(exp_young(2.0), f).value == math.inf
 
     def test_homogeneity_under_dilation(self):
         N = exp_young(2.0)
-        theta = chebyshev_tail(N, 1.0)
         T = step_tail([(0.5, 0.3), (3.0, 0.2)], 1.0).tail
-        base = tail_norm(T, theta)
+        base = weak_norm(N, TailRepFunction(T, 1.0)).value
         for c in (0.017, 0.4, 12.0, 900.0):
-            assert tail_norm(dilate(T, c), theta) == pytest.approx(c * base, rel=1e-10)
+            scaled = weak_norm(N, TailRepFunction(dilate(T, c), 1.0)).value
+            assert scaled == pytest.approx(c * base, rel=1e-10)
 
     def test_monotone_in_the_tail(self):
-        theta = chebyshev_tail(exp_young(2.0), 1.0)
-        small = step_tail([(1.0, 0.2)], 1.0).tail
-        large = step_tail([(1.0, 0.2), (2.5, 0.3)], 1.0).tail
-        assert tail_norm(small, theta) <= tail_norm(large, theta)
+        N = exp_young(2.0)
+        small = step_tail([(1.0, 0.2)], 1.0)
+        large = step_tail([(1.0, 0.2), (2.5, 0.3)], 1.0)
+        assert weak_norm(N, small).value <= weak_norm(N, large).value
 
     def test_dilate_validates(self):
         with pytest.raises(ValueError):
