@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import BudgetExceeded, Inconclusive, NotDominated
 from .numerics import NORM_CAP, FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
@@ -161,19 +163,37 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLOAT_MAX = sys.float_info.max
 
 
-def _log_t_sup(g: Callable[[float], float],
-               rel_tol: float) -> Tuple[float, Optional[float], int]:
-    """(sup, argmax, evaluations) of g over t > 0, sampled in x = log10 t.
+def _ratio(t: float, u: float) -> float:
+    """g = t / u, +inf where u = N^{-1}(1/level) is 0."""
+    return t / u if u > 0.0 else math.inf
 
-    g is sampled on the nodes x = j/20 for t in [1e-15, 1e16].  While the
-    sample at an end node exceeds every other sample by more than the
-    factor 1 + ``rel_tol`` (so rounding noise on a flat g does not count),
-    the grid grows by a whole decade at that end, up to t = 1e+-300; past
-    the last node where T vanishes g is 0, so the upper end stops there by
-    itself.  A golden-section search (Kiefer, 1953) then refines over the
-    two cells beside the largest node until they are ``rel_tol`` wide in
-    t.  The largest value evaluated is returned, +inf once it exceeds
-    NORM_CAP.
+
+def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float], cap: float,
+               rel_tol: float) -> Tuple[float, Optional[float], int, Optional[float],
+                                        Optional[float]]:
+    """Sup of g(t) = t / u(T(t)) over t > 0 (g = 0 where T is 0), sampled in x = log10 t.
+
+    Returns (sup, argmax, evaluations of T, plateau_end_t, zero_start_t).
+    g is sampled on the nodes x = j/20 for t in [1e-15, 1e16].  T is
+    nonincreasing, so on each stretch of nodes the ones with T(t) >= cap
+    (the plateau) form a prefix and those with T(t) = 0 a suffix; both
+    ends are found by bisection on the node index, and there g is filled
+    in without evaluating T: t / u(cap) on the plateau, where u(T(t)) =
+    u(cap), and 0 on the zero run.  T is evaluated only at the nodes in
+    between, so a tail value at a filled node is never read or validated.
+    The last plateau node and the first zero node appear as
+    ``plateau_end_t`` and ``zero_start_t`` (None where a run is absent).
+    While the sample at an end node exceeds every other sample by more
+    than the factor 1 + ``rel_tol`` (so rounding noise on a flat g does
+    not count), the grid grows by a whole decade at that end, up to t =
+    1e+-300, through the same fill; a running maximum of the interior
+    nodes makes each step cost only the new decade.  Past the last node
+    where T vanishes g is 0, so the upper end stops there by itself.  A
+    golden-section search (Kiefer, 1953) then refines over the two cells
+    beside the largest node until they are ``rel_tol`` wide in t.  The
+    largest value evaluated is returned, +inf once it exceeds NORM_CAP.
+    On ties the grid node that joined the grid first wins: the first
+    grid, then each added decade in turn, each in ascending t.
 
     The result is the sup to ``rel_tol`` when g is unimodal near its
     largest node.  Otherwise a peak in another cell can be missed, but as
@@ -183,33 +203,79 @@ def _log_t_sup(g: Callable[[float], float],
     past the ends of the grid is not seen.
     """
     best, argmax, count = 0.0, None, 0
+    plateau_end, zero_start = None, None  # node indices j
+    step = _GRID_PER_DECADE
+    u_cap = u(cap)
 
-    def at(x: float) -> float:
-        nonlocal best, argmax, count
-        t = 10.0 ** x
-        v = g(t)
-        count += 1
+    def note(t: float, v: float) -> None:
+        nonlocal best, argmax
         if v > best:
             best, argmax = v, t
+
+    def g(t: float, y: float) -> float:
+        return 0.0 if y == 0.0 else _ratio(t, u(y))
+
+    def fill(a: int, b: int) -> List[float]:
+        """g on the nodes j = a..b, in ascending order."""
+        nonlocal count, plateau_end, zero_start
+        nodes = [10.0 ** (j / step) for j in range(a, b + 1)]
+        levels: Dict[int, float] = {}
+
+        def level_at(i: int) -> float:
+            if i not in levels:
+                levels[i] = T(nodes[i])
+            return levels[i]
+
+        n = len(nodes)
+        p = bisect_left(range(n), True, key=lambda i: level_at(i) < cap)
+        z = bisect_left(range(n), True, lo=p, key=lambda i: level_at(i) == 0.0)
+        if p > 0 and (plateau_end is None or a + p - 1 > plateau_end):
+            plateau_end = a + p - 1
+        if z < n and (zero_start is None or a + z < zero_start):
+            zero_start = a + z
+        vals = ([_ratio(t, u_cap) for t in nodes[:p]]
+                + [g(nodes[i], level_at(i)) for i in range(p, z)]
+                + [0.0] * (n - z))
+        count += len(levels)
+        for t, v in zip(nodes, vals):
+            note(t, v)
+        return vals
+
+    def at(x: float) -> float:
+        nonlocal count
+        t = 10.0 ** x
+        count += 1
+        v = g(t, T(t))
+        note(t, v)
         return v
 
-    step = _GRID_PER_DECADE
     lo, hi = _GRID_FIRST
-    vals = [at(j / step) for j in range(lo, hi + 1)]
+    block = fill(lo, hi)
+    inner = max(block[1:-1])  # the largest sample off the two end nodes
+    vals = deque(block)
     margin = 1.0 + rel_tol
     while best <= NORM_CAP:
-        if vals[0] > margin * max(vals[1:]) and lo > -_GRID_LIMIT:
+        if vals[0] > margin * max(inner, vals[-1]) and lo > -_GRID_LIMIT:
             lo -= step
-            vals[:0] = [at(j / step) for j in range(lo, lo + step)]
-        elif vals[-1] > margin * max(vals[:-1]) and hi < _GRID_LIMIT:
-            vals += [at(j / step) for j in range(hi + 1, hi + step + 1)]
+            block = fill(lo, lo + step - 1)
+            inner = max(inner, vals[0], *block[1:])
+            vals.extendleft(reversed(block))
+        elif vals[-1] > margin * max(vals[0], inner) and hi < _GRID_LIMIT:
+            block = fill(hi + 1, hi + step)
             hi += step
+            inner = max(inner, vals[-1], *block[:-1])
+            vals.extend(block)
         else:
             break
-    if best > NORM_CAP:
-        return math.inf, argmax, count
 
-    i = vals.index(max(vals))
+    def node_t(j: Optional[int]) -> Optional[float]:
+        return None if j is None else 10.0 ** (j / step)
+
+    runs = node_t(plateau_end), node_t(zero_start)
+    if best > NORM_CAP:
+        return (math.inf, argmax, count) + runs
+
+    i = vals.index(max(vals[0], inner, vals[-1]))
     a = (lo + max(i - 1, 0)) / step
     b = (lo + min(i + 1, len(vals) - 1)) / step
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
@@ -224,7 +290,7 @@ def _log_t_sup(g: Callable[[float], float],
             a, c, gc = c, d, gd
             d = a + _INV_PHI * (b - a)
             gd = at(d)
-    return (math.inf if best > NORM_CAP else best), argmax, count
+    return (math.inf if best > NORM_CAP else best, argmax, count) + runs
 
 
 def weak_norm(N: YoungFunction, f: TailRepFunction,
@@ -241,41 +307,45 @@ def weak_norm(N: YoungFunction, f: TailRepFunction,
     +inf at every t above 2^64 N^{-1}(1/max_float).  A level
     of 0 gives g = 0.  On a step tail the levels are held on left-open
     intervals, so the sup is the maximum over the thresholds t_i.  On an
-    analytic tail it is taken by ``_log_t_sup``, whose docstring states
-    what its grid can miss.  The trace records the number of g
-    evaluations and the t where the returned value was attained (None
-    for 0).
+    analytic tail it is taken by ``_log_t_sup``, which relies on T being
+    nonincreasing: g is t / N^{-1}(1/cap) wherever T(t) >= cap and 0
+    wherever T(t) = 0, so those grid nodes are filled in without
+    evaluating T (and their tail values are not validated); its
+    docstring states what its grid can miss.  The trace records as
+    ``evaluations`` the number of tail values read (on a step tail, one
+    per threshold), the t where the returned value was attained as
+    ``argmax_t`` (None for 0), and the last plateau node and the first
+    zero node of the grid as ``plateau_end_t`` and ``zero_start_t``
+    (None where the run is absent, and always on a step tail).
     """
     mass = f.total_mass
     tail = f.tail
     cap = min(mass, _FLOAT_MAX)
 
-    def g(t: float, level: float) -> float:
-        if level == 0.0:
-            return 0.0
-        u = N.inverse(1.0 / min(level, cap))
-        return t / u if u > 0.0 else math.inf
-
-    def g_analytic(t: float) -> float:
-        try:
-            level = tail.value(t)
-        except OverflowError:
-            level = math.inf
-        return g(t, level)
-
     if isinstance(tail, StepTail):
         value, argmax = 0.0, None
         for t, level in zip(tail.thresholds, tail.levels):
-            v = g(t, level)
+            v = _ratio(t, N.inverse(1.0 / min(level, cap)))
             if v > value:
                 value, argmax = v, t
-        count = len(tail.thresholds)
+        count, plateau_end, zero_start = len(tail.thresholds), None, None
     else:
-        value, argmax, count = _log_t_sup(g_analytic, rel_tol)
+        def level(t: float) -> float:
+            try:
+                return tail.value(t)
+            except OverflowError:
+                return math.inf
+
+        def u(y: float) -> float:
+            return N.inverse(1.0 / min(y, cap))
+
+        value, argmax, count, plateau_end, zero_start = _log_t_sup(level, u, cap, rel_tol)
     return NormResult(value, None, {
         "reference": _reference_label(N),
         "evaluations": count,
         "argmax_t": argmax,
+        "plateau_end_t": plateau_end,
+        "zero_start_t": zero_start,
     })
 
 

@@ -266,7 +266,8 @@ class TestWeakNorm:
         g = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0)), 1.0)
         first = weak_norm(power_young(2.0), g)
         assert first.trace["argmax_t"] == 1.0
-        assert first.trace["evaluations"] > 621
+        # tail values read: the plateau t <= 1 is filled in without them
+        assert first.trace["evaluations"] == 384
         assert weak_norm(power_young(2.0), g).trace == first.trace
 
 
