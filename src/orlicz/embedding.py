@@ -16,7 +16,7 @@ substituted form over w = N(t) decays too slowly for the cutoff ladder
 when N grows like exp((ln t)^D).  Q is continuous, strictly decreasing,
 infinite at 1+ and vanishing at infinity, and the bound is attained by
 that extremal function; k0 is its Luxemburg norm, found by the crossing
-solver the Luxemburg norm uses.
+solver the Luxemburg norm uses off power.
 """
 
 from __future__ import annotations
@@ -203,9 +203,9 @@ def _k0_search(
 
     Q is decreasing with Q(1+) infinite, so a divergent Q counts as
     +inf; the solver starts at k = 2 and k0 is the end of its final
-    bracket where Q <= 1, as for the Luxemburg norm.  Q(1/C) is already
-    known at every scaling C of the criterion trail, and those values are
-    reused.  Every new Q evaluation is appended to ``trace`` as (k, tag,
+    bracket where Q <= 1, as for the Luxemburg norm off power.  Q(1/C) is
+    already known at every scaling C of the criterion trail, and those
+    values are reused.  Every new Q evaluation is appended to ``trace`` as (k, tag,
     value).  The returned k0 satisfies 1 - Q_TOL <= Q(k0) <= 1; when Q
     cannot be settled on the way (budget, inconclusive ladder, or a
     bracket end that misses Q_TOL) the last trace entry is (k,

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StepTail:
     """Left-continuous step tail: level ``levels[i]`` on (thresholds[i-1], thresholds[i]].
 
@@ -137,7 +137,7 @@ class AnalyticTail:
 TailFunction = Union[StepTail, AnalyticTail]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TailRepFunction:
     """Canonical representation of a measurable function: tail + total mass."""
 

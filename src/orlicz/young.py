@@ -55,7 +55,7 @@ def _log1mexp(log_x: float) -> float:
     return math.log1p(-math.exp(-x))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class YoungFunction:
     """A validated Young-Orlicz function with evaluator, inverse, derivative.
 

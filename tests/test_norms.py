@@ -3,10 +3,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from orlicz.descriptors import parse_descriptor
 from orlicz.embedding import extremal_function
-from orlicz.errors import NotDominated
+from orlicz.errors import NonConvergence, NotDominated
 from orlicz.norms import (
     coupling_check,
     lebesgue_norm,
@@ -15,7 +17,7 @@ from orlicz.norms import (
     weak_norm,
 )
 from orlicz.tails import AnalyticTail, TailRepFunction, chebyshev_tail, step_tail
-from orlicz.young import delta_young, exp_young, power_young
+from orlicz.young import YoungFunction, custom_young, delta_young, exp_young, power_young
 
 from oracle_values import INDICATOR_EXP2
 
@@ -72,6 +74,30 @@ class TestModular:
         with pytest.raises(ValueError):
             modular(power_young(2.0), two_piece, 0.0)
 
+    @pytest.mark.parametrize("N", [
+        power_young(2.0), exp_young(2.0), delta_young(2.0),
+        custom_young(lambda u: u ** 3, lambda w: w ** (1.0 / 3.0)),
+    ], ids=["power", "exp_m", "delta", "custom"])
+    def test_step_sum_evaluations_stay_visible(self, N, monkeypatch):
+        # a wrapper on the class attribute, as a tracer installs it, must see
+        # one evaluation per piece, and the sum must be the piecewise one
+        seen = []
+        plain = YoungFunction.__call__
+
+        def counted(self, u):
+            seen.append(u)
+            return plain(self, u)
+
+        f = step_tail([(0.25, 0.05), (0.5, 0.1), (1.0, 0.2), (2.0, 0.15), (3.0, 0.3)], 1.0)
+        k = 1.5
+        expected = 0.0
+        for v, m in f.tail.pieces():
+            expected += plain(N, v / k) * m
+        monkeypatch.setattr(YoungFunction, "__call__", counted)
+        r = modular(N, f, k)
+        assert len(seen) == 5
+        assert r.value == expected
+
 
 class TestLuxemburgNorm:
     def test_indicator_closed_form(self):
@@ -121,6 +147,42 @@ class TestLuxemburgNorm:
         r = luxemburg_norm(power_young(2.0), heavy)
         assert r.value == math.inf
         assert r.trace["modular_evaluations"] <= 1
+
+    @seed(23)
+    @settings(max_examples=200)
+    @given(p=st.floats(min_value=1.2, max_value=4.0),
+           pieces=st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1e3),
+                                     st.floats(min_value=1e-3, max_value=1.0 / 36)),
+                           min_size=1, max_size=36))
+    def test_power_norm_is_the_lebesgue_norm(self, p, pieces):
+        # under power(p) the closed form reads the norm off one modular, and
+        # a float step or two past rounding settles it
+        f = step_tail(pieces, 1.0)
+        r = luxemburg_norm(power_young(p), f)
+        expected = lebesgue_norm(f, p).value
+        assert abs(r.value - expected) <= 4.0 * math.ulp(expected)
+        assert r.trace["modular_evaluations"] <= 4
+        assert r.modular_at_value == modular(power_young(p), f, r.value).value <= 1.0
+
+    def test_power_zero_modular_end(self):
+        # an analytic tail that is 0 everywhere: w = 0, and the modular at
+        # k = 1 is 0, so the norm is 0 after that one modular
+        f = TailRepFunction(AnalyticTail(lambda t: 0.0), 1.0)
+        r = luxemburg_norm(power_young(2.0), f)
+        assert r.value == 0.0
+        assert r.trace["modular_evaluations"] == 1
+        assert "cap" in r.trace["note"]
+        # a norm of 7.1e-31 lies below the 2^-64 cap
+        r = luxemburg_norm(power_young(2.0), step_tail([(1e-30, 0.5)], 1.0))
+        assert r.value == 0.0
+        assert "cap" in r.trace["note"]
+
+    def test_power_walk_is_capped(self):
+        # labelled power(2) but u^2 + u^1.5 falls slower than k^-2: the
+        # modular at the closed form is far above 1, and that raises
+        N = YoungFunction("power", 2.0, lambda u: u ** 2 + u ** 1.5, lambda w: w ** 0.5)
+        with pytest.raises(NonConvergence):
+            luxemburg_norm(N, step_tail([(4.0, 0.5), (0.5, 0.5)], 1.0))
 
     def test_cap_is_the_same_from_any_bracket_start(self):
         # the weak norm 1.06e19 doubles past 2^64; the bracket is cut at the
