@@ -15,8 +15,10 @@ of N, which also keeps its value where N itself overflows; the
 substituted form over w = N(t) decays too slowly for the cutoff ladder
 when N grows like exp((ln t)^D).  Q is continuous, strictly decreasing,
 infinite at 1+ and vanishing at infinity, and the bound is attained by
-that extremal function; k0 is its Luxemburg norm, found by the crossing
-solver the Luxemburg norm uses off power.
+that extremal function; k0 is its Luxemburg norm.  For exp_m on a finite
+mass k0 has a closed form (``expfamily``), which one numeric Q certifies;
+otherwise it is found by the crossing solver the Luxemburg norm uses off
+power.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, DivergentModular, Inconclusive,
                      NonConvergence, NonEvaluable)
+from .expfamily import exp_embedding_constant
 from .numerics import FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
 from .tails import TailRepFunction, chebyshev_tail, _reference_breaks
 from .young import YoungFunction
@@ -46,7 +49,7 @@ __all__ = [
     "ANALYTIC_VERDICTS",
 ]
 
-# decreasing scalings C tried by the coincidence criterion
+# decreasing scalings C tried by the coincidence criterion, from C = 1
 C_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 Q_TOL = 1e-8  # k0 is accepted when |Q(k0) - 1| <= Q_TOL
 
@@ -146,19 +149,28 @@ class CriterionResult:
 def coincidence_criterion(N: YoungFunction, total_mass: float) -> CriterionResult:
     """Scan the decreasing scalings C of C_LADDER for a finite criterion integral.
 
-    Finiteness propagates downward in C, so the scan stops at the first
-    (largest) finite witness.  Non-coincident requires a conclusive
-    divergent verdict at every tested C; anything mixed stays
+    At C = 1 the integral is log N(inf) - log N(t0) = +inf for every
+    Young function, so that entry is recorded as divergent without a
+    ladder.  Finiteness propagates downward in C, so the scan stops at the
+    first (largest) finite witness.  The integrand is positive, so a value
+    of exactly 0.0 means it underflowed: that scaling is recorded as
+    inconclusive, never as a finite witness.  Non-coincident requires a
+    conclusive divergent verdict at every tested C; anything mixed stays
     inconclusive, never silently resolved.
     """
     t0 = unit_threshold(N, total_mass)
-    trail: List[Tuple[float, str, object]] = []
+    trail: List[Tuple[float, str, object]] = [(C_LADDER[0], "divergent", None)]
     saw_inconclusive = False
-    for c in C_LADDER:
+    for c in C_LADDER[1:]:
         try:
             r = _criterion_integral(N, c, t0)
         except (BudgetExceeded, Inconclusive) as exc:
             trail.append((c, INCONCLUSIVE, str(exc)))
+            saw_inconclusive = True
+            continue
+        if r.is_finite and r.value == 0.0:
+            trail.append((c, INCONCLUSIVE, f"integral of a positive integrand underflowed "
+                                           f"to 0.0 at scaling {c:g}"))
             saw_inconclusive = True
             continue
         if r.is_finite:
@@ -193,36 +205,29 @@ def _resolve_verdict(
     return override, override, agreement
 
 
-def _k0_search(
+def _unsettled(trace: List[Tuple[float, str, object]], k: float, reason: str) -> NonConvergence:
+    trace.append((k, INCONCLUSIVE, reason))
+    return NonConvergence(f"embedding modular at k={k!r} unsettled: {reason}")
+
+
+def _q_function(
     N: YoungFunction,
     total_mass: float,
     criterion_trail: Sequence[Tuple[float, str, object]],
     trace: List[Tuple[float, str, object]],
-) -> Tuple[float, float]:
-    """Root k0 of Q(k) = 1 by the shared crossing solver, with Q(k0).
+) -> Callable[[float], float]:
+    """Q(k) with +inf standing for a divergent Q, memoised by k.
 
-    Q is decreasing with Q(1+) infinite, so a divergent Q counts as
-    +inf; the solver starts at k = 2 and k0 is the end of its final
-    bracket where Q <= 1, as for the Luxemburg norm off power.  Q(1/C) is
-    already known at every scaling C of the criterion trail, and those
-    values are reused.  Every new Q evaluation is appended to ``trace`` as (k, tag,
-    value).  The returned k0 satisfies 1 - Q_TOL <= Q(k0) <= 1; when Q
-    cannot be settled on the way (budget, inconclusive ladder, or a
-    bracket end that misses Q_TOL) the last trace entry is (k,
-    "inconclusive", reason) and NonConvergence is raised.  DivergentModular
-    is raised when Q stays above 1 up to the solver's cap.
+    Q(1/C) is already known at every scaling C of the criterion trail,
+    and those values are reused.  Every new Q evaluation is appended to
+    ``trace`` as (k, tag, value); an unsettled Q (budget, inconclusive
+    ladder) raises NonConvergence via ``_unsettled``.
     """
     cache: Dict[float, Tuple[str, object]] = {
         1.0 / c: (tag, value) for c, tag, value in criterion_trail
     }
-    cache[1.0] = ("divergent", None)  # Q(1) = log N(inf) - log N(t0)
-
-    def unsettled(k: float, reason: str) -> NonConvergence:
-        trace.append((k, INCONCLUSIVE, reason))
-        return NonConvergence(f"embedding modular at k={k!r} unsettled: {reason}")
 
     def q(k: float) -> float:
-        """Q(k), with +inf standing for a divergent Q."""
         if k not in cache:
             try:
                 r = embedding_modular(N, k, total_mass)
@@ -233,17 +238,54 @@ def _k0_search(
                 trace.append((k, r.tag, r.value))
         tag, value = cache[k]
         if tag == INCONCLUSIVE:
-            raise unsettled(k, value)
+            raise _unsettled(trace, k, value)
         return value if tag == "finite" else math.inf
 
+    return q
+
+
+def _k0_crossing(q: Callable[[float], float]) -> float:
+    """Root of Q(k) = 1 by the shared crossing solver, started at k = 2.
+
+    The result is the end of the final bracket where Q <= 1, as for the
+    Luxemburg norm off power.  DivergentModular is raised when Q stays
+    above 1 up to the solver's cap.
+    """
     # a Q that jumps from +inf to below 1 is bisected to 1e-12 and then
     # fails Q_TOL at the upper end
     _, k0 = _unit_crossing(q, 2.0, 1e-12)
     if k0 == math.inf:
         raise DivergentModular("embedding modular stayed above 1 up to the cap")
+    return k0
+
+
+def _k0_search(
+    N: YoungFunction,
+    total_mass: float,
+    criterion_trail: Sequence[Tuple[float, str, object]],
+    trace: List[Tuple[float, str, object]],
+) -> Tuple[float, float]:
+    """Root k0 of Q(k) = 1, with the numeric Q(k0) that certifies it.
+
+    exp_m on a finite mass takes k0 = alpha*(M)^(-1/m) from ``expfamily``
+    and evaluates Q once, at k0; the returned Q(k0) satisfies
+    |Q(k0) - 1| <= Q_TOL, on either side of 1.  Every other family runs
+    ``_k0_crossing`` on Q, and 1 - Q_TOL <= Q(k0) <= 1.
+
+    Every new Q evaluation is appended to ``trace`` as (k, tag, value).
+    When Q cannot be settled on the way (budget, inconclusive ladder, or a
+    k0 that misses Q_TOL) the last trace entry is (k, "inconclusive",
+    reason) and NonConvergence is raised, with no fallback from the closed
+    form to the search.
+    """
+    q = _q_function(N, total_mass, criterion_trail, trace)
+    if N.family == "exp_m" and math.isfinite(total_mass):
+        k0 = exp_embedding_constant(N.param, total_mass)
+    else:
+        k0 = _k0_crossing(q)
     value = q(k0)
     if not abs(value - 1.0) <= Q_TOL:
-        raise unsettled(k0, f"|Q - 1| = {abs(value - 1.0):.3g} exceeds {Q_TOL:g}")
+        raise _unsettled(trace, k0, f"|Q - 1| = {abs(value - 1.0):.3g} exceeds {Q_TOL:g}")
     return k0, value
 
 

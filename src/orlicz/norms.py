@@ -116,8 +116,9 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
     every t (Chebyshev), and that exceeds 1 for some t at every k < w.
     So ``weak_norm`` runs first.  If w exceeds 2^64 (NORM_CAP), as it
     does whenever it is +inf, the norm is +inf with no modular evaluated.
-    Otherwise the modular, non-increasing in k, is read from s = w (from
-    1 if w is 0), a divergent modular counting as +inf.
+    Otherwise the modular, non-increasing in k, is read from s = w, raised
+    to 2^-64 where w is below it (from 1 if w is 0), a divergent modular
+    counting as +inf.
 
     Under power(p) the norm is the L^p norm in closed form: modular(k) =
     (s/k)^p modular(s), so one modular at s gives k = s modular(s)^(1/p)
@@ -168,7 +169,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
     below = "modular below 1 down to cap"
     if w > NORM_CAP:
         return capped(math.inf, f"weak norm (a lower bound) above cap {NORM_CAP:g}")
-    start = w if w > 0.0 else 1.0
+    start = max(w, 1.0 / NORM_CAP) if w > 0.0 else 1.0
     if N.family == "power":
         k = start * mod(start) ** (1.0 / N.param)
         if k > NORM_CAP:

@@ -15,6 +15,9 @@ from typing import Callable, Dict, List, Tuple
 from .embedding import (
     COINCIDENT,
     NON_COINCIDENT,
+    _k0_crossing,
+    _q_function,
+    coincidence_criterion,
     embedding_modular,
     embedding_constant,
     embedding_report,
@@ -431,6 +434,22 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
     col.add(
         "EM-13", "halving a finite-integral witness keeps the integral finite",
         True, halved, "-", halved,
+    )
+
+    # exp_m reports take k0 from the closed form; delta still runs the
+    # search, so the search is checked here against the closed form
+    worst_search = 0.0
+    for m in (1.5, 2.0, 3.0, 150.0, 300.0):
+        N = exp_young(m)
+        for mass in (0.25, 1.0, 4.0):
+            trail = coincidence_criterion(N, mass).trail
+            k0 = _k0_crossing(_q_function(N, mass, trail, []))
+            closed = exp_embedding_constant(m, mass)
+            worst_search = max(worst_search, abs(k0 - closed) / closed)
+    col.add(
+        "EM-14", "generic k0 search (crossing solver on the numeric Q) matches the closed form"
+        " alpha*(M)^(-1/m), m in {1.5, 2, 3, 150, 300}, masses {0.25, 1, 4} (rel)",
+        "<= 1e-12", worst_search, 1e-12, worst_search <= 1e-12,
     )
 
 

@@ -194,7 +194,7 @@ class TestVerifyCommand:
         rc, out, _ = run(capsys, "verify", "--suite", "embedding")
         rec = json.loads(out)
         assert rc == (1 if rec["summary"]["failed"] else 0)
-        # EM-01...EM-13 gate Tier-1
+        # EM-01...EM-14 gate Tier-1
         assert rec["summary"]["failed"] == 0
 
     def test_deterministic_output(self, capsys):

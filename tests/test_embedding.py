@@ -7,6 +7,9 @@ from orlicz.embedding import (
     COINCIDENT,
     INCONCLUSIVE,
     NON_COINCIDENT,
+    Q_TOL,
+    _k0_crossing,
+    _q_function,
     coincidence_criterion,
     embedding_constant,
     embedding_modular,
@@ -118,6 +121,33 @@ class TestCriterion:
         crit = coincidence_criterion(exp_young(2.0), math.inf)
         assert crit.verdict == NON_COINCIDENT
 
+    def test_underflowed_zero_is_no_witness(self):
+        # m c^m / t underflows to 0 for exp_m(300) at C = 1/16: the
+        # integrand is positive, so 0.0 is no finite value
+        crit = coincidence_criterion(exp_young(300.0), math.inf)
+        assert crit.verdict != COINCIDENT
+        assert crit.witness is None
+        assert all(value != 0.0 for _, tag, value in crit.trail if tag == "finite")
+        assert any(tag == INCONCLUSIVE and "0.0" in value for _, tag, value in crit.trail)
+        assert embedding_report(exp_young(300.0), math.inf).numeric_verdict != COINCIDENT
+        for m in (100.0, 150.0, 300.0):
+            for mass in (0.25, 1.0, 4.0, math.inf):
+                trail = coincidence_criterion(exp_young(m), mass).trail
+                assert all(value != 0.0 for _, tag, value in trail if tag == "finite")
+
+    @pytest.mark.parametrize("N", [exp_young(2.0), delta_young(2.0), power_young(2.0)])
+    @pytest.mark.parametrize("mass", [0.25, math.inf])
+    def test_scaling_one_is_divergent_without_a_ladder(self, N, mass, monkeypatch):
+        import orlicz.embedding as emb
+
+        seen = []
+        original = emb._criterion_integral
+        monkeypatch.setattr(emb, "_criterion_integral",
+                            lambda N, c, t0: seen.append(c) or original(N, c, t0))
+        crit = coincidence_criterion(N, mass)
+        assert crit.trail[0] == (1.0, "divergent", None)
+        assert 1.0 not in seen
+
 
 class TestEmbeddingConstant:
     def test_exp_two(self):
@@ -150,6 +180,20 @@ class TestEmbeddingConstant:
         # against the decade that holds it
         exact = exp_embedding_constant(m) if mass == 1.0 else EXP_K0_BY_MASS[(m, mass)]
         assert embedding_constant(exp_young(m), mass) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0, 150.0, 300.0])
+    @pytest.mark.parametrize("mass", [0.25, 1.0, 4.0])
+    def test_search_matches_closed_form(self, m, mass):
+        # exp_m reports no longer run the crossing search, delta does: the
+        # search stays gated on the exact answer, at m >= 150 too, where
+        # the integrand lives in a window about t0/m wide above t0
+        N = exp_young(m)
+        trail = coincidence_criterion(N, mass).trail
+        q = _q_function(N, mass, trail, [])
+        k0 = _k0_crossing(q)
+        closed = exp_embedding_constant(m, mass)
+        assert abs(k0 - closed) <= 1e-12 * closed
+        assert 1.0 - Q_TOL <= q(k0) <= 1.0
 
     def test_modular_at_result_is_one(self):
         N = exp_young(2.0)
@@ -242,9 +286,33 @@ class TestReport:
         assert rep2.classifier_agreement == "agreed"
 
     def test_modular_at_k0_at_most_one(self):
-        # k0 is the bracket end where Q <= 1, as for the Luxemburg norm
-        rep = embedding_report(exp_young(1.5), 0.25)
-        assert rep.embedding_constant_modular <= 1.0
+        # where k0 comes from the crossing search (delta, and every family
+        # without a closed form) it is the bracket end where Q <= 1, as for
+        # the Luxemburg norm
+        rep = embedding_report(delta_young(2.0), 0.25)
+        assert 1.0 - Q_TOL <= rep.embedding_constant_modular <= 1.0
+
+    @pytest.mark.parametrize("m", [1.0, 1.5, 2.0, 3.0, 150.0])
+    @pytest.mark.parametrize("mass", [0.25, 1.0, 4.0])
+    def test_exp_k0_is_the_closed_form_certified_once(self, m, mass):
+        rep = embedding_report(exp_young(m), mass)
+        assert rep.embedding_constant == exp_embedding_constant(m, mass)
+        assert len(rep.q_trace) == 1
+        k, tag, value = rep.q_trace[0]
+        assert (k, tag, value) == (rep.embedding_constant, "finite",
+                                   rep.embedding_constant_modular)
+        assert abs(value - 1.0) <= Q_TOL
+
+    def test_closed_form_k0_that_misses_q_tol_is_inconclusive(self, monkeypatch):
+        # the certifying Q decides; there is no fallback to the search
+        import orlicz.embedding as emb
+
+        monkeypatch.setattr(emb, "exp_embedding_constant", lambda m, mass: 1.01 * K0_EXP[m])
+        rep = embedding_report(exp_young(2.0), 1.0)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.embedding_constant is None
+        assert len(rep.q_trace) == 2
+        assert rep.q_trace[-1][1] == INCONCLUSIVE and "exceeds" in rep.q_trace[-1][2]
 
     def test_exp_smaller_mass(self):
         # halving the mass moves the constant but keeps coincidence

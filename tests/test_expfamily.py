@@ -5,6 +5,7 @@ import pytest
 from orlicz.errors import BadAlpha, BadParameter
 from orlicz.expfamily import (
     critical_alpha,
+    critical_alpha_at_mass,
     exp_embedding_constant,
     exp_embedding_modular,
     gauge_quadrature,
@@ -12,7 +13,7 @@ from orlicz.expfamily import (
     gauge_slope_at_zero,
 )
 
-from oracle_values import BETA0, GAUGE, K0_EXP, TWO_LN_TWO
+from oracle_values import BETA0, EXP_ALPHA_BY_MASS, EXP_K0_BY_MASS, GAUGE, K0_EXP, TWO_LN_TWO
 
 
 class TestGaugeSeries:
@@ -71,6 +72,47 @@ class TestCriticalAlpha:
     def test_tol_domain(self):
         with pytest.raises(BadParameter):
             critical_alpha(1e-15)
+
+
+class TestCriticalAlphaAtMass:
+    @pytest.mark.parametrize("mass", sorted(EXP_ALPHA_BY_MASS))
+    def test_matches_mpmath(self, mass):
+        exact = EXP_ALPHA_BY_MASS[mass]
+        assert abs(critical_alpha_at_mass(mass) - exact) <= 1e-15 * exact
+
+    def test_unit_mass_is_the_gauge_root(self):
+        assert abs(critical_alpha_at_mass(1.0) - BETA0) <= 1e-15 * BETA0
+        assert critical_alpha(1e-10) == critical_alpha_at_mass(1.0)
+
+    def test_constants_match_frozen_to_rounding(self):
+        for m, exact in K0_EXP.items():
+            assert abs(exp_embedding_constant(m) - exact) <= 1e-15 * exact
+        for (m, mass), exact in EXP_K0_BY_MASS.items():
+            assert abs(exp_embedding_constant(m, mass) - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("mass", [1e-6, 0.25, 1.0, 4.0, 1e12])
+    def test_modular_is_one_at_the_root(self, mass):
+        k0 = exp_embedding_constant(2.0, mass)
+        assert exp_embedding_modular(2.0, k0, mass) == pytest.approx(1.0, abs=1e-14)
+
+    def test_modular_cross_check_by_quadrature_at_mass(self):
+        # Q = gauge-like integral over (0, z) minus M; the z^-alpha endpoint
+        # factor is absorbed exactly by the kernel
+        from orlicz.numerics import integrate
+
+        for mass in (0.25, 4.0):
+            z = mass / (mass + 1.0)
+            alpha = 1.5 ** -3.0
+            quad = integrate(lambda s: (1.0 - s) ** -2.0, 0.0, z,
+                             lower_singularity=alpha).require_finite() - mass
+            assert exp_embedding_modular(3.0, 1.5, mass) == pytest.approx(quad, rel=1e-9)
+
+    def test_mass_domain(self):
+        for mass in (0.0, -1.0, math.inf):
+            with pytest.raises(BadParameter):
+                critical_alpha_at_mass(mass)
+            with pytest.raises(BadParameter):
+                exp_embedding_modular(2.0, 1.5, mass)
 
 
 class TestEmbeddingClosedForms:

@@ -177,6 +177,18 @@ class TestLuxemburgNorm:
         assert r.value == 0.0
         assert "cap" in r.trace["note"]
 
+    @pytest.mark.parametrize("N", [exp_young(2.0), delta_young(2.0)])
+    def test_norm_below_the_cap_is_zero_off_power(self, N):
+        # the weak norm lies below 2^-64 here; the crossing search starts at
+        # 2^-64, where the modular is at most 1, and halves down to the cap
+        rng = random.Random(41)
+        for value in [1e-30] + [10.0 ** rng.uniform(-40.0, -21.0) for _ in range(40)]:
+            pieces = [(value * rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.3))
+                      for _ in range(rng.randint(1, 3))]
+            r = luxemburg_norm(N, step_tail(pieces, 1.0))
+            assert r.value == 0.0
+            assert r.trace["note"] == "modular below 1 down to cap"
+
     def test_power_walk_is_capped(self):
         # labelled power(2) but u^2 + u^1.5 falls slower than k^-2: the
         # modular at the closed form is far above 1, and that raises
