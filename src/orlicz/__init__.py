@@ -23,17 +23,12 @@ from .errors import (
 )
 from .numerics import FiniteOrDivergent, LadderPoint, LadderTrace, find_root, integrate
 from .young import (
-    Delta2Estimate,
-    ValidationReport,
-    Violation,
     YoungFunction,
     custom_young,
-    delta2_estimate,
     delta_young,
     exp_young,
     make_young,
     power_young,
-    validate_young,
 )
 from .tails import (
     AnalyticTail,
@@ -41,7 +36,6 @@ from .tails import (
     TailFunction,
     TailRepFunction,
     chebyshev_tail,
-    decreasing_rearrangement,
     dilate,
     step_tail,
 )

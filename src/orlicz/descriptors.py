@@ -83,12 +83,17 @@ class FunctionDescriptor:
         if self.kind == "analytic-tail":
             p = self.p
             mass = self.mass
+            kink = mass ** (-1.0 / p)  # where t^-p meets the mass; 0 on infinite mass
 
             def fn(t: float) -> float:
-                v = t ** -p
+                if t <= kink:  # t^-p may overflow here, and is the mass anyway
+                    return mass
+                try:
+                    v = t ** -p
+                except OverflowError:  # only on infinite mass, where the kink is 0
+                    return math.inf
                 return v if v < mass else mass
 
-            kink = mass ** (-1.0 / p)  # where t^-p meets the mass
             breaks = (kink,) if 0.0 < kink < math.inf else ()
             return TailRepFunction(
                 AnalyticTail(fn, label=f"min(mass, t^-{p:g})", breaks=breaks), mass

@@ -28,8 +28,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import (BudgetExceeded, DivergentModular, Inconclusive,
-                     NonConvergence, NonEvaluable)
+from .errors import (BadParameter, BudgetExceeded, DivergentModular,
+                     Inconclusive, NonConvergence, NonEvaluable)
 from .expfamily import exp_embedding_constant
 from .numerics import FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
 from .tails import TailRepFunction, chebyshev_tail, _reference_breaks
@@ -75,6 +75,8 @@ def unit_threshold(N: YoungFunction, total_mass: float) -> float:
         raise ValueError("total mass must be positive (may be inf)")
     if math.isinf(total_mass):
         return 0.0
+    if math.isinf(1.0 / total_mass):
+        raise BadParameter(f"total mass {total_mass!r} is too small: 1/total_mass overflows")
     return N.inverse(1.0 / total_mass)
 
 

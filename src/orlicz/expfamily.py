@@ -133,6 +133,8 @@ def critical_alpha_at_mass(total_mass: float) -> float:
     """
     if not (0.0 < total_mass < math.inf):
         raise BadParameter(f"closed form requires a finite positive mass, got {total_mass!r}")
+    if math.isinf(1.0 / total_mass):
+        raise BadParameter(f"total mass {total_mass!r} is too small: 1/total_mass overflows")
     g = lambda a: _modular_at_alpha(a, total_mass) - 1.0
     lo, hi = 0.0, 0.5
     while not g(hi) > 0.0:

@@ -1,4 +1,4 @@
-"""Tail functions, the Chebyshev reference tail, rearrangements.
+"""Tail functions, the Chebyshev reference tail, dilation.
 
 A tail function maps t > 0 to the measure of {|f| >= t}: left-continuous,
 non-increasing, vanishing at infinity.  Functions are represented here
@@ -26,7 +26,6 @@ __all__ = [
     "step_tail",
     "chebyshev_tail",
     "dilate",
-    "decreasing_rearrangement",
 ]
 
 
@@ -206,18 +205,3 @@ def dilate(T: TailFunction, c: float) -> TailFunction:
     breaks = tuple(x for x in (x * c for x in T.breaks) if 0.0 < x < math.inf)
     return AnalyticTail(lambda t: T.value(t / c), label=f"dilate({T.label}, {c:g})",
                         breaks=breaks)
-
-
-def decreasing_rearrangement(T: StepTail, s: float) -> float:
-    """Generalized left inverse inf{t > 0 : T(t) <= s} of a step tail at level s."""
-    if not isinstance(T, StepTail):
-        raise TypeError("decreasing_rearrangement takes a step tail")
-    if not (s >= 0.0):
-        raise ValueError("level must be non-negative")
-    if T.is_zero or T.top_level <= s:
-        return 0.0
-    for i in range(len(T.thresholds)):
-        nxt = T.levels[i + 1] if i + 1 < len(T.levels) else 0.0
-        if nxt <= s:
-            return T.thresholds[i]
-    return T.thresholds[-1]

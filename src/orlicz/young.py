@@ -1,4 +1,4 @@
-"""Young-Orlicz functions: builtin families, custom wrappers, validation.
+"""Young-Orlicz functions: builtin families and custom wrappers.
 
 A Young function N is even, continuous, convex, N(0) = 0, strictly
 increasing to infinity, with N(u)/u -> 0 at 0 and -> infinity at infinity.
@@ -11,14 +11,16 @@ Three parametric families are built in:
 Note exp_m(1) fails the small-argument limit (N(u)/u -> 1, not 0); it is
 admitted anyway because the embedding machinery only needs monotonicity
 and the inverse, and the exponential family is used down to m = 1.
-``validate_young`` reports such violations instead of refusing them.
+Custom functions are not audited for convexity or the limit ratios
+either; only the inverse round-trip, which every computation relies on,
+is checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from .errors import BadParameter
 
@@ -29,11 +31,6 @@ __all__ = [
     "exp_young",
     "delta_young",
     "custom_young",
-    "validate_young",
-    "ValidationReport",
-    "Violation",
-    "delta2_estimate",
-    "Delta2Estimate",
 ]
 
 _EXP_CAP = 700.0  # exp overflows just above 709; keep headroom
@@ -288,8 +285,8 @@ def custom_young(
 
     The inverse is mandatory (norm and embedding integrals are
     parameterized by it) and must round-trip to 1e-10 relative.  Convexity
-    and the limit ratios are not enforced here; run ``validate_young`` to
-    audit them.
+    and the limit ratios are the caller's responsibility; they are not
+    checked.
     """
     def guarded(u: float) -> float:
         try:
@@ -302,144 +299,3 @@ def custom_young(
         raise BadParameter("custom Young function must satisfy N(0) = 0")
     _roundtrip_check(N)
     return N
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    location: float
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: Tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def kinds(self) -> set:
-        return {v.kind for v in self.violations}
-
-
-def _log_grid(lo: float, hi: float, n: int) -> List[float]:
-    la, lb = math.log10(lo), math.log10(hi)
-    return [10.0 ** (la + (lb - la) * i / (n - 1)) for i in range(n)]
-
-
-def validate_young(
-    N: YoungFunction, grid: Optional[List[float]] = None
-) -> ValidationReport:
-    """Audit monotonicity, midpoint convexity, limit ratios, inverse.
-
-    Report-only: callers decide what to do with violations.
-    """
-    if grid is None:
-        grid = _log_grid(1e-6, 1e6, 121)
-    if not grid or any(g <= 0.0 for g in grid):
-        raise ValueError("validation grid must be non-empty and positive")
-    grid = sorted(grid)
-    out: List[Violation] = []
-
-    vals = [N(u) for u in grid]
-    for u, v in zip(grid, vals):
-        if v != v or v < 0.0:
-            out.append(Violation("range", u, f"N({u:g}) = {v!r}"))
-
-    for (a, va), (b, vb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if math.isinf(va) or math.isinf(vb):
-            continue
-        if vb <= va:
-            out.append(
-                Violation("monotonicity", b, f"N({b:g}) = {vb:g} <= N({a:g}) = {va:g}")
-            )
-        mid = 0.5 * (a + b)
-        vm = N(mid)
-        if vm > 0.5 * (va + vb) * (1.0 + 1e-12):
-            out.append(
-                Violation(
-                    "convexity",
-                    mid,
-                    f"N(mid) = {vm:g} exceeds chord value {(0.5 * (va + vb)):g}",
-                )
-            )
-
-    # N(u)/u must shrink toward 0 and grow toward infinity across the grid
-    finite = [(u, v) for u, v in zip(grid, vals) if math.isfinite(v) and v > 0.0]
-    if len(finite) >= 3:
-        r0 = finite[0][1] / finite[0][0]
-        r1 = finite[1][1] / finite[1][0]
-        if r0 > r1 * (1.0 + 1e-9):
-            out.append(
-                Violation(
-                    "small_limit",
-                    finite[0][0],
-                    f"N(u)/u = {r0:g} grows toward 0 (next ratio {r1:g})",
-                )
-            )
-        rn = finite[-1][1] / finite[-1][0]
-        rp = finite[-2][1] / finite[-2][0]
-        if rn < rp * (1.0 - 1e-9):
-            out.append(
-                Violation(
-                    "large_limit",
-                    finite[-1][0],
-                    f"N(u)/u = {rn:g} shrinks toward infinity (previous {rp:g})",
-                )
-            )
-
-    for e in range(-4, 5):
-        w = 10.0 ** e
-        u = N.inverse(w)
-        back = N(u)
-        if not math.isfinite(back) or abs(back - w) > 1e-10 * w:
-            out.append(Violation("inverse", w, f"N(N^-1({w:g})) = {back!r}"))
-
-    u_probe = 1.2345
-    if N(-u_probe) != N(u_probe):
-        out.append(Violation("evenness", u_probe, "N(-u) != N(u)"))
-
-    return ValidationReport(tuple(out))
-
-
-@dataclass(frozen=True)
-class Delta2Estimate:
-    supremum: float
-    unbounded: bool
-
-
-def delta2_estimate(
-    N: YoungFunction, u_range: Optional[List[float]] = None
-) -> Delta2Estimate:
-    """Estimate sup N(2u)/N(u); flag growth without bound.
-
-    The flag fires when the ratio increases monotonically across the top
-    two decades of the range (or N(2u) overflows while N(u) is finite).
-    """
-    if u_range is None:
-        u_range = _log_grid(1e-4, 1e6, 201)
-    u_range = sorted(u for u in u_range if u > 0.0)
-    if not u_range:
-        raise ValueError("u_range must contain positive points")
-    sup = 0.0
-    ratios: List[Tuple[float, float]] = []
-    for u in u_range:
-        nu = N(u)
-        if nu <= 0.0 or not math.isfinite(nu):
-            continue
-        n2 = N(2.0 * u)
-        if math.isinf(n2):
-            return Delta2Estimate(math.inf, True)
-        r = n2 / nu
-        ratios.append((u, r))
-        if r > sup:
-            sup = r
-    if not ratios:
-        raise ValueError("could not evaluate N on the supplied range")
-    top = ratios[-1][0]
-    tail = [r for u, r in ratios if u >= top / 100.0]
-    unbounded = len(tail) >= 3 and all(
-        b > a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:])
-    )
-    return Delta2Estimate(sup, unbounded)

@@ -11,8 +11,8 @@ constants are mpmath ``findroot`` solutions of that integral equal to 1.
 
 import math
 
-# root of gauge(alpha) = 2
-BETA0 = 0.4318705476715142
+# root of gauge(alpha) = 2, 0.43187054767151416293543853026... at 50 digits
+BETA0 = 0.43187054767151417
 
 # gauge values
 GAUGE = {

@@ -58,6 +58,17 @@ class TestNormCommand:
         rec = json.loads(out)
         assert rec["results"]["lp(2)"]["value"] == pytest.approx(math.sqrt(1.7), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["strong", "lp:2"])
+    def test_analytic_tail_whose_power_overflows(self, capsys, kind):
+        rc, out, _ = run(
+            capsys, "norm", "--young", "power:2",
+            "--fn", '{"kind":"analytic-tail","family":"power","p":400,"mass":1}',
+            "--kind", kind,
+        )
+        assert rc == 0
+        (result,) = json.loads(out)["results"].values()
+        assert result["value"] == pytest.approx(math.sqrt(400.0 / 398.0), rel=1e-12)
+
     def test_lp_norm_of_a_huge_value(self, capsys):
         rc, out, _ = run(
             capsys, "norm", "--young", "power:2",
@@ -156,6 +167,11 @@ class TestEmbedCommand:
     def test_bad_mass(self, capsys):
         rc, _, err = run(capsys, "embed", "--young", "exp_m:2", "--mass", "-1")
         assert rc == 1 and "error" in err
+
+    def test_mass_whose_reciprocal_overflows(self, capsys):
+        rc, _, err = run(capsys, "embed", "--young", "exp_m:2", "--mass", "1e-310")
+        assert rc == 1
+        assert err.startswith("error:") and "1e-310" in err
 
 
 class TestScalarCommands:

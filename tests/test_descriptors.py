@@ -123,6 +123,16 @@ class TestBuild:
     def test_analytic_infinite_mass_has_no_break(self):
         assert parse_descriptor(VALID[4]).build().tail.breaks == ()
 
+    def test_analytic_tail_whose_power_overflows(self):
+        # t^-400 overflows below t = 0.17: on mass 1 the tail is the mass there,
+        # and on infinite mass it is +inf
+        d = {"kind": "analytic-tail", "family": "power", "p": 400.0, "mass": 1.0}
+        f = parse_descriptor(d).build()
+        assert f.tail.value(0.1) == 1.0
+        exact = math.sqrt(400.0 / 398.0)  # int |f|^2 = 1 + 2 / 398
+        assert abs(luxemburg_norm(power_young(2.0), f).value - exact) <= 1e-12
+        assert parse_descriptor({**d, "mass": "inf"}).build().tail.value(0.1) == math.inf
+
     def test_extremal_needs_young(self):
         d = parse_descriptor({"kind": "extremal", "mass": 1.0})
         with pytest.raises(DescriptorError):

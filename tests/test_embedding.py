@@ -17,7 +17,7 @@ from orlicz.embedding import (
     extremal_function,
     unit_threshold,
 )
-from orlicz.errors import DivergentModular, NonEvaluable
+from orlicz.errors import BadParameter, DivergentModular, NonEvaluable
 from orlicz.expfamily import exp_embedding_constant, exp_embedding_modular
 from orlicz.norms import luxemburg_norm, weak_norm
 from orlicz.young import custom_young, delta_young, exp_young, power_young
@@ -40,6 +40,17 @@ class TestUnitThreshold:
     def test_general_mass(self):
         N = power_young(2.0)
         assert unit_threshold(N, 4.0) == pytest.approx(0.5, rel=1e-12)
+
+    def test_mass_whose_reciprocal_overflows(self):
+        # 1/M is +inf below about 5.6e-309, so N^-1(1/M) is no threshold
+        for N in (exp_young(2.0), delta_young(2.0), power_young(2.0)):
+            with pytest.raises(BadParameter, match="1e-309"):
+                unit_threshold(N, 1e-309)
+        with pytest.raises(BadParameter, match="1e-310"):
+            embedding_report(exp_young(2.0), 1e-310)
+        with pytest.raises(BadParameter, match="1e-309"):
+            embedding_report(delta_young(2.0), 1e-309)
+        assert unit_threshold(exp_young(2.0), 1e-308) < math.inf
 
 
 class TestEmbeddingModular:

@@ -114,6 +114,12 @@ class TestCriticalAlphaAtMass:
             with pytest.raises(BadParameter):
                 exp_embedding_modular(2.0, 1.5, mass)
 
+    def test_mass_whose_reciprocal_overflows(self):
+        for mass in (1e-309, 1e-310):
+            with pytest.raises(BadParameter, match=repr(mass)):
+                critical_alpha_at_mass(mass)
+        assert 0.0 < critical_alpha_at_mass(1e-308) < 1.0
+
 
 class TestEmbeddingClosedForms:
     def test_constants_match_frozen(self):

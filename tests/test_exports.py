@@ -1,4 +1,4 @@
-"""Every name in the ``__all__`` of an ``orlicz`` module resolves.
+"""The public surface of ``orlicz``: exported names and import footprint.
 
 Tools that wrap the public functions look each listed name up with
 ``getattr``, so a stale entry breaks them even though ``import`` works.
@@ -6,6 +6,9 @@ Tools that wrap the public functions look each listed name up with
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,15 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(orlicz.__path__) if m.name
 def test_all_names_resolve(name):
     module = importlib.import_module(f"orlicz.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_import_loads_no_third_party_module():
+    # pyproject.toml declares no runtime dependency; the test extras stay optional
+    src = str(Path(orlicz.__file__).resolve().parents[1])
+    code = ("import sys, orlicz; "
+            "print(sorted({'scipy', 'mpmath', 'hypothesis', 'numpy'} & set(sys.modules)))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

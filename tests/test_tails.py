@@ -9,7 +9,6 @@ from orlicz.tails import (
     StepTail,
     TailRepFunction,
     chebyshev_tail,
-    decreasing_rearrangement,
     dilate,
     step_tail,
 )
@@ -109,21 +108,6 @@ class TestBreaks:
     def test_bad_breaks_rejected(self, breaks):
         with pytest.raises(ValueError):
             AnalyticTail(lambda t: min(1.0, t ** -2.0), breaks=breaks)
-
-
-class TestRearrangement:
-    def test_two_piece_example(self, two_piece):
-        assert decreasing_rearrangement(two_piece.tail, 0.5) == 1.0
-
-    def test_zero_tail(self):
-        assert decreasing_rearrangement(step_tail([], 1.0).tail, 0.3) == 0.0
-
-    def test_analytic_tail_rejected(self):
-        with pytest.raises(TypeError):
-            decreasing_rearrangement(AnalyticTail(lambda t: min(1.0, t ** -2.0)), 0.25)
-
-    def test_level_above_top(self, two_piece):
-        assert decreasing_rearrangement(two_piece.tail, 0.9) == 0.0
 
 
 class TestTailNorm:

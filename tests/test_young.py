@@ -5,12 +5,10 @@ import pytest
 from orlicz.errors import BadParameter
 from orlicz.young import (
     custom_young,
-    delta2_estimate,
     delta_young,
     exp_young,
     make_young,
     power_young,
-    validate_young,
 )
 
 from oracle_values import Y0_EXP2
@@ -84,50 +82,8 @@ class TestConstruction:
         with pytest.raises(BadParameter):
             custom_young(lambda u: u * u + 1.0, lambda w: math.sqrt(max(w - 1.0, 0.0)))
 
-
-class TestValidation:
-    def test_power_is_clean(self):
-        assert validate_young(power_young(2.0)).ok
-
-    def test_sqrt_fails_small_limit(self):
-        N = custom_young(lambda u: math.sqrt(abs(u)), lambda w: w * w, label="sqrt")
-        kinds = validate_young(N).kinds()
-        assert "small_limit" in kinds
-        assert "convexity" in kinds
-
-    def test_exp_root_non_convex_near_zero(self):
-        N = custom_young(
-            lambda u: math.expm1(2.0 * math.sqrt(abs(u))),
-            lambda w: (math.log1p(w) / 2.0) ** 2,
-            label="exp-root",
-        )
-        assert "convexity" in validate_young(N).kinds()
-
     def test_exp_one_constructible(self):
         # exp_m(1) behaves like u near 0, so its small-argument limit is 1
-        # rather than 0; a finite grid cannot observe that, and the family
-        # is used down to m = 1, so construction and validation both admit it
+        # rather than 0; the family is used down to m = 1, so it is admitted
         N = exp_young(1.0)
-        assert validate_young(N).ok
-
-    def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            validate_young(power_young(2.0), grid=[])
-        with pytest.raises(ValueError):
-            validate_young(power_young(2.0), grid=[-1.0, 1.0])
-
-
-class TestDelta2:
-    def test_power_two_exact(self):
-        est = delta2_estimate(power_young(2.0))
-        assert est.supremum == 4.0
-        assert not est.unbounded
-
-    def test_power_three(self):
-        assert delta2_estimate(power_young(3.0)).supremum == pytest.approx(8.0, rel=1e-12)
-
-    def test_exp_unbounded(self):
-        assert delta2_estimate(exp_young(2.0)).unbounded
-
-    def test_delta_unbounded(self):
-        assert delta2_estimate(delta_young(2.0)).unbounded
+        assert N(1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
