@@ -83,7 +83,10 @@ class FunctionDescriptor:
         if self.kind == "analytic-tail":
             p = self.p
             mass = self.mass
-            kink = mass ** (-1.0 / p)  # where t^-p meets the mass; 0 on infinite mass
+            try:
+                kink = mass ** (-1.0 / p)  # where t^-p meets the mass; 0 on infinite mass
+            except OverflowError:  # a mass below 1 and a tiny p: no float leaves the plateau
+                kink = math.inf
 
             def fn(t: float) -> float:
                 if t <= kink:  # t^-p may overflow here, and is the mass anyway

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import (BadParameter, BudgetExceeded, DivergentModular,
                      Inconclusive, NonConvergence, NonEvaluable)
 from .expfamily import exp_embedding_constant
-from .numerics import FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
+from .numerics import FiniteOrDivergent, _IntegrandOverflow, _unit_crossing, integrate
 from .tails import TailRepFunction, chebyshev_tail, _reference_breaks
 from .young import YoungFunction
 
@@ -83,19 +83,21 @@ def unit_threshold(N: YoungFunction, total_mass: float) -> float:
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-class _IntegrandOverflow(Exception):
-    """Criterion integrand left the floating-point range at a sample point."""
-
-
 def _criterion_integrand(N: YoungFunction, c: float):
-    """t -> N(ct) N'(t) / N(t)^2, as one exp where N supplies its log form."""
+    """t -> N(ct) N'(t) / N(t)^2, as one exp where N supplies its log form.
+
+    A value past the float range makes the integral divergent.
+    """
+    def overflow(t: float) -> _IntegrandOverflow:
+        return _IntegrandOverflow(f"integrand overflow near t={t:g} at scaling {c:g}")
+
     if N.log_criterion is not None:
         log_f = N.log_criterion(c)
 
         def f(t: float) -> float:
             e = log_f(t)
             if e > _LOG_FLOAT_MAX:
-                raise _IntegrandOverflow(t)
+                raise overflow(t)
             return math.exp(e)
 
         return f
@@ -106,19 +108,10 @@ def _criterion_integrand(N: YoungFunction, c: float):
             raise NonEvaluable(f"{N.describe()}({t!r}) = {n!r} leaves the float range")
         v = (N(c * t) / n) * (N.derivative(t) / n)
         if v == math.inf:
-            raise _IntegrandOverflow(t)
+            raise overflow(t)
         return v
 
     return direct
-
-
-def _criterion_integral(N, c, t0) -> FiniteOrDivergent:
-    try:
-        return integrate(_criterion_integrand(N, c), t0, math.inf)
-    except _IntegrandOverflow as exc:
-        return FiniteOrDivergent.divergent(
-            LadderTrace((), note=f"integrand overflow near t={exc.args[0]:g} at scaling {c:g}")
-        )
 
 
 def embedding_modular(N: YoungFunction, k: float, total_mass: float) -> FiniteOrDivergent:
@@ -132,7 +125,7 @@ def embedding_modular(N: YoungFunction, k: float, total_mass: float) -> FiniteOr
     if not (k > 0.0):
         raise ValueError("scale k must be positive")
     t0 = unit_threshold(N, total_mass)
-    return _criterion_integral(N, 1.0 / k, t0)
+    return integrate(_criterion_integrand(N, 1.0 / k), t0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -165,7 +158,7 @@ def coincidence_criterion(N: YoungFunction, total_mass: float) -> CriterionResul
     saw_inconclusive = False
     for c in C_LADDER[1:]:
         try:
-            r = _criterion_integral(N, c, t0)
+            r = integrate(_criterion_integrand(N, c), t0, math.inf)
         except (BudgetExceeded, Inconclusive) as exc:
             trail.append((c, INCONCLUSIVE, str(exc)))
             saw_inconclusive = True
@@ -253,9 +246,9 @@ def _k0_crossing(q: Callable[[float], float]) -> float:
     Luxemburg norm off power.  DivergentModular is raised when Q stays
     above 1 up to the solver's cap.
     """
-    # a Q that jumps from +inf to below 1 is bisected to 1e-12 and then
-    # fails Q_TOL at the upper end
-    _, k0 = _unit_crossing(q, 2.0, 1e-12)
+    # a Q that jumps from +inf to below 1 is bisected to NORM_REL_TOL and
+    # then fails Q_TOL at the upper end
+    _, k0 = _unit_crossing(q, 2.0)
     if k0 == math.inf:
         raise DivergentModular("embedding modular stayed above 1 up to the cap")
     return k0

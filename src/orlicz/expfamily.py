@@ -8,7 +8,7 @@ evaluable either by its geometric series
 
     sum_{n>=0} (n+1) 2^(alpha-n-1) / (n+1-alpha)
 
-or by quadrature with the endpoint singularity absorbed exactly.  On a
+or by quadrature with the endpoint singularity substituted away.  On a
 space of total mass M, with alpha = k^(-m) and z = M/(M+1), the
 substitution s = 1/(1 + N(t)) turns the embedding modular into
 
@@ -65,13 +65,19 @@ def gauge_series(alpha: float) -> float:
 
 
 def gauge_quadrature(alpha: float) -> float:
-    """Quadrature value of the gauge; the z^(-alpha) endpoint factor is
-    absorbed by the kernel's exact substitution when alpha > 0."""
+    """Quadrature value of the gauge.
+
+    For alpha > 0 the z^(-alpha) endpoint factor is absorbed exactly by
+    the substitution z = s^q, q = 1/(1 - alpha), which leaves q times the
+    integral of the regular factor (1 - s^q)^(-2) over (0, 2^(alpha-1)).
+    """
     if not (alpha < 1.0):
         raise BadAlpha(f"gauge requires alpha < 1, got {alpha!r}")
     regular = lambda z: (1.0 - z) ** -2.0
     if alpha > 0.0:
-        return integrate(regular, 0.0, 0.5, lower_singularity=alpha).require_finite()
+        q = 1.0 / (1.0 - alpha)
+        r = integrate(lambda s: regular(s ** q), 0.0, 0.5 ** (1.0 - alpha))
+        return q * r.require_finite()
     if alpha == 0.0:
         return integrate(regular, 0.0, 0.5).require_finite()
     return integrate(lambda z: regular(z) * z ** (-alpha), 0.0, 0.5).require_finite()

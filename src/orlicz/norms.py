@@ -21,7 +21,8 @@ from itertools import chain, islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import BudgetExceeded, Inconclusive, NonConvergence, NotDominated
-from .numerics import NORM_CAP, FiniteOrDivergent, LadderTrace, _unit_crossing, integrate
+from .numerics import (NORM_CAP, NORM_REL_TOL, FiniteOrDivergent, LadderTrace,
+                       _IntegrandOverflow, _unit_crossing, integrate)
 from .tails import StepTail, TailRepFunction, _reference_label
 from .young import YoungFunction
 
@@ -35,10 +36,6 @@ __all__ = [
     "CouplingReport",
     "NORM_CAP",
 ]
-
-
-class _ModularOverflow(Exception):
-    """Integrand exceeded the floating-point range at a sample point."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,8 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
     bound ``__call__``, looked up on the class, so a wrapper put on
     ``YoungFunction.__call__`` still sees every evaluation.  On an
     analytic tail, kernel quadrature of T(t) N'(t/k)/k, split at the
-    tail's breaks.  Divergence verdicts propagate.
+    tail's breaks; a sample of it that overflows makes the modular
+    divergent.  Divergence verdicts propagate.
     """
     if not (k > 0.0):
         raise ValueError("modular scale k must be positive")
@@ -94,22 +92,16 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
             # at small k the growth of N' overtakes the tail's decay while
             # both factors are still representable separately: the modular
             # is far beyond 1 there, which is all the callers need to know
-            raise _ModularOverflow(t)
+            raise _IntegrandOverflow(f"integrand overflow near t={t:g} at k={k:g}")
         return v
 
-    try:
-        return integrate(integrand, 0.0, math.inf, breaks=tail.breaks)
-    except _ModularOverflow as exc:
-        return FiniteOrDivergent.divergent(
-            LadderTrace((), note=f"integrand overflow near t={exc.args[0]:g} at k={k:g}")
-        )
+    return integrate(integrand, 0.0, math.inf, breaks=tail.breaks)
 
 
 _POWER_WALK = 8  # floats the closed-form power norm may step up past rounding
 
 
-def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
-                   rel_tol: float = 1e-12) -> NormResult:
+def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     """The strong (Luxemburg) norm inf{k > 0 : modular(f, k) <= 1}.
 
     The weak norm w is a lower bound: modular(f, k) >= T(t) N(t/k) for
@@ -132,7 +124,9 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
     Off power, the modular goes to the shared crossing solver from s.
     The norm is +inf if the modular stays above 1 up to 2^64, 0 if it
     stays at or below 1 down to 2^-64, and else the end of the final
-    bracket where the modular is at most 1.
+    bracket where the modular is at most 1.  That bracket is 4 ulp wide,
+    or NORM_REL_TOL wide where the modular only jumps from +inf or to 0;
+    the accuracy is fixed, and no caller chooses another.
 
     Either way a cap that decides the norm is recorded in the trace as
     ``note``.  Modular values are cached by k.  The trace records
@@ -147,7 +141,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
                                      "note": "zero function"})
 
     cache: Dict[float, float] = {}
-    w = weak_norm(N, f, rel_tol).value
+    w = weak_norm(N, f).value
 
     def mod(k: float) -> float:
         """modular(f, k), with +inf standing for a divergent modular."""
@@ -183,7 +177,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction,
             k = math.nextafter(k, math.inf)
         raise NonConvergence(f"modular still above 1 {_POWER_WALK} floats past the "
                              f"closed-form power norm, at k={k:g}")
-    lo, hi = _unit_crossing(mod, start, rel_tol)
+    lo, hi = _unit_crossing(mod, start)
     if hi == math.inf:
         return capped(math.inf, above)
     if lo == 0.0:
@@ -204,9 +198,9 @@ def _ratio(t: float, u: float) -> float:
     return t / u if u > 0.0 else math.inf
 
 
-def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float], cap: float,
-               rel_tol: float) -> Tuple[float, Optional[float], int, Optional[float],
-                                        Optional[float]]:
+def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
+               cap: float) -> Tuple[float, Optional[float], int, Optional[float],
+                                    Optional[float]]:
     """Sup of g(t) = t / u(T(t)) over t > 0 (g = 0 where T is 0), sampled in x = log10 t.
 
     Returns (sup, argmax, evaluations of T, plateau_end_t, zero_start_t).
@@ -220,18 +214,18 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float], cap: fl
     The last plateau node and the first zero node appear as
     ``plateau_end_t`` and ``zero_start_t`` (None where a run is absent).
     While the sample at an end node exceeds every other sample by more
-    than the factor 1 + ``rel_tol`` (so rounding noise on a flat g does
+    than the factor 1 + NORM_REL_TOL (so rounding noise on a flat g does
     not count), the grid grows by a whole decade at that end, up to t =
     1e+-300, through the same fill; a running maximum of the interior
     nodes makes each step cost only the new decade.  Past the last node
     where T vanishes g is 0, so the upper end stops there by itself.  A
     golden-section search (Kiefer, 1953) then refines over the two cells
-    beside the largest node until they are ``rel_tol`` wide in t.  The
+    beside the largest node until they are NORM_REL_TOL wide in t.  The
     largest value evaluated is returned, +inf once it exceeds NORM_CAP.
     On ties the grid node that joined the grid first wins: the first
     grid, then each added decade in turn, each in ascending t.
 
-    The result is the sup to ``rel_tol`` when g is unimodal near its
+    The result is the sup to NORM_REL_TOL when g is unimodal near its
     largest node.  Otherwise a peak in another cell can be missed, but as
     T is nonincreasing, g(t) <= 10^(1/20) g(t_j) on each cell [t_j,
     t_j 10^(1/20)], so the result is within that factor of the sup over
@@ -289,7 +283,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float], cap: fl
     block = fill(lo, hi)
     inner = max(block[1:-1])  # the largest sample off the two end nodes
     vals = deque(block)
-    margin = 1.0 + rel_tol
+    margin = 1.0 + NORM_REL_TOL
     while best <= NORM_CAP:
         if vals[0] > margin * max(inner, vals[-1]) and lo > -_GRID_LIMIT:
             lo -= step
@@ -316,7 +310,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float], cap: fl
     b = (lo + min(i + 1, len(vals) - 1)) / step
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     gc, gd = at(c), at(d)
-    width = rel_tol / math.log(10.0)
+    width = NORM_REL_TOL / math.log(10.0)
     while b - a > width and a < c < d < b:
         if gc >= gd:
             b, d, gd = d, c, gc
@@ -329,8 +323,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float], cap: fl
     return (math.inf if best > NORM_CAP else best, argmax, count) + runs
 
 
-def weak_norm(N: YoungFunction, f: TailRepFunction,
-              rel_tol: float = 1e-12) -> NormResult:
+def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     """The weak Orlicz norm: scaling norm of T[f] against the Chebyshev tail.
 
     T(t) <= min(mass, 1/N(t/K)) holds iff t/K <= N^{-1}(1/min(T(t), mass)),
@@ -340,12 +333,12 @@ def weak_norm(N: YoungFunction, f: TailRepFunction,
     A level of +inf is what 1/N(t) gives wherever N(t) underflows, and a
     tail value that raises OverflowError reads as +inf too, so such a
     level stands for one just beyond the float range; it gives the norm
-    +inf at every t above 2^64 N^{-1}(1/max_float).  A level
-    of 0 gives g = 0.  On a step tail the levels are held on left-open
-    intervals, so the sup is the maximum over the thresholds t_i.  On an
-    analytic tail it is taken by ``_log_t_sup``, which relies on T being
-    nonincreasing: g is t / N^{-1}(1/cap) wherever T(t) >= cap and 0
-    wherever T(t) = 0, so those grid nodes are filled in without
+    +inf at every t above 2^64 N^{-1}(1/max_float).  A level of 0 gives
+    g = 0.  On a step tail the levels are held on left-open intervals, so
+    the sup is the maximum over the thresholds t_i.  On an analytic tail
+    it is taken to NORM_REL_TOL by ``_log_t_sup``, which relies on T
+    being nonincreasing: g is t / N^{-1}(1/cap) wherever T(t) >= cap and
+    0 wherever T(t) = 0, so those grid nodes are filled in without
     evaluating T (and their tail values are not validated); its
     docstring states what its grid can miss.  The trace records as
     ``evaluations`` the number of tail values read (on a step tail, one
@@ -375,7 +368,7 @@ def weak_norm(N: YoungFunction, f: TailRepFunction,
         def u(y: float) -> float:
             return N.inverse(1.0 / min(y, cap))
 
-        value, argmax, count, plateau_end, zero_start = _log_t_sup(level, u, cap, rel_tol)
+        value, argmax, count, plateau_end, zero_start = _log_t_sup(level, u, cap)
     return NormResult(value, None, {
         "reference": _reference_label(N),
         "evaluations": count,

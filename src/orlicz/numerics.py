@@ -10,10 +10,14 @@ The same slope trace drives the divergence classifier: persistent slope
 means the integral cannot be finite.  Declared breaks (kinks of the
 integrand) start panels of their own, as in QUADPACK's QAGP (Piessens et
 al., 1983); on the log axis a kink between a cutoff and the nearest node
-is otherwise invisible to the error estimate.
+is otherwise invisible to the error estimate.  An integrand that overflows
+where its integral is known to be infinite raises ``_IntegrandOverflow``,
+and ``integrate`` returns that as a divergent result: the library's one
+rule for integrand overflow.
 
-The tolerances and budgets are the module constants below; every caller
-uses the same ones.  Everything here is pure and reproducible: fixed node
+The tolerances and budgets are the module constants below, among them
+the norms' NORM_CAP and NORM_REL_TOL; every caller uses the same ones and
+none takes its own.  Everything here is pure and reproducible: fixed node
 sets, fixed evaluation order, no randomness.
 """
 
@@ -52,6 +56,7 @@ SLOPE_MARGIN = 0.05
 PERSISTENCE = 3
 SUB_DECADES = 12  # decades below LADDER[0] swept toward a lower endpoint at 0
 NORM_CAP = 2.0 ** 64  # crossings are sought within [1/NORM_CAP, NORM_CAP]
+NORM_REL_TOL = 1e-12  # relative width at which the norms stop refining
 
 
 @dataclass(frozen=True)
@@ -349,6 +354,11 @@ def _down_cuts(top: float):
     return [top * 10.0 ** (-j) for j in range(SUB_DECADES + 1)]
 
 
+class _IntegrandOverflow(Exception):
+    """Raised by an integrand whose value overflows where the integral is
+    known to be infinite; its message is the note of the divergent result."""
+
+
 def _check_breaks(breaks: Sequence[float]) -> None:
     prev = 0.0
     for x in breaks:
@@ -364,25 +374,21 @@ def integrate(
     a: float,
     b: float,
     *,
-    lower_singularity: Optional[float] = None,
     breaks: Sequence[float] = (),
 ) -> FiniteOrDivergent:
     """Integrate a non-negative function over (a, b), b possibly infinite.
 
     ``breaks`` are the points where f has a kink or a jump, positive,
     finite and increasing.  Every panel that would straddle one is split
-    there; the ladder's cutoffs stay the decades.  They are not taken
-    together with ``lower_singularity``.
+    there; the ladder's cutoffs stay the decades.  Endpoints may carry at
+    most mild (logarithmic or small-power) integrable singularities; a
+    stronger one is for the caller to substitute away.
 
-    When ``lower_singularity`` is alpha in (0, 1), b must be finite and the
-    integral computed is ``int (z - a)^(-alpha) * f(z) dz``: ``f`` is the
-    regular cofactor and the singular factor is absorbed exactly by the
-    substitution z - a = s^(1/(1-alpha)).  Without it, ``f`` is the full
-    integrand and endpoints may carry at most mild (logarithmic or
-    small-power) integrable singularities.
-
-    Returns finite(value) or divergent(trace); raises Inconclusive when the
-    slope classifier cannot decide and BudgetExceeded when budgets run out.
+    An f whose value leaves the float range where the integral is known
+    to be infinite raises ``_IntegrandOverflow`` with a note, and the
+    result is divergent with that note and no ladder points.  Returns
+    finite(value) or divergent(trace); raises Inconclusive when the slope
+    classifier cannot decide and BudgetExceeded when budgets run out.
     """
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
@@ -391,25 +397,10 @@ def integrate(
             return FiniteOrDivergent.finite(0.0)
         raise ValueError("integration bounds must satisfy a < b")
     _check_breaks(breaks)
-
-    if lower_singularity is not None:
-        alpha = lower_singularity
-        if not (0.0 < alpha < 1.0):
-            raise ValueError("lower_singularity must lie in (0, 1)")
-        if math.isinf(b):
-            raise ValueError("lower_singularity needs a finite upper limit")
-        if breaks:
-            raise ValueError("lower_singularity takes no breaks")
-        q = 1.0 / (1.0 - alpha)
-        s_top = (b - a) ** (1.0 - alpha)
-
-        def transformed(s):
-            return f(a + s ** q)
-
-        value, _ = _adaptive_finite(transformed, 0.0, s_top, ABS_TOL)
-        return FiniteOrDivergent.finite(q * value)
-
-    if math.isinf(b):
+    try:
+        if math.isfinite(b):
+            value, _ = _adaptive_finite(f, a, b, ABS_TOL, breaks)
+            return FiniteOrDivergent.finite(value)
         parts = 0.0
         if a == 0.0:
             base = LADDER[0]
@@ -421,12 +412,11 @@ def integrate(
         else:
             start = a
         up, _ = _ladder_pass(f, _up_cuts(start), ABS_TOL, False, breaks)
-        if up.is_divergent:
-            return up
-        return FiniteOrDivergent.finite(parts + up.value)
-
-    value, _ = _adaptive_finite(f, a, b, ABS_TOL, breaks)
-    return FiniteOrDivergent.finite(value)
+    except _IntegrandOverflow as exc:
+        return FiniteOrDivergent.divergent(LadderTrace((), note=str(exc)))
+    if up.is_divergent:
+        return up
+    return FiniteOrDivergent.finite(parts + up.value)
 
 
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon  # brentq's smallest rtol
@@ -504,8 +494,7 @@ def find_root(
     raise NonConvergence(f"root refinement stalled after {_ROOT_MAXITER} iterations")
 
 
-def _unit_crossing(f: Callable[[float], float], start: float,
-                   rel_tol: float) -> Tuple[float, float]:
+def _unit_crossing(f: Callable[[float], float], start: float) -> Tuple[float, float]:
     """Bracket (lo, hi) of the point where a nonincreasing f crosses 1.
 
     f may return +inf and should cache its values: ends are evaluated more
@@ -514,7 +503,7 @@ def _unit_crossing(f: Callable[[float], float], start: float,
     points with f(lo) > 1 >= f(hi).  If f stays above 1 up to NORM_CAP,
     hi is +inf; if it stays at or below 1 down to 1/NORM_CAP, lo is 0.
     While f(lo) is +inf or f(hi) is 0 the bracket is bisected, and it is
-    returned as it stands once it is ``rel_tol`` wide.  Otherwise Brent's
+    returned as it stands once it is NORM_REL_TOL wide.  Otherwise Brent's
     method on log f narrows it to 4 ulp, and every point it evaluates
     moves the end on its side of the crossing.
     """
@@ -533,7 +522,7 @@ def _unit_crossing(f: Callable[[float], float], start: float,
 
     while f(lo) == math.inf or f(hi) == 0.0:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * hi or not lo < mid < hi:
+        if hi - lo <= NORM_REL_TOL * hi or not lo < mid < hi:
             return lo, hi
         if f(mid) > 1.0:
             lo = mid

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Tuple, Union
 
-from .errors import MassOverflow
+from .errors import BadParameter, MassOverflow
 from .numerics import _check_breaks
 from .young import YoungFunction
 
@@ -52,6 +52,8 @@ class StepTail:
             raise ValueError("levels must be strictly decreasing")
         if self.levels and self.levels[-1] <= 0.0:
             raise ValueError("levels must be positive")
+        if self.levels and math.isinf(1.0 / self.levels[-1]):
+            raise BadParameter(f"tail level {self.levels[-1]!r} is too small: 1/level overflows")
 
     @staticmethod
     def from_pieces(pieces: Iterable[Tuple[float, float]]) -> "StepTail":
@@ -146,6 +148,10 @@ class TailRepFunction:
     def __post_init__(self):
         if not (self.total_mass > 0.0):
             raise ValueError("total mass must be positive (may be inf)")
+        if math.isinf(1.0 / self.total_mass):
+            raise BadParameter(
+                f"total mass {self.total_mass!r} is too small: 1/total_mass overflows"
+            )
         if isinstance(self.tail, StepTail) and self.tail.levels:
             if self.tail.top_level > self.total_mass * (1.0 + 1e-12):
                 raise MassOverflow(

@@ -69,6 +69,28 @@ class TestNormCommand:
         (result,) = json.loads(out)["results"].values()
         assert result["value"] == pytest.approx(math.sqrt(400.0 / 398.0), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["strong", "weak", "lp:2"])
+    def test_analytic_tail_whose_kink_overflows(self, capsys, kind):
+        # 0.5^(-1/p) overflows, so every float lies on the plateau: g(t) =
+        # t sqrt(0.5) is unbounded, and so are both norms
+        rc, out, _ = run(
+            capsys, "norm", "--young", "power:2",
+            "--fn", '{"kind":"analytic-tail","family":"power","p":0.0001,"mass":0.5}',
+            "--kind", kind,
+        )
+        assert rc == 2
+        (result,) = json.loads(out)["results"].values()
+        assert result["value"] == ("divergent" if kind == "lp:2" else "inf")
+
+    def test_step_level_whose_reciprocal_overflows(self, capsys):
+        rc, out, err = run(
+            capsys, "norm", "--young", "exp_m:2",
+            "--fn", '{"kind":"step","pieces":[{"value":1,"mass":1e-311}],"mass":1}',
+            "--kind", "weak",
+        )
+        assert rc == 1 and err.startswith("error:") and "1e-311" in err
+        assert out == ""
+
     def test_lp_norm_of_a_huge_value(self, capsys):
         rc, out, _ = run(
             capsys, "norm", "--young", "power:2",

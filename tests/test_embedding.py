@@ -152,9 +152,9 @@ class TestCriterion:
         import orlicz.embedding as emb
 
         seen = []
-        original = emb._criterion_integral
-        monkeypatch.setattr(emb, "_criterion_integral",
-                            lambda N, c, t0: seen.append(c) or original(N, c, t0))
+        original = emb._criterion_integrand
+        monkeypatch.setattr(emb, "_criterion_integrand",
+                            lambda N, c: seen.append(c) or original(N, c))
         crit = coincidence_criterion(N, mass)
         assert crit.trail[0] == (1.0, "divergent", None)
         assert 1.0 not in seen
@@ -220,7 +220,7 @@ class TestExtremalFunction:
     def test_strong_norm_attains_the_constant(self):
         N = exp_young(2.0)
         k0 = embedding_constant(N, 1.0)
-        lux = luxemburg_norm(N, extremal_function(N, 1.0), rel_tol=1e-7)
+        lux = luxemburg_norm(N, extremal_function(N, 1.0))
         assert lux.value == pytest.approx(k0, rel=1e-4)
 
     @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
@@ -242,20 +242,25 @@ class TestExtremalFunction:
         assert extremal_function(N, 4.0).tail.breaks == (unit_threshold(N, 4.0),)
         assert extremal_function(N, math.inf).tail.breaks == ()
 
+    def test_mass_whose_reciprocal_overflows(self):
+        # its weak norm would read 0 in place of 1
+        with pytest.raises(BadParameter, match="1e-310"):
+            extremal_function(exp_young(2.0), 1e-310)
+
     def test_power_family_strong_norm_infinite(self):
         N = power_young(2.0)
         assert luxemburg_norm(N, extremal_function(N, 1.0)).value == math.inf
 
     def test_dilated_extremal_scales(self):
-        # dilation by 10 pushes the norm bisection through scales where the
-        # integrand overflows pointwise; the norm must still come out as
-        # 10 * k0 by homogeneity
+        # the norm must come out as 10 * k0 by homogeneity; its bracket
+        # starts at the weak norm 10, above every scale where the modular's
+        # integrand overflows
         from orlicz.tails import TailRepFunction, dilate
 
         N = exp_young(2.0)
         k0 = embedding_constant(N, 1.0)
         g10 = TailRepFunction(dilate(extremal_function(N, 1.0).tail, 10.0), 1.0)
-        lux = luxemburg_norm(N, g10, rel_tol=1e-7)
+        lux = luxemburg_norm(N, g10)
         assert lux.value == pytest.approx(10.0 * k0, rel=1e-4)
         assert weak_norm(N, g10).value == pytest.approx(10.0, rel=1e-8)
 

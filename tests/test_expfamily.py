@@ -96,15 +96,16 @@ class TestCriticalAlphaAtMass:
         assert exp_embedding_modular(2.0, k0, mass) == pytest.approx(1.0, abs=1e-14)
 
     def test_modular_cross_check_by_quadrature_at_mass(self):
-        # Q = gauge-like integral over (0, z) minus M; the z^-alpha endpoint
-        # factor is absorbed exactly by the kernel
+        # Q = int_0^z s^-alpha (1 - s)^-2 ds - M; the substitution s = u^q,
+        # q = 1/(1 - alpha), absorbs the s^-alpha endpoint factor exactly
         from orlicz.numerics import integrate
 
         for mass in (0.25, 4.0):
             z = mass / (mass + 1.0)
             alpha = 1.5 ** -3.0
-            quad = integrate(lambda s: (1.0 - s) ** -2.0, 0.0, z,
-                             lower_singularity=alpha).require_finite() - mass
+            q = 1.0 / (1.0 - alpha)
+            quad = q * integrate(lambda u: (1.0 - u ** q) ** -2.0, 0.0,
+                                 z ** (1.0 - alpha)).require_finite() - mass
             assert exp_embedding_modular(3.0, 1.5, mass) == pytest.approx(quad, rel=1e-9)
 
     def test_mass_domain(self):

@@ -5,6 +5,7 @@ Tools that wrap the public functions look each listed name up with
 """
 
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import orlicz
+from orlicz.norms import luxemburg_norm, weak_norm
+from orlicz.numerics import integrate
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(orlicz.__path__) if m.name != "__main__")
 
@@ -21,6 +24,16 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(orlicz.__path__) if m.name
 def test_all_names_resolve(name):
     module = importlib.import_module(f"orlicz.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("fn, params", [
+    (integrate, ["f", "a", "b", "breaks"]),
+    (luxemburg_norm, ["N", "f"]),
+    (weak_norm, ["N", "f"]),
+])
+def test_numeric_api_takes_no_tolerance(fn, params):
+    # accuracies are module constants, the same for every caller
+    assert list(inspect.signature(fn).parameters) == params
 
 
 def test_import_loads_no_third_party_module():

@@ -70,6 +70,21 @@ class TestModular:
         r = modular(power_young(2.0), f, 1.0)
         assert r.value == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("name, k", [
+        ("cubic", 0.05), ("cubic", 0.5), ("cubic", 1.0), ("extremal", 0.05),
+    ])
+    def test_integrand_overflow_is_divergent(self, name, k):
+        # N'(t/k) outgrows the tail's decay until T(t) N'(t/k)/k overflows
+        N = exp_young(2.0)
+        f = {
+            "cubic": TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0), breaks=(1.0,)), 1.0),
+            "extremal": extremal_function(N, 1.0),
+        }[name]
+        r = modular(N, f, k)
+        assert r.is_divergent
+        assert r.evidence.note.startswith("integrand overflow near t=")
+        assert r.evidence.points == ()
+
     def test_scale_must_be_positive(self, two_piece):
         with pytest.raises(ValueError):
             modular(power_young(2.0), two_piece, 0.0)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from orlicz.errors import MassOverflow
+from orlicz.errors import BadParameter, MassOverflow
 from orlicz.norms import weak_norm
 from orlicz.tails import (
     AnalyticTail,
@@ -60,6 +60,13 @@ class TestStepTails:
             step_tail([(1.0, -0.1)], 1.0)
         with pytest.raises(ValueError):
             step_tail([(-1.0, 0.1)], 1.0)
+
+    def test_level_whose_reciprocal_overflows(self):
+        # 1/level overflows, so the weak norm would read N^-1(inf) and
+        # return 0 where the exact value is 1/N^-1(1e311) = 0.02642
+        with pytest.raises(BadParameter, match="1e-311"):
+            step_tail([(1.0, 1e-311)], 1.0)
+        assert weak_norm(exp_young(2.0), step_tail([(1.0, 6e-309)], 1.0)).value > 0.0
 
     def test_domain_excludes_zero(self, two_piece):
         with pytest.raises(ValueError):
@@ -144,6 +151,10 @@ class TestTailRep:
     def test_total_mass_positive(self):
         with pytest.raises(ValueError):
             TailRepFunction(StepTail((), ()), 0.0)
+
+    def test_total_mass_whose_reciprocal_overflows(self):
+        with pytest.raises(BadParameter, match="1e-310"):
+            TailRepFunction(StepTail((), ()), 1e-310)
 
     def test_step_respects_total(self):
         f = step_tail([(1.0, 0.4)], 0.5)
