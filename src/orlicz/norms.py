@@ -203,16 +203,32 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
                                     Optional[float]]:
     """Sup of g(t) = t / u(T(t)) over t > 0 (g = 0 where T is 0), sampled in x = log10 t.
 
-    Returns (sup, argmax, evaluations of T, plateau_end_t, zero_start_t).
+    Returns (sup, argmax, evaluations of T, plateau_end_t, zero_start_t),
+    the evaluations counting each node or search point where T was read.
     g is sampled on the nodes x = j/20 for t in [1e-15, 1e16].  T is
     nonincreasing, so on each stretch of nodes the ones with T(t) >= cap
     (the plateau) form a prefix and those with T(t) = 0 a suffix; both
     ends are found by bisection on the node index, and there g is filled
     in without evaluating T: t / u(cap) on the plateau, where u(T(t)) =
-    u(cap), and 0 on the zero run.  T is evaluated only at the nodes in
-    between, so a tail value at a filled node is never read or validated.
-    The last plateau node and the first zero node appear as
-    ``plateau_end_t`` and ``zero_start_t`` (None where a run is absent).
+    u(cap), and 0 on the zero run.  The last plateau node and the first
+    zero node appear as ``plateau_end_t`` and ``zero_start_t`` (None where
+    a run is absent).
+
+    Between the runs, u(T(t)) is nondecreasing, so g(t_k) <= t_k / u_i at
+    every node t_k past a node t_i, with u_i = u(T(t_i)).  The last node
+    before the zero run is read first; then the nodes are read upward
+    from the plateau's end, and after each one every following node whose
+    bound t_k / u_i lies below top / (1 + NORM_REL_TOL)^2 is skipped, top
+    being the largest sample known (earlier stretches, the last plateau
+    node and the nodes read).  A skipped node keeps its bound as its
+    sample.  Both its bound and its true value lie below the largest
+    sample by more than the factor 1 + NORM_REL_TOL, with room left for
+    rounding in u, so neither can be the first largest sample, change a
+    growth test or move the refined cell below: the result is the one a
+    read of every node gives.  The test costs one comparison per node, so
+    a flat g, where nothing is skipped, is not slowed.  A tail value at a
+    filled or skipped node is never read or validated.
+
     While the sample at an end node exceeds every other sample by more
     than the factor 1 + NORM_REL_TOL (so rounding noise on a flat g does
     not count), the grid grows by a whole decade at that end, up to t =
@@ -236,6 +252,8 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     plateau_end, zero_start = None, None  # node indices j
     step = _GRID_PER_DECADE
     u_cap = u(cap)
+    margin = 1.0 + NORM_REL_TOL
+    skip_margin = margin * margin
 
     def note(t: float, v: float) -> None:
         nonlocal best, argmax
@@ -263,9 +281,23 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             plateau_end = a + p - 1
         if z < n and (zero_start is None or a + z < zero_start):
             zero_start = a + z
-        vals = ([_ratio(t, u_cap) for t in nodes[:p]]
-                + [g(nodes[i], level_at(i)) for i in range(p, z)]
-                + [0.0] * (n - z))
+        vals = [_ratio(t, u_cap) for t in nodes[:p]] + [0.0] * (n - p)
+        if p < z:
+            last = z - 1
+            vals[last] = g(nodes[last], level_at(last))
+            top = max(best, vals[p - 1] if p else 0.0, vals[last])
+            i = p
+            while i < last:
+                y = level_at(i)
+                ui = u(y) if y > 0.0 else math.inf
+                vals[i] = v = _ratio(nodes[i], ui)
+                if v > top:
+                    top = v
+                lim = top / skip_margin * ui  # t_k < lim: t_k / ui < top / margin^2
+                i += 1
+                while i < last and nodes[i] < lim:
+                    vals[i] = nodes[i] / ui
+                    i += 1
         count += len(levels)
         for t, v in zip(nodes, vals):
             note(t, v)
@@ -283,7 +315,6 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     block = fill(lo, hi)
     inner = max(block[1:-1])  # the largest sample off the two end nodes
     vals = deque(block)
-    margin = 1.0 + NORM_REL_TOL
     while best <= NORM_CAP:
         if vals[0] > margin * max(inner, vals[-1]) and lo > -_GRID_LIMIT:
             lo -= step
@@ -339,10 +370,14 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     it is taken to NORM_REL_TOL by ``_log_t_sup``, which relies on T
     being nonincreasing: g is t / N^{-1}(1/cap) wherever T(t) >= cap and
     0 wherever T(t) = 0, so those grid nodes are filled in without
-    evaluating T (and their tail values are not validated); its
-    docstring states what its grid can miss.  The trace records as
-    ``evaluations`` the number of tail values read (on a step tail, one
-    per threshold), the t where the returned value was attained as
+    evaluating T, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for s < t, so
+    a grid node where that bound from an earlier node lies below the
+    largest sample is skipped; tail values at filled and skipped nodes
+    are not validated.  Its docstring states what its grid can miss.
+    The trace records as ``evaluations`` the number of tail values read
+    (on a step tail, one per threshold; on an analytic tail, the grid
+    nodes neither filled nor skipped plus the golden-section points),
+    the t where the returned value was attained as
     ``argmax_t`` (None for 0), and the last plateau node and the first
     zero node of the grid as ``plateau_end_t`` and ``zero_start_t``
     (None where the run is absent, and always on a step tail).
@@ -387,9 +422,10 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     reads +inf.  For p > 1 this is also the Luxemburg norm under power(p),
     which ``luxemburg_norm`` reads off one modular; this function keeps
     its own sum because it accepts p = 1, which ``power_young`` rejects.
+    p = +inf, like NaN, raises ValueError: the sup norm is not this formula.
     """
-    if not (p >= 1.0):
-        raise ValueError("Lebesgue exponent must satisfy p >= 1")
+    if not (1.0 <= p < math.inf):
+        raise ValueError("Lebesgue exponent must satisfy 1 <= p < inf")
     tail = f.tail
     if isinstance(tail, StepTail):
         if tail.is_zero:

@@ -58,6 +58,15 @@ class TestNormCommand:
         rec = json.loads(out)
         assert rec["results"]["lp(2)"]["value"] == pytest.approx(math.sqrt(1.7), rel=1e-12)
 
+    def test_lp_norm_rejects_an_infinite_exponent(self, capsys):
+        rc, out, err = run(
+            capsys, "norm", "--young", "power:2",
+            "--fn", '{"kind":"step","pieces":[{"value":2,"mass":0.5}],"mass":1}',
+            "--kind", "lp:inf",
+        )
+        assert rc == 1 and err.startswith("error:") and "1 <= p < inf" in err
+        assert out == ""
+
     @pytest.mark.parametrize("kind", ["strong", "lp:2"])
     def test_analytic_tail_whose_power_overflows(self, capsys, kind):
         rc, out, _ = run(

@@ -355,9 +355,17 @@ class TestWeakNorm:
         g = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0)), 1.0)
         first = weak_norm(power_young(2.0), g)
         assert first.trace["argmax_t"] == 1.0
-        # tail values read: the plateau t <= 1 is filled in without them
-        assert first.trace["evaluations"] == 384
+        # tail values read: the plateau t <= 1 is filled in without them, and
+        # past it every node whose bound t_k / N^-1(1/T(t_i)) from an earlier
+        # node t_i lies below the running maximum is skipped
+        assert first.trace["evaluations"] == 87
         assert weak_norm(power_young(2.0), g).trace == first.trace
+        assert weak_norm(delta_young(2.0), g).trace["evaluations"] == 100
+        assert weak_norm(exp_young(2.0), g).trace["evaluations"] == 58
+        # on the extremal function g = 1 on the whole grid up to rounding, so
+        # no node can be skipped
+        N = power_young(2.0)
+        assert weak_norm(N, extremal_function(N, 1.0)).trace["evaluations"] == 384
 
 
 class TestLebesgueNorm:
@@ -386,6 +394,15 @@ class TestLebesgueNorm:
     def test_exponent_validated(self, two_piece):
         with pytest.raises(ValueError):
             lebesgue_norm(two_piece, 0.5)
+
+    def test_infinite_exponent_rejected_on_both_tail_kinds(self):
+        # a step tail once gave the largest value and an analytic tail an
+        # integrand overflow; both are now the input error for p outside [1, inf)
+        step = step_tail([(2.0, 0.5), (5.0, 0.1)], 1.0)
+        analytic = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0)), 1.0)
+        for f in (step, analytic):
+            with pytest.raises(ValueError, match="1 <= p < inf"):
+                lebesgue_norm(f, math.inf)
 
 
 class TestCoupling:

@@ -3,8 +3,10 @@
 ``_full_grid_sup`` below is the sampler that evaluated g at every grid
 node and rescanned the whole grid at each decade it added, kept verbatim
 as a reference.  ``weak_norm`` fills the plateau and zero runs of the
-grid in closed form and keeps a running maximum instead; on a
-nonincreasing tail it must return the same floats, value and argmax.
+grid in closed form, skips every interior node whose bound from an
+earlier node lies below the running maximum, and keeps a running maximum
+instead of rescanning; on a nonincreasing tail it must return the same
+floats, value and argmax.
 """
 
 import math
@@ -120,6 +122,11 @@ def power_tail(M, c, q, cutoff=math.inf):
     return AnalyticTail(lambda t: 0.0 if t > cutoff else min(M, c * t ** -q))
 
 
+def two_level_tail(low):
+    """1 on (0, 1], ``low`` on (1, 1e3], 0 beyond."""
+    return AnalyticTail(lambda t: 1.0 if t <= 1.0 else (low if t <= 1e3 else 0.0))
+
+
 def stretched_exp_tail(s, a):
     """exp(-(t/s)^a)."""
     return AnalyticTail(lambda t: math.exp(-((t / s) ** a)))
@@ -152,6 +159,19 @@ TAIL = st.one_of(
 @example(N=power_young(2.0), tail=power_tail(1.0, 1.0, 1.5), mass=math.inf)
 @example(N=exp_young(2.0), tail=power_tail(math.inf, 1.0, 2.0, 1e6), mass=math.inf)
 @example(N=delta_young(2.0), tail=stretched_exp_tail(1.0, 2.0), mass=0.5)
+# g falls fast past the plateau, so nearly every interior node is skipped
+@example(N=power_young(1.5), tail=power_tail(1.0, 1.0, 6.0), mass=1.0)
+# g rises up to 1/T overflowing: the result is +inf, attained at t = 1e21
+@example(N=exp_young(2.0), tail=power_tail(1.0, 1.0, 3.0), mass=1.0)
+# g = t/100 past the plateau: it dips to 0.01 and rises again to 10 at
+# t = 1e3, so a run of skipped nodes must end before the rise
+@example(N=power_young(2.0), tail=two_level_tail(1e-4), mass=1.0)
+# 1/T overflows on (1, 1e3]: u = +inf and g = 0 inside the interior
+@example(N=power_young(2.0), tail=two_level_tail(1e-310), mass=1.0)
+# the same past t = 10 on infinite mass, with no plateau and no zero run
+@example(N=power_young(2.0),
+         tail=AnalyticTail(lambda t: min(1.0, t ** -3.0) if t <= 10.0 else 1e-320),
+         mass=math.inf)
 def test_weak_norm_matches_the_full_grid(N, tail, mass):
     f = TailRepFunction(tail, mass)
     r = weak_norm(N, f)
