@@ -97,10 +97,7 @@ class FunctionDescriptor:
                     return math.inf
                 return v if v < mass else mass
 
-            breaks = (kink,) if 0.0 < kink < math.inf else ()
-            return TailRepFunction(
-                AnalyticTail(fn, label=f"min(mass, t^-{p:g})", breaks=breaks), mass
-            )
+            return TailRepFunction(AnalyticTail(fn, label=f"min(mass, t^-{p:g})"), mass)
         if young is None:
             raise DescriptorError("extremal descriptor requires a Young function")
         return extremal_function(young, self.mass)

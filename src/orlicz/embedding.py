@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BadParameter, BudgetExceeded, DivergentModular,
                      Inconclusive, NonConvergence, NonEvaluable)
 from .expfamily import exp_embedding_constant
 from .numerics import FiniteOrDivergent, _IntegrandOverflow, _unit_crossing, integrate
-from .tails import TailRepFunction, chebyshev_tail, _reference_breaks
+from .tails import TailRepFunction, chebyshev_tail
 from .young import YoungFunction
 
 __all__ = [
@@ -309,12 +309,7 @@ def extremal_function(N: YoungFunction, total_mass: float) -> TailRepFunction:
     It has unit weak norm, and when the spaces coincide its strong norm
     equals the embedding constant (the bound is attained).
     """
-    # the break is set again, so that it survives a wrapper of
-    # chebyshev_tail that rebuilds the tail from (fn, label) alone, as the
-    # benchmark's tracer does
-    tail = replace(chebyshev_tail(N, total_mass),
-                   breaks=_reference_breaks(N, total_mass))
-    return TailRepFunction(tail, total_mass)
+    return TailRepFunction(chebyshev_tail(N, total_mass), total_mass)
 
 
 @dataclass(frozen=True)

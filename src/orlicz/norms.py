@@ -13,6 +13,7 @@ the quadrature kernel.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from bisect import bisect_left
 from collections import deque
@@ -23,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .errors import BudgetExceeded, Inconclusive, NonConvergence, NotDominated
 from .numerics import (NORM_CAP, NORM_REL_TOL, FiniteOrDivergent, LadderTrace,
                        _IntegrandOverflow, _unit_crossing, integrate)
-from .tails import StepTail, TailRepFunction, _reference_label
+from .tails import AnalyticTail, StepTail, TailRepFunction, _reference_label
 from .young import YoungFunction
 
 __all__ = [
@@ -59,9 +60,11 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
     list of pieces or copy of the levels built.  N is called through its
     bound ``__call__``, looked up on the class, so a wrapper put on
     ``YoungFunction.__call__`` still sees every evaluation.  On an
-    analytic tail, kernel quadrature of T(t) N'(t/k)/k, split at the
-    tail's breaks; a sample of it that overflows makes the modular
-    divergent.  Divergence verdicts propagate.
+    analytic tail, the plateau (0, t_p] where T equals the total mass M,
+    found by ``_plateau_end``, contributes M N(t_p/k) in closed form, and
+    kernel quadrature of T(t) N'(t/k)/k runs past it, split at the
+    tail's breaks; see ``_analytic_modular``.  Divergence verdicts
+    propagate.
     """
     if not (k > 0.0):
         raise ValueError("modular scale k must be positive")
@@ -79,6 +82,21 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
                 LadderTrace((), note=f"exact modular sum overflows at k={k:g}")
             )
         return FiniteOrDivergent.finite(total)
+    return _analytic_modular(N, f, k, _plateau_end(tail, f.total_mass))
+
+
+def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float,
+                      t_p: float) -> FiniteOrDivergent:
+    """The modular of an analytic tail whose plateau ends at t_p (0: none).
+
+    On (0, t_p] the tail is the total mass M, so there the integral of
+    T(t) N'(t/k)/k is M N(t_p/k) exactly (Krasnosel'skii and Rutickii,
+    1961); a plateau term of +inf makes the modular divergent.  The
+    kernel integrates T(t) N'(t/k)/k over (t_p, inf), split at the tail's
+    breaks; a sample of it that overflows makes the modular divergent.
+    With t_p = 0 this is the quadrature over (0, inf) alone.
+    """
+    tail = f.tail
 
     def integrand(t: float) -> float:
         T = tail.value(t)
@@ -95,7 +113,23 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
             raise _IntegrandOverflow(f"integrand overflow near t={t:g} at k={k:g}")
         return v
 
-    return integrate(integrand, 0.0, math.inf, breaks=tail.breaks)
+    plateau = f.total_mass * N(t_p / k) if t_p > 0.0 else 0.0
+    return _past_plateau(integrand, tail, t_p, plateau,
+                         f"plateau term M N(t_p/k) overflows at t_p={t_p:g}, k={k:g}")
+
+
+def _past_plateau(integrand: Callable[[float], float], tail: AnalyticTail, t_p: float,
+                  plateau: float, note: str) -> FiniteOrDivergent:
+    """plateau + the integral of ``integrand`` over (t_p, inf).
+
+    Divergent with ``note`` where the plateau term is +inf, or where the
+    plateau reaches the largest float: the tail then never leaves its
+    mass within the float range, and nothing past it can be integrated.
+    """
+    if plateau == math.inf or t_p == _FLOAT_MAX:
+        return FiniteOrDivergent.divergent(LadderTrace((), note=note))
+    r = integrate(integrand, t_p, math.inf, breaks=tail.breaks)
+    return r if r.is_divergent else FiniteOrDivergent.finite(plateau + r.value)
 
 
 _POWER_WALK = 8  # floats the closed-form power norm may step up past rounding
@@ -128,26 +162,33 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     or NORM_REL_TOL wide where the modular only jumps from +inf or to 0;
     the accuracy is fixed, and no caller chooses another.
 
+    On an analytic tail the plateau end t_p (``_plateau_end``) is found
+    once, after the cap test on w, and every modular takes the plateau
+    (0, t_p] in closed form and integrates only past it.
+
     Either way a cap that decides the norm is recorded in the trace as
     ``note``.  Modular values are cached by k.  The trace records
-    ``modular_evaluations``, w as ``weak_lower_bound`` and, off power,
-    the final ``bracket``.  An inconclusive modular anywhere aborts with
+    ``modular_evaluations``, w as ``weak_lower_bound``, t_p as
+    ``plateau_end`` (None on a step tail, without a plateau, or where
+    the cap on w decided the norm first) and, off power, the final
+    ``bracket``.  An inconclusive modular anywhere aborts with
     BudgetExceeded rather than silently guessing a side; a root search
     that stalls raises NonConvergence.
     """
     tail = f.tail
     if isinstance(tail, StepTail) and tail.is_zero:
         return NormResult(0.0, 0.0, {"modular_evaluations": 0, "weak_lower_bound": 0.0,
-                                     "note": "zero function"})
+                                     "plateau_end": None, "note": "zero function"})
 
     cache: Dict[float, float] = {}
     w = weak_norm(N, f).value
+    t_p: Optional[float] = None  # the analytic tail's plateau end, once found
 
     def mod(k: float) -> float:
         """modular(f, k), with +inf standing for a divergent modular."""
         if k not in cache:
             try:
-                r = modular(N, f, k)
+                r = modular(N, f, k) if t_p is None else _analytic_modular(N, f, k, t_p)
             except (BudgetExceeded, Inconclusive) as exc:
                 raise BudgetExceeded(
                     f"modular at k={k:g} could not be classified: {exc}"
@@ -155,14 +196,19 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
             cache[k] = r.value if r.is_finite else math.inf
         return cache[k]
 
+    def trace(**extra: object) -> Dict[str, object]:
+        return {"modular_evaluations": len(cache), "weak_lower_bound": w,
+                "plateau_end": t_p or None, **extra}
+
     def capped(value: float, note: str) -> NormResult:
-        return NormResult(value, None, {"modular_evaluations": len(cache),
-                                        "weak_lower_bound": w, "note": note})
+        return NormResult(value, None, trace(note=note))
 
     above = f"modular above 1 up to cap {NORM_CAP:g}"
     below = "modular below 1 down to cap"
     if w > NORM_CAP:
         return capped(math.inf, f"weak norm (a lower bound) above cap {NORM_CAP:g}")
+    if not isinstance(tail, StepTail):
+        t_p = _plateau_end(tail, f.total_mass)
     start = max(w, 1.0 / NORM_CAP) if w > 0.0 else 1.0
     if N.family == "power":
         k = start * mod(start) ** (1.0 / N.param)
@@ -172,8 +218,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
             return capped(0.0, below)
         for _ in range(_POWER_WALK):
             if mod(k) <= 1.0:
-                return NormResult(k, cache[k], {"modular_evaluations": len(cache),
-                                                "weak_lower_bound": w})
+                return NormResult(k, cache[k], trace())
             k = math.nextafter(k, math.inf)
         raise NonConvergence(f"modular still above 1 {_POWER_WALK} floats past the "
                              f"closed-form power norm, at k={k:g}")
@@ -182,8 +227,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
         return capped(math.inf, above)
     if lo == 0.0:
         return capped(0.0, below)
-    return NormResult(hi, cache[hi], {"modular_evaluations": len(cache),
-                                      "weak_lower_bound": w, "bracket": (lo, hi)})
+    return NormResult(hi, cache[hi], trace(bracket=(lo, hi)))
 
 
 _GRID_PER_DECADE = 20  # weak-norm sample nodes t = 10^(j/20)
@@ -354,6 +398,45 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     return (math.inf if best > NORM_CAP else best, argmax, count) + runs
 
 
+_PLATEAU_FLOOR = 1e-12  # the plateau search starts where the down ladder ends
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def _plateau_end(tail: AnalyticTail, mass: float) -> float:
+    """The largest float t_p with T(t_p) >= mass, or 0 if there is none above 1e-12.
+
+    T is nonincreasing and at most the mass, so T equals the mass on
+    (0, t_p].  On positive doubles the order of the values is the order of
+    their bit patterns, so t_p is bisected over the patterns from 1e-12 to
+    the largest float: at most 64 tail reads.  A tail value that raises
+    OverflowError reads as +inf, as in ``weak_norm``.  On infinite mass,
+    or where T(1e-12) is below the mass, the result is 0.
+    """
+    if math.isinf(mass):
+        return 0.0
+
+    def below(b: int) -> bool:
+        try:
+            return tail.value(_bits_float(b)) < mass
+        except OverflowError:
+            return False
+
+    lo = _float_bits(_PLATEAU_FLOOR)
+    if below(lo):
+        return 0.0
+    # the first pattern past lo where T is below the mass; +inf's pattern
+    # stands in for a tail that never drops below it within the float range
+    first = bisect_left(range(lo + 1, _float_bits(math.inf)), True, key=below)
+    return _bits_float(lo + first)
+
+
 def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     """The weak Orlicz norm: scaling norm of T[f] against the Chebyshev tail.
 
@@ -422,6 +505,9 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     reads +inf.  For p > 1 this is also the Luxemburg norm under power(p),
     which ``luxemburg_norm`` reads off one modular; this function keeps
     its own sum because it accepts p = 1, which ``power_young`` rejects.
+    On an analytic tail the plateau (0, t_p] where T equals the total
+    mass M (``_plateau_end``) contributes M t_p^p in closed form, and the
+    quadrature runs past it; a plateau term of +inf is divergent.
     p = +inf, like NaN, raises ValueError: the sup norm is not this formula.
     """
     if not (1.0 <= p < math.inf):
@@ -440,7 +526,15 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
             return 0.0
         return p * t ** (p - 1.0) * T
 
-    r = integrate(integrand, 0.0, math.inf, breaks=tail.breaks)
+    t_p = _plateau_end(tail, f.total_mass)
+    plateau = 0.0
+    if t_p > 0.0:
+        try:
+            plateau = f.total_mass * t_p ** p
+        except OverflowError:
+            plateau = math.inf
+    r = _past_plateau(integrand, tail, t_p, plateau,
+                      f"plateau term M t_p^p overflows at t_p={t_p:g}")
     if r.is_divergent:
         return r
     return FiniteOrDivergent.finite(r.value ** (1.0 / p))

@@ -104,14 +104,17 @@ class StepTail:
 class AnalyticTail:
     """Tail given by a callable t -> measure{|f| >= t}, t > 0.
 
-    ``breaks`` are the t where the tail has a kink or a jump (positive,
-    finite, increasing); integrals over the tail split their panels there.
-    An undeclared kink is integrated as if the tail were smooth: the
-    quadrature runs in s = ln t, and its error estimate does not see a
-    kink that lies between a ladder cutoff and the nearest node.  Over
-    150 seeded tails min(M, t^-q) under power(p), with p in [1.2, 4],
-    q - p in [0.3, 4] and M in [0.05, 20], the modular at k = 1 was up to
-    1.0e-4 off without the break and 3.3e-15 off with it.
+    ``breaks`` are the t where the tail has an interior kink or a jump
+    (positive, finite, increasing); integrals over the tail split their
+    panels there.  The end of the plateau where the tail equals a finite
+    total mass needs no break: the modular and the Lebesgue norm find it
+    and integrate only past it.  Any other undeclared kink is integrated
+    as if the tail were smooth: the quadrature runs in s = ln t, and its
+    error estimate does not see a kink that lies between a ladder cutoff
+    and the nearest node.  Over 150 seeded tails min(M, t^-q) on infinite
+    mass under power(p), with p in [1.2, 4], q - p in [0.3, 4] and M in
+    [0.05, 20], the modular at k = 1 was up to 1.4e-5 off without a break
+    at the kink and 3.4e-15 off with it.
     """
 
     fn: Callable[[float], float]
@@ -172,8 +175,10 @@ def chebyshev_tail(N: YoungFunction, total_mass: float) -> AnalyticTail:
     """The reference tail min(total_mass, 1/N(t)) from the Chebyshev bound.
 
     With infinite total mass this is 1/N(t); the min with infinity is the
-    finite branch.  On finite mass the tail has a kink at the unit
-    threshold t0 = N^{-1}(1/total_mass), declared as its break.
+    finite branch.  On finite mass the tail leaves its plateau at the unit
+    threshold t0 = N^{-1}(1/total_mass); no break is declared there, as
+    the modular and the Lebesgue norm take the plateau in closed form and
+    integrate only past it.
     """
     if not (total_mass > 0.0):
         raise ValueError("total mass must be positive (may be inf)")
@@ -185,20 +190,11 @@ def chebyshev_tail(N: YoungFunction, total_mass: float) -> AnalyticTail:
         inv = 1.0 / n
         return inv if inv < total_mass else total_mass
 
-    return AnalyticTail(fn, label=_reference_label(N),
-                        breaks=_reference_breaks(N, total_mass))
+    return AnalyticTail(fn, label=_reference_label(N))
 
 
 def _reference_label(N: YoungFunction) -> str:
     return f"min(mass, 1/{N.describe()})"
-
-
-def _reference_breaks(N: YoungFunction, total_mass: float) -> Tuple[float, ...]:
-    """The break of ``chebyshev_tail``: (t0,) on finite mass, else ()."""
-    if math.isinf(total_mass):
-        return ()
-    t0 = N.inverse(1.0 / total_mass)
-    return (t0,) if 0.0 < t0 < math.inf else ()
 
 
 def dilate(T: TailFunction, c: float) -> TailFunction:

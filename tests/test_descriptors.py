@@ -115,13 +115,19 @@ class TestBuild:
             {"kind": "analytic-tail", "family": "power", "p": p, "mass": mass}
         ).build()
         t1 = mass ** (-1.0 / p)
-        assert f.tail.breaks == (t1,)
+        assert f.tail.breaks == ()  # the plateau end t1 is found, not declared
         exact = (mass * t1 ** r + r * t1 ** (r - p) / (p - r)) ** (1.0 / r)
         assert luxemburg_norm(power_young(r), f).value == pytest.approx(exact, rel=1e-12)
         assert lebesgue_norm(f, r).value == pytest.approx(exact, rel=1e-12)
 
-    def test_analytic_infinite_mass_has_no_break(self):
-        assert parse_descriptor(VALID[4]).build().tail.breaks == ()
+    def test_analytic_infinite_mass_norm_is_infinite(self):
+        # t^-2 on infinite mass: int |f|^r diverges at 0 for r < 2, at
+        # infinity for r > 2
+        f = parse_descriptor(VALID[4]).build()
+        assert f.tail.breaks == ()
+        for r in (1.5, 3.0):
+            assert luxemburg_norm(power_young(r), f).value == math.inf
+            assert lebesgue_norm(f, r).is_divergent
 
     def test_analytic_tail_whose_power_overflows(self):
         # t^-400 overflows below t = 0.17: on mass 1 the tail is the mass there,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -19,7 +20,7 @@ from orlicz.embedding import (
 )
 from orlicz.errors import BadParameter, DivergentModular, NonEvaluable
 from orlicz.expfamily import exp_embedding_constant, exp_embedding_modular
-from orlicz.norms import luxemburg_norm, weak_norm
+from orlicz.norms import luxemburg_norm, modular, weak_norm
 from orlicz.young import custom_young, delta_young, exp_young, power_young
 
 from oracle_values import DELTA2_CRITERION_T_FORM, DELTA2_K0, EXP_K0_BY_MASS, K0_EXP, Y0_EXP2
@@ -237,10 +238,15 @@ class TestExtremalFunction:
             DELTA2_K0[mass], rel=1e-12
         )
 
-    def test_tail_declares_its_kink(self):
-        N = delta_young(2.0)
-        assert extremal_function(N, 4.0).tail.breaks == (unit_threshold(N, 4.0),)
-        assert extremal_function(N, math.inf).tail.breaks == ()
+    def test_undeclared_kink_modular_meets_the_closed_form(self):
+        # the tail declares no break at t0: the modular takes the plateau
+        # (0, t0] in closed form and integrates only past it
+        N = exp_young(2.0)
+        for mass, k in itertools.product((0.25, 1.0, 4.0), (1.5, 2.0, 4.0)):
+            f = extremal_function(N, mass)
+            assert f.tail.breaks == ()
+            assert modular(N, f, k).value == pytest.approx(
+                exp_embedding_modular(2.0, k, mass), rel=1e-14)
 
     def test_mass_whose_reciprocal_overflows(self):
         # its weak norm would read 0 in place of 1

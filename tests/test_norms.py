@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from orlicz.descriptors import parse_descriptor
 from orlicz.embedding import extremal_function
 from orlicz.errors import NonConvergence, NotDominated
+from orlicz.numerics import integrate
 from orlicz.norms import (
+    _plateau_end,
     coupling_check,
     lebesgue_norm,
     luxemburg_norm,
@@ -220,15 +222,16 @@ class TestLuxemburgNorm:
             math.sqrt(0.5 * (1.5e19 ** 2 + 1.0e19 ** 2)), rel=1e-12)
         assert luxemburg_norm(N, step_tail([(3.0e19, 0.5)], 1.0)).value == math.inf
 
-    @pytest.mark.parametrize("f", [
-        step_tail([(2.0, 0.3), (1.0, 0.5)], 1.0),
-        TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -4.0)), 1.0),
+    @pytest.mark.parametrize("f, plateau_end", [
+        (step_tail([(2.0, 0.3), (1.0, 0.5)], 1.0), None),
+        (TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -4.0)), 1.0), 1.0),
     ], ids=["step", "analytic"])
-    def test_trace_records_the_weak_lower_bound(self, f):
+    def test_trace_records_the_weak_lower_bound(self, f, plateau_end):
         N = power_young(2.0)
         r = luxemburg_norm(N, f)
         w = r.trace["weak_lower_bound"]
         assert w == weak_norm(N, f).value
+        assert r.trace["plateau_end"] == plateau_end
         assert 0.0 < w <= r.value < math.inf
         assert luxemburg_norm(N, f).trace == r.trace
 
@@ -366,6 +369,111 @@ class TestWeakNorm:
         # no node can be skipped
         N = power_young(2.0)
         assert weak_norm(N, extremal_function(N, 1.0)).trace["evaluations"] == 384
+
+
+def _power_plateau_tail(q: float, mass: float) -> TailRepFunction:
+    """min(M, t^-q) on mass M, with no break declared at its kink M^(-1/q)."""
+    return TailRepFunction(AnalyticTail(lambda t: min(mass, t ** -q)), mass)
+
+
+class TestPlateau:
+    """The plateau end t_p: the modular takes (0, t_p] in closed form."""
+
+    @pytest.mark.parametrize("f", [
+        extremal_function(exp_young(2.0), 1.0),
+        _power_plateau_tail(3.0, 1.0),
+        _power_plateau_tail(2.5, 4.0),
+        parse_descriptor({"kind": "analytic-tail", "family": "power", "p": 3.0,
+                          "mass": 0.1}).build(),
+    ], ids=["extremal", "power-unit-mass", "power-mass-4", "descriptor"])
+    def test_plateau_end_is_exact(self, f):
+        t_p = _plateau_end(f.tail, f.total_mass)
+        assert f.tail.value(t_p) >= f.total_mass > f.tail.value(math.nextafter(t_p, math.inf))
+
+    def test_overflowing_tail_finds_its_plateau(self):
+        # t^-400 raises OverflowError below t = 0.17, which reads as +inf
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -400.0)), 1.0)
+        with pytest.raises(OverflowError):
+            f.tail.value(0.1)
+        assert _plateau_end(f.tail, 1.0) == 1.0
+        exact = math.sqrt(400.0 / 398.0)  # int |f|^2 = 1 + 2 / 398
+        assert modular(power_young(2.0), f, 1.0).value == pytest.approx(exact ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("f", [
+        TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0)), math.inf),
+        TailRepFunction(AnalyticTail(lambda t: min(0.5, t ** -3.0)), 1.0),
+    ], ids=["infinite-mass", "below-the-mass"])
+    def test_no_plateau_keeps_the_full_quadrature(self, f):
+        N, k = power_young(2.0), 1.5
+        assert _plateau_end(f.tail, f.total_mass) == 0.0
+        whole = integrate(lambda t: f.tail.value(t) * N.derivative(t / k) / k, 0.0, math.inf)
+        assert modular(N, f, k).value == whole.value
+        assert luxemburg_norm(N, f).trace["plateau_end"] is None
+
+    def test_overflowing_plateau_term_is_divergent(self, monkeypatch):
+        # an analytic indicator of (0, 1]: under exp_m(12) the Luxemburg
+        # search halves from w = 1/N^-1(1), where N(2 N^-1(1)) overflows
+        import orlicz.norms as norms_module
+
+        notes = []
+        plain = norms_module._analytic_modular
+
+        def noted(*args):
+            r = plain(*args)
+            notes.append(r.evidence.note if r.is_divergent else None)
+            return r
+
+        monkeypatch.setattr(norms_module, "_analytic_modular", noted)
+        N = exp_young(12.0)
+        f = TailRepFunction(AnalyticTail(lambda t: 1.0 if t <= 1.0 else 0.0), 1.0)
+        r = luxemburg_norm(N, f)
+        assert r.value == pytest.approx(1.0 / N.inverse(1.0), rel=1e-12)
+        assert r.trace["plateau_end"] == 1.0
+        assert any(n and n.startswith("plateau term M N(t_p/k) overflows") for n in notes)
+        heavy_plateau = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 1e200) ** -3.0)), 1.0)
+        r = lebesgue_norm(heavy_plateau, 2.0)
+        assert r.is_divergent
+        assert r.evidence.note.startswith("plateau term M t_p^p overflows")
+
+    def test_no_sample_below_the_plateau(self, monkeypatch):
+        # the modular of the delta(2) extremal function at k = 2 took 299
+        # integrand samples when the quadrature started at 0, and takes 173
+        import orlicz.norms as norms_module
+
+        seen = []
+        plain = norms_module.integrate
+
+        def counted(f, a, b, **kw):
+            def g(t):
+                seen.append(t)
+                return f(t)
+            return plain(g, a, b, **kw)
+
+        monkeypatch.setattr(norms_module, "integrate", counted)
+        N = delta_young(2.0)
+        f = extremal_function(N, 1.0)
+        modular(N, f, 2.0)
+        assert min(seen) >= _plateau_end(f.tail, 1.0)
+        assert len(seen) <= 200
+
+    def test_kinked_power_tails_meet_the_closed_form(self):
+        # min(M, t^-q) on mass M, no break declared, under power(p):
+        # modular(k) = k^-p (M t_p^p + p t_p^(p-q) / (q - p)), t_p = M^(-1/q);
+        # when the quadrature ran from 0 past the undeclared kink, these
+        # modulars were up to 1.4e-5 off
+        rng = random.Random(150)
+        for _ in range(150):
+            p = rng.uniform(1.2, 4.0)
+            q = p + rng.uniform(0.3, 4.0)
+            mass = rng.uniform(0.05, 20.0)
+            N, f = power_young(p), _power_plateau_tail(q, mass)
+            t_p = mass ** (-1.0 / q)
+            bracket = mass * t_p ** p + p * t_p ** (p - q) / (q - p)
+            for k in (0.5, 1.0, 2.0):
+                assert modular(N, f, k).value == pytest.approx(k ** -p * bracket, rel=1e-12)
+            norm = bracket ** (1.0 / p)
+            assert luxemburg_norm(N, f).value == pytest.approx(norm, rel=1e-12)
+            assert lebesgue_norm(f, p).value == pytest.approx(norm, rel=1e-12)
 
 
 class TestLebesgueNorm:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from orlicz.errors import BadParameter, MassOverflow
-from orlicz.norms import weak_norm
+from orlicz.norms import modular, weak_norm
 from orlicz.tails import (
     AnalyticTail,
     StepTail,
@@ -101,10 +101,13 @@ class TestChebyshevTail:
 
 
 class TestBreaks:
-    def test_chebyshev_tail_breaks_at_the_unit_threshold(self):
-        V = chebyshev_tail(exp_young(2.0), 1.0)
-        assert V.breaks == (pytest.approx(Y0_EXP2, rel=1e-15),)
-        assert chebyshev_tail(exp_young(2.0), math.inf).breaks == ()
+    def test_chebyshev_tail_needs_no_break(self):
+        # min(1, t^-3) under power(2): 1 + 2 int_1^inf t^-2 dt = 3 at k = 1
+        V = chebyshev_tail(power_young(3.0), 1.0)
+        assert V.breaks == ()
+        for k in (0.5, 1.0, 2.0):
+            r = modular(power_young(2.0), TailRepFunction(V, 1.0), k)
+            assert r.value == pytest.approx(3.0 / k ** 2, rel=1e-14)
 
     def test_dilate_scales_the_breaks(self):
         T = AnalyticTail(lambda t: min(1.0, t ** -2.0), breaks=(1.0, 3.0))
