@@ -19,9 +19,10 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, Inconclusive, NonConvergence, NotDominated
+from .errors import (BudgetExceeded, Inconclusive, NonConvergence, NonEvaluable,
+                     NotDominated)
 from .numerics import (NORM_CAP, NORM_REL_TOL, FiniteOrDivergent, LadderTrace,
                        _IntegrandOverflow, _unit_crossing, integrate)
 from .tails import AnalyticTail, StepTail, TailRepFunction, _reference_label
@@ -235,6 +236,10 @@ _GRID_FIRST = (-15 * _GRID_PER_DECADE, 16 * _GRID_PER_DECADE)  # t in [1e-15, 1e
 _GRID_LIMIT = 300 * _GRID_PER_DECADE  # the grid grows by decades up to t = 1e+-300
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLOAT_MAX = sys.float_info.max
+# the nodes of the first grid, computed once: 621 floats, where a table of
+# the whole +-300-decade range would hold 12,001
+_FIRST_NODES = tuple(10.0 ** (j / _GRID_PER_DECADE)
+                     for j in range(_GRID_FIRST[0], _GRID_FIRST[1] + 1))
 
 
 def _ratio(t: float, u: float) -> float:
@@ -249,14 +254,15 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
 
     Returns (sup, argmax, evaluations of T, plateau_end_t, zero_start_t),
     the evaluations counting each node or search point where T was read.
-    g is sampled on the nodes x = j/20 for t in [1e-15, 1e16].  T is
-    nonincreasing, so on each stretch of nodes the ones with T(t) >= cap
-    (the plateau) form a prefix and those with T(t) = 0 a suffix; both
-    ends are found by bisection on the node index, and there g is filled
-    in without evaluating T: t / u(cap) on the plateau, where u(T(t)) =
-    u(cap), and 0 on the zero run.  The last plateau node and the first
-    zero node appear as ``plateau_end_t`` and ``zero_start_t`` (None where
-    a run is absent).
+    g is sampled on the nodes x = j/20 for t in [1e-15, 1e16], which are
+    taken from the table ``_FIRST_NODES``; an added decade computes its 20
+    nodes.  T is nonincreasing, so on each stretch of nodes the ones with
+    T(t) >= cap (the plateau) form a prefix and those with T(t) = 0 a
+    suffix; both ends are found by bisection on the node index, and there
+    g is filled in without evaluating T, in one list each: t / u(cap) on
+    the plateau, where u(T(t)) = u(cap), and 0 on the zero run.  The last
+    plateau node and the first zero node appear as ``plateau_end_t`` and
+    ``zero_start_t`` (None where a run is absent).
 
     Between the runs, u(T(t)) is nondecreasing, so g(t_k) <= t_k / u_i at
     every node t_k past a node t_i, with u_i = u(T(t_i)).  The last node
@@ -264,26 +270,31 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     from the plateau's end, and after each one every following node whose
     bound t_k / u_i lies below top / (1 + NORM_REL_TOL)^2 is skipped, top
     being the largest sample known (earlier stretches, the last plateau
-    node and the nodes read).  A skipped node keeps its bound as its
-    sample.  Both its bound and its true value lie below the largest
-    sample by more than the factor 1 + NORM_REL_TOL, with room left for
-    rounding in u, so neither can be the first largest sample, change a
-    growth test or move the refined cell below: the result is the one a
-    read of every node gives.  The test costs one comparison per node, so
-    a flat g, where nothing is skipped, is not slowed.  A tail value at a
-    filled or skipped node is never read or validated.
+    node and the nodes read).  The nodes are increasing, so the skipped
+    ones form a run, whose end ``bisect_left`` finds; the run keeps its
+    bounds as its samples, assigned as one slice.  Both a skipped node's
+    bound and its true value lie below the largest sample by more than the
+    factor 1 + NORM_REL_TOL, with room left for rounding in u, so neither
+    can be the first largest sample, change a growth test or move the
+    refined cell below: the result is the one a read of every node gives.
+    Where the next node is not skipped this costs one comparison, so a
+    flat g is not slowed.  A tail value at a filled or skipped node is
+    never read or validated.
 
     While the sample at an end node exceeds every other sample by more
     than the factor 1 + NORM_REL_TOL (so rounding noise on a flat g does
     not count), the grid grows by a whole decade at that end, up to t =
     1e+-300, through the same fill; a running maximum of the interior
-    nodes makes each step cost only the new decade.  Past the last node
-    where T vanishes g is 0, so the upper end stops there by itself.  A
-    golden-section search (Kiefer, 1953) then refines over the two cells
+    nodes makes each step cost only the new decade.  Each fill updates
+    the largest sample with one ``max`` over its samples, and ``index``
+    finds its node.  Past the last node where T vanishes g is 0, so the
+    upper end stops there by itself.  A golden-section search (Kiefer, 1953) then refines over the two cells
     beside the largest node until they are NORM_REL_TOL wide in t.  The
     largest value evaluated is returned, +inf once it exceeds NORM_CAP.
     On ties the grid node that joined the grid first wins: the first
-    grid, then each added decade in turn, each in ascending t.
+    grid, then each added decade in turn, each in ascending t (``index``
+    returns the first of equal samples, and a later fill replaces the
+    largest sample only when it exceeds it).
 
     The result is the sup to NORM_REL_TOL when g is unimodal near its
     largest node.  Otherwise a peak in another cell can be missed, but as
@@ -299,18 +310,16 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     margin = 1.0 + NORM_REL_TOL
     skip_margin = margin * margin
 
-    def note(t: float, v: float) -> None:
-        nonlocal best, argmax
-        if v > best:
-            best, argmax = v, t
-
     def g(t: float, y: float) -> float:
         return 0.0 if y == 0.0 else _ratio(t, u(y))
 
     def fill(a: int, b: int) -> List[float]:
         """g on the nodes j = a..b, in ascending order."""
-        nonlocal count, plateau_end, zero_start
-        nodes = [10.0 ** (j / step) for j in range(a, b + 1)]
+        nonlocal best, argmax, count, plateau_end, zero_start
+        if (a, b) == _GRID_FIRST:
+            nodes: Sequence[float] = _FIRST_NODES
+        else:
+            nodes = [10.0 ** (j / step) for j in range(a, b + 1)]
         levels: Dict[int, float] = {}
 
         def level_at(i: int) -> float:
@@ -325,7 +334,11 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             plateau_end = a + p - 1
         if z < n and (zero_start is None or a + z < zero_start):
             zero_start = a + z
-        vals = [_ratio(t, u_cap) for t in nodes[:p]] + [0.0] * (n - p)
+        if u_cap > 0.0:
+            vals = [t / u_cap for t in nodes[:p]]
+        else:
+            vals = [math.inf] * p
+        vals += [0.0] * (n - p)
         if p < z:
             last = z - 1
             vals[last] = g(nodes[last], level_at(last))
@@ -337,22 +350,27 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
                 vals[i] = v = _ratio(nodes[i], ui)
                 if v > top:
                     top = v
-                lim = top / skip_margin * ui  # t_k < lim: t_k / ui < top / margin^2
+                # the nodes t_k < lim, where t_k / ui < top / margin^2, form
+                # a run; it is empty where ui is 0, or lim NaN (0 * inf)
+                lim = top / skip_margin * ui
                 i += 1
-                while i < last and nodes[i] < lim:
-                    vals[i] = nodes[i] / ui
-                    i += 1
+                if i < last and nodes[i] < lim:
+                    j = bisect_left(nodes, lim, i + 1, last)
+                    vals[i:j] = [t / ui for t in nodes[i:j]]
+                    i = j
         count += len(levels)
-        for t, v in zip(nodes, vals):
-            note(t, v)
+        m = max(vals)
+        if m > best:  # index() takes the first of equal maxima, as a strict > scan does
+            best, argmax = m, nodes[vals.index(m)]
         return vals
 
     def at(x: float) -> float:
-        nonlocal count
+        nonlocal best, argmax, count
         t = 10.0 ** x
         count += 1
         v = g(t, T(t))
-        note(t, v)
+        if v > best:
+            best, argmax = v, t
         return v
 
     lo, hi = _GRID_FIRST
@@ -456,7 +474,10 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     evaluating T, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for s < t, so
     a grid node where that bound from an earlier node lies below the
     largest sample is skipped; tail values at filled and skipped nodes
-    are not validated.  Its docstring states what its grid can miss.
+    are not validated.  The filled and skipped runs are written as whole
+    slices, and the largest sample is taken once per stretch of nodes,
+    so the Python work per node not read is a division.  Its docstring
+    states what its grid can miss.
     The trace records as ``evaluations`` the number of tail values read
     (on a step tail, one per threshold; on an analytic tail, the grid
     nodes neither filled nor skipped plus the golden-section points),
@@ -507,8 +528,12 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     its own sum because it accepts p = 1, which ``power_young`` rejects.
     On an analytic tail the plateau (0, t_p] where T equals the total
     mass M (``_plateau_end``) contributes M t_p^p in closed form, and the
-    quadrature runs past it; a plateau term of +inf is divergent.
-    p = +inf, like NaN, raises ValueError: the sup norm is not this formula.
+    quadrature runs past it; a plateau term of +inf is divergent.  Where
+    p t^(p-1) leaves the float range, the integrand is taken as
+    p exp((p - 1) ln t + ln T(t)); where that leaves it too, NonEvaluable
+    names t and p (the integral may well be finite, so it is not called
+    divergent).  p = +inf, like NaN, raises ValueError: the sup norm is
+    not this formula.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("Lebesgue exponent must satisfy 1 <= p < inf")
@@ -524,7 +549,19 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
         T = tail.value(t)
         if T == 0.0:
             return 0.0
-        return p * t ** (p - 1.0) * T
+        try:
+            v = p * t ** (p - 1.0) * T
+        except OverflowError:
+            v = math.inf
+        if v == math.inf:  # p t^(p-1) leaves the float range; the product may not
+            try:
+                v = p * math.exp((p - 1.0) * math.log(t) + math.log(T))
+            except OverflowError:
+                v = math.inf
+            if v == math.inf:
+                raise NonEvaluable(
+                    f"p t^(p-1) T(t) leaves the float range at t={t:g}, p={p:g}")
+        return v
 
     t_p = _plateau_end(tail, f.total_mass)
     plateau = 0.0

@@ -137,27 +137,36 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119)
 _WG_CENTER = 0.417959183673469
 
 
-def _checked(f: Callable[[float], float], x: float) -> float:
-    v = f(x)
-    if v != v:
-        raise NonEvaluable(f"integrand returned NaN at x={x!r}")
-    if v < 0.0:
-        raise NonEvaluable(f"integrand returned a negative value {v!r} at x={x!r}")
-    if v == math.inf:
-        raise NonEvaluable(f"integrand overflowed at x={x!r}")
-    return v
+def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
+    """f, raising NonEvaluable at each x where f(x) is NaN, negative or +inf."""
+
+    def checked(x: float) -> float:
+        v = f(x)
+        if v != v:
+            raise NonEvaluable(f"integrand returned NaN at x={x!r}")
+        if v < 0.0:
+            raise NonEvaluable(f"integrand returned a negative value {v!r} at x={x!r}")
+        if v == math.inf:
+            raise NonEvaluable(f"integrand overflowed at x={x!r}")
+        return v
+
+    return checked
 
 
 def _panel(f, a, b):
-    """Kronrod value and Kronrod-vs-Gauss error estimate on [a, b]."""
+    """Kronrod value and Kronrod-vs-Gauss error estimate on [a, b].
+
+    f is checked (``_checked`` or ``_log_axis``), so its samples are
+    summed as they come.
+    """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = _checked(f, c)
+    fc = f(c)
     resk = _WGK_CENTER * fc
     resg = _WG_CENTER * fc
     for i in range(7):
         dx = h * _XGK[i]
-        v = _checked(f, c - dx) + _checked(f, c + dx)
+        v = f(c - dx) + f(c + dx)
         resk += _WGK[i] * v
         if i % 2 == 1:
             resg += _WG[i // 2] * v
@@ -221,12 +230,17 @@ def _adaptive_finite(f, a, b, abs_budget: float, breaks: Sequence[float] = ()):
 
 def _log_axis(f):
     """g(s) = f(e^s) e^s: the integral of f over [lo, hi] is that of g over
-    [ln lo, ln hi], and a power t^-a becomes the smooth e^((1-a)s)."""
+    [ln lo, ln hi], and a power t^-a becomes the smooth e^((1-a)s).
+
+    f is checked (``_checked``), and g checks the product, raising
+    NonEvaluable where it is not finite."""
 
     def g(s: float) -> float:
         t = math.exp(s)
-        v = _checked(f, t) * t
-        if v == math.inf:
+        v = f(t) * t
+        if not v < math.inf:
+            if v != v:  # 0 * t where e^s overflows to t = inf
+                raise NonEvaluable(f"integrand returned NaN at x={s!r}")
             raise NonEvaluable(f"integrand times t overflowed at t={t!r}")
         return v
 
@@ -235,6 +249,8 @@ def _log_axis(f):
 
 def _ladder_pass(f, cuts, abs_budget, downward, breaks):
     """Sweep the decade segments defined by ``cuts`` and classify the far end.
+
+    f is checked (``_checked``); so are its probes at the cutoffs.
 
     ``cuts`` runs away from the bulk of the integral: increasing for an
     upper tail, decreasing toward zero for a lower endpoint.  Each segment
@@ -245,7 +261,7 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks):
     exhausted without a verdict.
     """
     g = _log_axis(f)
-    prev_probe = _checked(f, cuts[0])
+    prev_probe = f(cuts[0])
     partial = 0.0
     err = 0.0
     points = []
@@ -262,7 +278,7 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks):
         )
         partial += seg
         err += segerr
-        probe = _checked(f, c)
+        probe = f(c)
         slope = None
         if probe > 0.0 and prev_probe > 0.0:
             slope = math.log(probe / prev_probe) / math.log(c / c_prev)
@@ -397,6 +413,7 @@ def integrate(
             return FiniteOrDivergent.finite(0.0)
         raise ValueError("integration bounds must satisfy a < b")
     _check_breaks(breaks)
+    f = _checked(f)
     try:
         if math.isfinite(b):
             value, _ = _adaptive_finite(f, a, b, ABS_TOL, breaks)

@@ -102,3 +102,20 @@ EXP_ALPHA_BY_MASS = {
     1e6: 0.06697288398504224,
     1e12: 0.034855515589352876,
 }
+
+# L^200 norm of the exp_m(2) extremal function on mass 1, whose tail is
+# min(1, 1/N(t)) with N(t) = e^(t^2/2) - 1: (t0^p + p I)^(1/p) with p = 200,
+# t0 = sqrt(2 ln 2) and I = int_{t0}^inf t^(p-1) / N(t) dt.  mpmath at 50
+# digits gives 8.71695925708435239358126081375..., both by ``quad`` split at
+# 5, 10, 14, 18, 25 and 40 and by the series
+# I = 2^(p/2-1) sum_k k^(-p/2) Gamma(p/2, k ln 2) (agreeing to 25 digits):
+#
+#     import mpmath as mp
+#     mp.mp.dps = 50
+#     p, a, t0 = 200, mp.mpf(100), mp.sqrt(2 * mp.log(2))
+#     I = 2 ** (a - 1) * mp.nsum(lambda k: k ** -a * mp.gammainc(a, k * mp.log(2)),
+#                                [1, mp.inf])
+#     (t0 ** p + p * I) ** (1 / mp.mpf(p))
+#
+# t^(p-1) leaves the float range past t = 35.4, where 1/N(t) is still 1e-272.
+EXP2_EXTREMAL_L200 = 8.716959257084353

@@ -5,7 +5,7 @@ import pytest
 
 from orlicz.cli import main
 
-from oracle_values import DELTA2_K0, INDICATOR_EXP2, K0_EXP
+from oracle_values import DELTA2_K0, EXP2_EXTREMAL_L200, INDICATOR_EXP2, K0_EXP
 
 
 def run(capsys, *argv):
@@ -98,6 +98,25 @@ class TestNormCommand:
             "--kind", "weak",
         )
         assert rc == 1 and err.startswith("error:") and "1e-311" in err
+        assert out == ""
+
+    def test_lp_norm_past_the_float_range_of_t_to_the_p(self, capsys):
+        rc, out, _ = run(
+            capsys, "norm", "--young", "exp_m:2",
+            "--fn", '{"kind":"extremal","mass":1.0}', "--kind", "lp:200",
+        )
+        assert rc == 0
+        assert json.loads(out)["results"]["lp(200)"]["value"] == pytest.approx(
+            EXP2_EXTREMAL_L200, rel=1e-12)
+
+    def test_lp_norm_whose_integrand_leaves_the_float_range(self, capsys):
+        # the exp_m(1) extremal tail decays like e^-t, and p t^199 e^-t peaks
+        # near 1e373: the norm is finite, but its integrand is not a float
+        rc, out, err = run(
+            capsys, "norm", "--young", "exp_m:1",
+            "--fn", '{"kind":"extremal","mass":1.0}', "--kind", "lp:200",
+        )
+        assert rc == 1 and err.startswith("error:") and "p=200" in err
         assert out == ""
 
     def test_lp_norm_of_a_huge_value(self, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from orlicz.descriptors import parse_descriptor
 from orlicz.embedding import extremal_function
-from orlicz.errors import NonConvergence, NotDominated
+from orlicz.errors import NonConvergence, NonEvaluable, NotDominated
 from orlicz.numerics import integrate
 from orlicz.norms import (
     _plateau_end,
@@ -21,7 +21,7 @@ from orlicz.norms import (
 from orlicz.tails import AnalyticTail, TailRepFunction, chebyshev_tail, step_tail
 from orlicz.young import YoungFunction, custom_young, delta_young, exp_young, power_young
 
-from oracle_values import INDICATOR_EXP2
+from oracle_values import EXP2_EXTREMAL_L200, INDICATOR_EXP2
 
 
 @pytest.fixture
@@ -498,6 +498,21 @@ class TestLebesgueNorm:
     def test_analytic_exponential_tail(self):
         f = TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0)
         assert lebesgue_norm(f, 2.0).value == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+    def test_power_of_t_past_the_float_range(self):
+        # t^199 overflows past t = 35.4 while the exp_m(2) extremal tail is
+        # still 1e-272 there; the integrand is then taken as
+        # p exp((p - 1) ln t + ln T)
+        f = extremal_function(exp_young(2.0), 1.0)
+        assert lebesgue_norm(f, 200.0).value == pytest.approx(EXP2_EXTREMAL_L200, rel=1e-12)
+
+    def test_integrand_past_the_float_range_is_not_evaluable(self):
+        # p t^199 e^-t peaks near 1e373 at t = 199: the norm Gamma(201)^(1/200)
+        # = 74.9 is finite, but the integral, Gamma(201) = 7.9e374, is not a
+        # float, so the integrand cannot be sampled; finite, it is not divergent
+        f = TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0)
+        with pytest.raises(NonEvaluable, match=r"float range at t=.*, p=200$"):
+            lebesgue_norm(f, 200.0)
 
     def test_exponent_validated(self, two_piece):
         with pytest.raises(ValueError):

@@ -7,6 +7,12 @@ grid in closed form, skips every interior node whose bound from an
 earlier node lies below the running maximum, and keeps a running maximum
 instead of rescanning; on a nonincreasing tail it must return the same
 floats, value and argmax.
+
+Its trace is held to frozen values too: which nodes it reads
+(``evaluations``), where the maximum and the plateau and zero runs lie,
+on the explicit examples and on one input per op class of the
+analytic-norms benchmark workload.  The first grid's nodes come from a
+table, which must hold the floats the grid computed before.
 """
 
 import math
@@ -17,7 +23,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from orlicz.norms import NORM_CAP, weak_norm
+from orlicz.embedding import extremal_function
+from orlicz.norms import _FIRST_NODES, NORM_CAP, weak_norm
 from orlicz.tails import AnalyticTail, TailRepFunction, step_tail
 from orlicz.young import delta_young, exp_young, power_young
 
@@ -149,29 +156,42 @@ TAIL = st.one_of(
 )
 
 
+# the explicit examples of the property test below, by name
+EXAMPLES = {
+    # q < p: g = t^(1 - q/p) grows until 1/T overflows, so the grid grows a
+    # decade at a time up to t = 1.4e176.  The value falls in the known class
+    # "weak norm finite, +inf exact"; only agreement is asserted.
+    "q-below-p": (power_young(1.852), power_tail(1.0, 1.0, 1.75), 1.0),
+    "q-below-p-infinite-mass": (power_young(2.0), power_tail(1.0, 1.0, 1.5), math.inf),
+    "cut-power": (exp_young(2.0), power_tail(math.inf, 1.0, 2.0, 1e6), math.inf),
+    "gaussian": (delta_young(2.0), stretched_exp_tail(1.0, 2.0), 0.5),
+    # g falls fast past the plateau, so nearly every interior node is skipped
+    "steep": (power_young(1.5), power_tail(1.0, 1.0, 6.0), 1.0),
+    # g rises up to 1/T overflowing: the result is +inf, attained at t = 1e21
+    "overflow": (exp_young(2.0), power_tail(1.0, 1.0, 3.0), 1.0),
+    # g = t/100 past the plateau: it dips to 0.01 and rises again to 10 at
+    # t = 1e3, so a run of skipped nodes must end before the rise
+    "dip-and-rise": (power_young(2.0), two_level_tail(1e-4), 1.0),
+    # 1/T overflows on (1, 1e3]: u = +inf and g = 0 inside the interior
+    "interior-inf": (power_young(2.0), two_level_tail(1e-310), 1.0),
+    # the same past t = 10 on infinite mass, with no plateau and no zero run
+    "interior-inf-infinite-mass": (
+        power_young(2.0),
+        AnalyticTail(lambda t: min(1.0, t ** -3.0) if t <= 10.0 else 1e-320),
+        math.inf),
+}
+
+
+def with_examples(test):
+    for N, tail, mass in EXAMPLES.values():
+        test = example(N=N, tail=tail, mass=mass)(test)
+    return test
+
+
 @seed(19)
 @settings(max_examples=150, deadline=None)
 @given(N=YOUNG, tail=TAIL, mass=MASS)
-# q < p: g = t^(1 - q/p) grows until 1/T overflows, so the grid grows a
-# decade at a time up to t = 1.4e176.  The value falls in the known class
-# "weak norm finite, +inf exact"; only agreement is asserted.
-@example(N=power_young(1.852), tail=power_tail(1.0, 1.0, 1.75), mass=1.0)
-@example(N=power_young(2.0), tail=power_tail(1.0, 1.0, 1.5), mass=math.inf)
-@example(N=exp_young(2.0), tail=power_tail(math.inf, 1.0, 2.0, 1e6), mass=math.inf)
-@example(N=delta_young(2.0), tail=stretched_exp_tail(1.0, 2.0), mass=0.5)
-# g falls fast past the plateau, so nearly every interior node is skipped
-@example(N=power_young(1.5), tail=power_tail(1.0, 1.0, 6.0), mass=1.0)
-# g rises up to 1/T overflowing: the result is +inf, attained at t = 1e21
-@example(N=exp_young(2.0), tail=power_tail(1.0, 1.0, 3.0), mass=1.0)
-# g = t/100 past the plateau: it dips to 0.01 and rises again to 10 at
-# t = 1e3, so a run of skipped nodes must end before the rise
-@example(N=power_young(2.0), tail=two_level_tail(1e-4), mass=1.0)
-# 1/T overflows on (1, 1e3]: u = +inf and g = 0 inside the interior
-@example(N=power_young(2.0), tail=two_level_tail(1e-310), mass=1.0)
-# the same past t = 10 on infinite mass, with no plateau and no zero run
-@example(N=power_young(2.0),
-         tail=AnalyticTail(lambda t: min(1.0, t ** -3.0) if t <= 10.0 else 1e-320),
-         mass=math.inf)
+@with_examples
 def test_weak_norm_matches_the_full_grid(N, tail, mass):
     f = TailRepFunction(tail, mass)
     r = weak_norm(N, f)
@@ -212,3 +232,72 @@ def test_dip_past_an_end_node(tail, sup_on_grid):
     r = weak_norm(power_young(2.0), f)
     assert (r.value, r.trace["argmax_t"]) == reference_weak_norm(power_young(2.0), f)
     assert r.value == pytest.approx(sup_on_grid, rel=1e-12)
+
+
+def _extremal(N):
+    return N, extremal_function(N, 1.0)
+
+
+def _power_law(N, q):
+    return N, TailRepFunction(power_tail(1.0, 1.0, q), 1.0)
+
+
+# one fixed input per op class of the analytic-norms benchmark workload; a
+# strong norm computes this weak norm first, as its lower bound
+OP_CLASSES = {
+    "power/extremal/strong": _extremal(power_young(2.5)),
+    "power/extremal/weak": _extremal(power_young(3.5)),
+    "power/power-tail/strong": _power_law(power_young(2.0), 3.1),
+    "power/power-tail/weak": _power_law(power_young(3.0), 4.5),
+    "exp_m/extremal/strong": _extremal(exp_young(2.0)),
+    "exp_m/extremal/weak": _extremal(exp_young(3.5)),
+    "exp_m/power-tail/strong": _power_law(exp_young(1.5), 2.5),
+    "exp_m/power-tail/weak": _power_law(exp_young(2.0), 3.0),
+    "delta/extremal/strong": _extremal(delta_young(2.0)),
+    "delta/extremal/weak": _extremal(delta_young(2.5)),
+    "delta/power-tail/strong": _power_law(delta_young(1.8), 4.0),
+    "delta/power-tail/weak": _power_law(delta_young(2.2), 1.5),
+}
+CASES = {**{name: (N, TailRepFunction(tail, mass))
+            for name, (N, tail, mass) in EXAMPLES.items()}, **OP_CLASSES}
+
+# (value, evaluations, argmax_t, plateau_end_t, zero_start_t) of each case,
+# frozen from the sampler that noted every node's sample one at a time
+FROZEN = {
+    "q-below-p": (5027138896.230971, 3339, 1.3981435017170464e+176, 1.0, None),
+    "q-below-p-infinite-mass": (math.inf, 839, 1e+78, None, None),
+    "cut-power": (134519.899690101, 79, 1000000.0, None, 1122018.4543019629),
+    "gaussian":
+        (0.46670011814168394, 80, 1.040960881375559, 0.7943282347242815, 28.183829312644534),
+    "steep": (1.0, 78, 1.0, 1.0, None),
+    "overflow": (math.inf, 58, 1e+21, 1.0, None),
+    "dip-and-rise": (10.0, 74, 1000.0, 1.0, 1122.018454301963),
+    "interior-inf": (1.0, 74, 1.0, 1.0, 1122.018454301963),
+    "interior-inf-infinite-mass": (1.0, 375, 1.0, None, None),
+    "power/extremal/strong": (1.0, 384, 1.0, 1.0, None),
+    "power/extremal/weak": (1.000000000000002, 384, 354813389233576.06, 1.0, None),
+    "power/power-tail/strong": (1.0, 85, 1.0, 1.0, None),
+    "power/power-tail/weak": (1.0, 87, 1.0, 1.0, None),
+    "exp_m/extremal/strong": (1.0, 99, 1.2589254117941673, 1.1220184543019633, 39.810717055349734),
+    "exp_m/extremal/weak": (1.0000000000000002, 85, 3.9810717055349722, 1.2589254117941673, 10.0),
+    "exp_m/power-tail/strong": (math.inf, 58, 1e+21, 1.0, None),
+    "exp_m/power-tail/weak": (math.inf, 58, 1e+21, 1.0, None),
+    "delta/extremal/strong":
+        (1.0000000000000018, 293, 79432823.47242822, 1.2589254117941673, 316227766016.83795),
+    "delta/extremal/weak":
+        (1.0000000000000007, 183, 3981.0717055349733, 1.2589254117941673, 1000000.0),
+    "delta/power-tail/strong": (math.inf, 131, 1e+29, 1.0, None),
+    "delta/power-tail/weak": (math.inf, 74, 1.0000000000000001e+23, 1.0, None),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_sampler_reads_the_same_nodes(name):
+    r = weak_norm(*CASES[name])
+    t = r.trace
+    got = (r.value, t["evaluations"], t["argmax_t"], t["plateau_end_t"], t["zero_start_t"])
+    assert got == FROZEN[name]
+
+
+def test_first_grid_node_table():
+    assert list(_FIRST_NODES) == [10.0 ** (j / 20) for j in range(-300, 321)]
