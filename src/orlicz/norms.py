@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, NonConvergence, NonEvaluable,
                      NotDominated)
-from .numerics import (NORM_CAP, NORM_REL_TOL, FiniteOrDivergent, LadderTrace,
+from .numerics import (ABS_TOL, LADDER, NORM_CAP, NORM_REL_TOL, FiniteOrDivergent, LadderTrace,
                        _IntegrandOverflow, _unit_crossing, integrate)
 from .tails import AnalyticTail, StepTail, TailRepFunction, _reference_label
 from .young import YoungFunction
@@ -63,8 +63,10 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
     ``YoungFunction.__call__`` still sees every evaluation.  On an
     analytic tail, the plateau (0, t_p] where T equals the total mass M,
     found by ``_plateau_end``, contributes M N(t_p/k) in closed form, and
-    kernel quadrature of T(t) N'(t/k)/k runs past it, split at the
-    tail's breaks; see ``_analytic_modular``.  Divergence verdicts
+    kernel quadrature of T(t) N'(t/k)/k runs over the rest of the
+    support (t_p, t_z], t_z being where T vanishes (``_zero_start``;
+    +inf for a tail still positive at 1e12), split at the tail's breaks;
+    see ``_analytic_modular`` and ``_past_plateau``.  Divergence verdicts
     propagate.
     """
     if not (k > 0.0):
@@ -83,24 +85,37 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
                 LadderTrace((), note=f"exact modular sum overflows at k={k:g}")
             )
         return FiniteOrDivergent.finite(total)
-    return _analytic_modular(N, f, k, _plateau_end(tail, f.total_mass))
+    t_p = _plateau_end(tail, f.total_mass)
+    return _analytic_modular(N, f, k, t_p, _zero_start(tail, t_p), {})
 
 
-def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float,
-                      t_p: float) -> FiniteOrDivergent:
-    """The modular of an analytic tail whose plateau ends at t_p (0: none).
+def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float,
+                      zero: Tuple[float, bool],
+                      reads: Dict[float, float]) -> FiniteOrDivergent:
+    """The modular of an analytic tail on the support (t_p, t_z].
 
+    t_p is the plateau end (0: none) and ``zero`` is what ``_zero_start``
+    returns: the zero start t_z (+inf: none) and whether T falls to 0
+    there from the end of its float range.
     On (0, t_p] the tail is the total mass M, so there the integral of
     T(t) N'(t/k)/k is M N(t_p/k) exactly (Krasnosel'skii and Rutickii,
-    1961); a plateau term of +inf makes the modular divergent.  The
-    kernel integrates T(t) N'(t/k)/k over (t_p, inf), split at the tail's
-    breaks; a sample of it that overflows makes the modular divergent.
-    With t_p = 0 this is the quadrature over (0, inf) alone.
+    1961); a plateau term of +inf makes the modular divergent.  Past t_z
+    the tail is 0.  The kernel integrates T(t) N'(t/k)/k over (t_p, t_z],
+    split at the tail's breaks; a sample of it that overflows makes the
+    modular divergent.  With t_p = 0 and t_z = +inf this is the
+    quadrature over (0, inf) alone.
+
+    Tail values are read through ``reads``, a dict from t to T(t) that
+    the modulars of one norm share: the kernel's nodes depend on t_p,
+    t_z and the breaks, not on k, so later modulars find most of their
+    nodes there.  Only validated values are stored; an error propagates.
     """
-    tail = f.tail
+    value = f.tail.value
 
     def integrand(t: float) -> float:
-        T = tail.value(t)
+        T = reads.get(t)
+        if T is None:
+            T = reads[t] = value(t)
         if T == 0.0:
             return 0.0
         d = N.derivative(t / k)
@@ -115,21 +130,55 @@ def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float,
         return v
 
     plateau = f.total_mass * N(t_p / k) if t_p > 0.0 else 0.0
-    return _past_plateau(integrand, tail, t_p, plateau,
+    return _past_plateau(integrand, f.tail, t_p, zero, plateau,
                          f"plateau term M N(t_p/k) overflows at t_p={t_p:g}, k={k:g}")
 
 
 def _past_plateau(integrand: Callable[[float], float], tail: AnalyticTail, t_p: float,
-                  plateau: float, note: str) -> FiniteOrDivergent:
-    """plateau + the integral of ``integrand`` over (t_p, inf).
+                  zero: Tuple[float, bool], plateau: float, note: str) -> FiniteOrDivergent:
+    """plateau + the integral of ``integrand`` over (t_p, t_z].
 
     Divergent with ``note`` where the plateau term is +inf, or where the
     plateau reaches the largest float: the tail then never leaves its
     mass within the float range, and nothing past it can be integrated.
+    Where t_z is the float next to t_p, the tail drops from the mass to 0
+    there, and the plateau term is the whole result: the kernel's nodes
+    would round onto the ends of that gap.
+
+    Where T falls to 0 from the end of its float range (``_zero_start``),
+    its true value past t_z is positive: 1/N past N's overflow cap, say,
+    which is about e^-700.  The range then ends at t_z only where the
+    integrand times t just below t_z, its density on the log axis, is at
+    most ABS_TOL.  Elsewhere the stretch past t_z may carry weight (the
+    modular of the delta(2) extremal function is +inf at k = 1), and the
+    quadrature runs over (t_p, inf), where the unbounded ladder's slope
+    verdict and power-law remainder see it.
+
+    A range (0, t_z] with t_z <= 1, which a tail on infinite mass may
+    have, is integrated stretched by 10/t_z: integrate's downward
+    ladder from 1 then takes the tail's singularity at 0, decade by
+    decade below t_z/10, which the t-axis panels of a range ending
+    below 1 do not.
     """
     if plateau == math.inf or t_p == _FLOAT_MAX:
         return FiniteOrDivergent.divergent(LadderTrace((), note=note))
-    r = integrate(integrand, t_p, math.inf, breaks=tail.breaks)
+    t_z, faint = zero
+    if t_z == math.nextafter(t_p, math.inf):
+        return FiniteOrDivergent.finite(plateau)
+    if faint:
+        below = math.nextafter(t_z, 0.0)
+        try:
+            negligible = integrand(below) * below <= ABS_TOL
+        except (NonEvaluable, _IntegrandOverflow):
+            negligible = False
+        if not negligible:
+            t_z = math.inf
+    if t_p == 0.0 and t_z <= LADDER[0]:
+        s = t_z / 10.0
+        r = integrate(lambda u: integrand(u * s) * s, 0.0, 10.0,
+                      breaks=tuple(x / s for x in tail.breaks if x < t_z))
+    else:
+        r = integrate(integrand, t_p, t_z, breaks=tail.breaks)
     return r if r.is_divergent else FiniteOrDivergent.finite(plateau + r.value)
 
 
@@ -163,15 +212,20 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     or NORM_REL_TOL wide where the modular only jumps from +inf or to 0;
     the accuracy is fixed, and no caller chooses another.
 
-    On an analytic tail the plateau end t_p (``_plateau_end``) is found
-    once, after the cap test on w, and every modular takes the plateau
-    (0, t_p] in closed form and integrates only past it.
+    On an analytic tail the plateau end t_p (``_plateau_end``) and the
+    zero start t_z (``_zero_start``) are found once, after the cap test
+    on w.  Every modular takes the plateau (0, t_p] in closed form and
+    integrates only over the support (t_p, t_z], and the modulars read
+    the tail through one dict from t to T(t) that lives for this call, so
+    a node an earlier modular read is not read again.
 
     Either way a cap that decides the norm is recorded in the trace as
     ``note``.  Modular values are cached by k.  The trace records
     ``modular_evaluations``, w as ``weak_lower_bound``, t_p as
-    ``plateau_end`` (None on a step tail, without a plateau, or where
-    the cap on w decided the norm first) and, off power, the final
+    ``plateau_end`` and t_z as ``zero_start`` (None on a step tail,
+    without a plateau or a zero start below 1e12, or where the cap on w
+    decided the norm first), the number of distinct tail values the
+    modulars read as ``tail_reads`` and, off power, the final
     ``bracket``.  An inconclusive modular anywhere aborts with
     BudgetExceeded rather than silently guessing a side; a root search
     that stalls raises NonConvergence.
@@ -179,17 +233,23 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     tail = f.tail
     if isinstance(tail, StepTail) and tail.is_zero:
         return NormResult(0.0, 0.0, {"modular_evaluations": 0, "weak_lower_bound": 0.0,
-                                     "plateau_end": None, "note": "zero function"})
+                                     "plateau_end": None, "zero_start": None,
+                                     "tail_reads": 0, "note": "zero function"})
 
     cache: Dict[float, float] = {}
+    reads: Dict[float, float] = {}  # T(t) at the analytic modulars' nodes
     w = weak_norm(N, f).value
     t_p: Optional[float] = None  # the analytic tail's plateau end, once found
+    zero = (math.inf, False)  # and its zero start, as ``_zero_start`` gives it
 
     def mod(k: float) -> float:
         """modular(f, k), with +inf standing for a divergent modular."""
         if k not in cache:
             try:
-                r = modular(N, f, k) if t_p is None else _analytic_modular(N, f, k, t_p)
+                if t_p is None:
+                    r = modular(N, f, k)
+                else:
+                    r = _analytic_modular(N, f, k, t_p, zero, reads)
             except (BudgetExceeded, Inconclusive) as exc:
                 raise BudgetExceeded(
                     f"modular at k={k:g} could not be classified: {exc}"
@@ -199,7 +259,9 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
 
     def trace(**extra: object) -> Dict[str, object]:
         return {"modular_evaluations": len(cache), "weak_lower_bound": w,
-                "plateau_end": t_p or None, **extra}
+                "plateau_end": t_p or None,
+                "zero_start": zero[0] if zero[0] < math.inf else None,
+                "tail_reads": len(reads), **extra}
 
     def capped(value: float, note: str) -> NormResult:
         return NormResult(value, None, trace(note=note))
@@ -210,6 +272,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
         return capped(math.inf, f"weak norm (a lower bound) above cap {NORM_CAP:g}")
     if not isinstance(tail, StepTail):
         t_p = _plateau_end(tail, f.total_mass)
+        zero = _zero_start(tail, t_p)
     start = max(w, 1.0 / NORM_CAP) if w > 0.0 else 1.0
     if N.family == "power":
         k = start * mod(start) ** (1.0 / N.param)
@@ -416,7 +479,9 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     return (math.inf if best > NORM_CAP else best, argmax, count) + runs
 
 
-_PLATEAU_FLOOR = 1e-12  # the plateau search starts where the down ladder ends
+_PLATEAU_FLOOR = 1e-12  # the plateau and zero searches start where the down ladder ends
+_ZERO_CEIL = LADDER[-1]  # 1e12, the ladder's top cutoff: a tail positive there has no zero start
+_FAINT = 1e-300  # a tail that falls to 0 from below this leaves the float range there
 
 
 def _float_bits(x: float) -> int:
@@ -453,6 +518,42 @@ def _plateau_end(tail: AnalyticTail, mass: float) -> float:
     # stands in for a tail that never drops below it within the float range
     first = bisect_left(range(lo + 1, _float_bits(math.inf)), True, key=below)
     return _bits_float(lo + first)
+
+
+def _zero_start(tail: AnalyticTail, t_p: float) -> Tuple[float, bool]:
+    """(t_z, faint): the smallest float t_z > max(t_p, 1e-12) with T(t_z) = 0,
+    or +inf if T(1e12) > 0, and whether T falls to 0 there from below 1e-300.
+
+    T is nonincreasing, so it vanishes on [t_z, inf) and the quadrature
+    can stop at t_z.  Only where T(1e12) is already 0 is t_z bisected
+    over the bit patterns of the floats above max(t_p, 1e-12), as in
+    ``_plateau_end`` (at most 63 more tail reads), and T read once more
+    at the float below t_z; otherwise the one read at 1e12 is all it
+    costs.  A tail value that raises OverflowError reads as +inf, so not
+    as 0.  t_p is the plateau end, at which T is the mass, so T(1e12) = 0
+    implies t_p < 1e12.
+
+    A fall from below 1e-300 (``faint``) is where the tail leaves the
+    float range, by an underflow or by 1/N at N's overflow cap
+    (about e^-700 = 1e-304), rather than necessarily where its support
+    ends; ``_past_plateau`` ends the range there only where the
+    integrand is negligible.
+    """
+    def value(t: float) -> float:
+        try:
+            return tail.value(t)
+        except OverflowError:
+            return math.inf
+
+    def zero(b: int) -> bool:
+        return value(_bits_float(b)) == 0.0
+
+    top = _float_bits(_ZERO_CEIL)
+    if not zero(top):
+        return math.inf, False
+    lo = _float_bits(max(t_p, _PLATEAU_FLOOR)) + 1
+    t_z = _bits_float(lo + bisect_left(range(lo, top), True, key=zero))
+    return t_z, value(math.nextafter(t_z, 0.0)) < _FAINT
 
 
 def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
@@ -528,7 +629,10 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     its own sum because it accepts p = 1, which ``power_young`` rejects.
     On an analytic tail the plateau (0, t_p] where T equals the total
     mass M (``_plateau_end``) contributes M t_p^p in closed form, and the
-    quadrature runs past it; a plateau term of +inf is divergent.  Where
+    quadrature runs over the rest of the support (t_p, t_z], t_z being
+    where T vanishes (``_zero_start``; +inf for a tail still positive at
+    1e12; see ``_past_plateau`` for a fall to 0 from below 1e-300); a
+    plateau term of +inf is divergent.  Where
     p t^(p-1) leaves the float range, the integrand is taken as
     p exp((p - 1) ln t + ln T(t)); where that leaves it too, NonEvaluable
     names t and p (the integral may well be finite, so it is not called
@@ -564,13 +668,14 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
         return v
 
     t_p = _plateau_end(tail, f.total_mass)
+    zero = _zero_start(tail, t_p)
     plateau = 0.0
     if t_p > 0.0:
         try:
             plateau = f.total_mass * t_p ** p
         except OverflowError:
             plateau = math.inf
-    r = _past_plateau(integrand, tail, t_p, plateau,
+    r = _past_plateau(integrand, tail, t_p, zero, plateau,
                       f"plateau term M t_p^p overflows at t_p={t_p:g}")
     if r.is_divergent:
         return r

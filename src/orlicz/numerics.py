@@ -1,19 +1,21 @@
 """Deterministic quadrature, bracketed root finding, divergence classification.
 
 Finite segments are handled by adaptive Gauss-Kronrod (7-15) panels.
-Semi-infinite integrals run on a decade cutoff ladder: each decade is
-integrated adaptively in s = ln t, where a power-like tail is smooth, the
-local log-log slope of the integrand is tracked at the cutoffs, and the
-remainder past the last cutoff is estimated by power-law extrapolation.
-The same slope trace drives the divergence classifier: persistent slope
->= -1 - SLOPE_MARGIN together with non-shrinking decade contributions
-means the integral cannot be finite.  Declared breaks (kinks of the
-integrand) start panels of their own, as in QUADPACK's QAGP (Piessens et
-al., 1983); on the log axis a kink between a cutoff and the nearest node
-is otherwise invisible to the error estimate.  An integrand that overflows
-where its integral is known to be infinite raises ``_IntegrandOverflow``,
-and ``integrate`` returns that as a divergent result: the library's one
-rule for integrand overflow.
+Semi-infinite integrals, and finite ones reaching past t = 1, run on a
+decade cutoff ladder: each decade is integrated adaptively in s = ln t,
+where a power-like tail is smooth, the local log-log slope of the
+integrand is tracked at the cutoffs, and the remainder past the last
+cutoff is estimated by power-law extrapolation (truncated at a finite
+upper limit, where the ladder ends).
+The same slope trace drives the divergence classifier on an unbounded
+range: persistent slope >= -1 - SLOPE_MARGIN together with non-shrinking
+decade contributions means the integral cannot be finite.  Declared
+breaks (kinks of the integrand) start panels of their own, as in
+QUADPACK's QAGP (Piessens et al., 1983); on the log axis a kink between a
+cutoff and the nearest node is otherwise invisible to the error estimate.
+An integrand that overflows where its integral is known to be infinite
+raises ``_IntegrandOverflow``, and ``integrate`` returns that as a
+divergent result: the library's one rule for integrand overflow.
 
 The tolerances and budgets are the module constants below, among them
 the norms' NORM_CAP and NORM_REL_TOL; every caller uses the same ones and
@@ -247,7 +249,7 @@ def _log_axis(f):
     return g
 
 
-def _ladder_pass(f, cuts, abs_budget, downward, breaks):
+def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
     """Sweep the decade segments defined by ``cuts`` and classify the far end.
 
     f is checked (``_checked``); so are its probes at the cutoffs.
@@ -259,9 +261,16 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks):
     (value, error) for a finite verdict, a divergent FiniteOrDivergent
     otherwise; raises Inconclusive / BudgetExceeded when the cutoffs are
     exhausted without a verdict.
+
+    ``bounded`` marks an upper range that ends at the last cut: the
+    partial sum there is the result, the power-law remainder of an
+    earlier settle is truncated at that end, and no slope makes the
+    range divergent.
     """
     g = _log_axis(f)
     prev_probe = f(cuts[0])
+    end = cuts[-1]
+    last = len(cuts) - 1
     partial = 0.0
     err = 0.0
     points = []
@@ -278,13 +287,15 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks):
         )
         partial += seg
         err += segerr
+        if bounded and i == last:
+            return FiniteOrDivergent.finite(partial), err
         probe = f(c)
         slope = None
         if probe > 0.0 and prev_probe > 0.0:
             slope = math.log(probe / prev_probe) / math.log(c / c_prev)
         points.append(LadderPoint(c, probe, slope, partial))
 
-        if slope is None:
+        if slope is None or bounded:
             suspicious = False
         elif downward:
             suspicious = slope <= -1.0 + SLOPE_MARGIN
@@ -315,6 +326,8 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks):
                 remainder = probe * c / (slope + 1.0)
             elif not downward and slope < -1.0 - SLOPE_MARGIN:
                 remainder = probe * c / (-slope - 1.0)
+                if bounded:  # the power law integrated up to the end only
+                    remainder *= 1.0 - (end / c) ** (slope + 1.0)
         if remainder is not None:
             estimates.append(partial + remainder)
             # Richardson step: successive estimates drift geometrically when
@@ -356,13 +369,17 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks):
     )
 
 
-def _up_cuts(start: float):
+def _up_cuts(start: float, end: float):
+    """The cutoffs from ``start``: the decades past it, and ``end`` where finite."""
     cuts = [start]
     for c in LADDER:
-        if c > start * (1.0 + 1e-12):
+        if start * (1.0 + 1e-12) < c < end:
             cuts.append(c)
-    while len(cuts) < 4:
-        cuts.append(cuts[-1] * 10.0)
+    if end < math.inf:
+        cuts.append(end)
+    else:
+        while len(cuts) < 4:
+            cuts.append(cuts[-1] * 10.0)
     return cuts
 
 
@@ -394,6 +411,13 @@ def integrate(
 ) -> FiniteOrDivergent:
     """Integrate a non-negative function over (a, b), b possibly infinite.
 
+    A b up to LADDER[0] = 1 (or any finite b over an a below 0) gets
+    adaptive Gauss-Kronrod panels on the t-axis.  A larger b, finite or
+    not, runs the decade ladder, after a downward one from 1 where a is
+    0.  A finite b ends the ladder: its last cutoff is b, the partial sum
+    there is the result, an earlier settle truncates its power-law
+    remainder at b, and no slope calls the range divergent.
+
     ``breaks`` are the points where f has a kink or a jump, positive,
     finite and increasing.  Every panel that would straddle one is split
     there; the ladder's cutoffs stay the decades.  Endpoints may carry at
@@ -415,7 +439,7 @@ def integrate(
     _check_breaks(breaks)
     f = _checked(f)
     try:
-        if math.isfinite(b):
+        if b <= LADDER[0] or (a < 0.0 and b < math.inf):
             value, _ = _adaptive_finite(f, a, b, ABS_TOL, breaks)
             return FiniteOrDivergent.finite(value)
         parts = 0.0
@@ -428,7 +452,8 @@ def integrate(
             start = base
         else:
             start = a
-        up, _ = _ladder_pass(f, _up_cuts(start), ABS_TOL, False, breaks)
+        up, _ = _ladder_pass(f, _up_cuts(start, b), ABS_TOL, False, breaks,
+                             bounded=b < math.inf)
     except _IntegrandOverflow as exc:
         return FiniteOrDivergent.divergent(LadderTrace((), note=str(exc)))
     if up.is_divergent:

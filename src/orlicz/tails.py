@@ -106,9 +106,13 @@ class AnalyticTail:
 
     ``breaks`` are the t where the tail has an interior kink or a jump
     (positive, finite, increasing); integrals over the tail split their
-    panels there.  The end of the plateau where the tail equals a finite
-    total mass needs no break: the modular and the Lebesgue norm find it
-    and integrate only past it.  Any other undeclared kink is integrated
+    panels there.  The ends of the support need no break: the end of the
+    plateau where the tail equals a finite total mass, and the point
+    where the tail drops to 0 for good (if it does so below 1e12).  The
+    modular and the Lebesgue norm find both and integrate only between
+    them; a drop to 0 from below 1e-300, where the tail leaves the float
+    range, ends the range only where the integrand there is negligible
+    (see ``norms._past_plateau``).  Any other undeclared kink is integrated
     as if the tail were smooth: the quadrature runs in s = ln t, and its
     error estimate does not see a kink that lies between a ladder cutoff
     and the nearest node.  Over 150 seeded tails min(M, t^-q) on infinite

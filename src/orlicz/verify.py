@@ -221,6 +221,48 @@ def _power_tail(q: float) -> TailRepFunction:
     return TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -q)), 1.0)
 
 
+def _bounded_power_tail(M: float, c: float, q: float, b: float) -> TailRepFunction:
+    """min(M, c t^-q) 1[t < b] on mass M (c t^-q 1[t < b] where M is +inf)."""
+    return TailRepFunction(
+        AnalyticTail(lambda t: min(M, c * t ** -q) if t < b else 0.0), M)
+
+
+def _bounded_power_modular(p: float, M: float, c: float, q: float, b: float) -> float:
+    """The modular of ``_bounded_power_tail`` at k = 1 under power(p), in closed form.
+
+    It is int_0^b p t^(p-1) min(M, c t^-q) dt.  The plateau ends at
+    t1 = (c/M)^(1/q) (0 on infinite mass, where q < p); past it the
+    integrand is p c t^(r-1), r = p - q, whose integral up to b is
+    p c t1^r expm1(r ln(b/t1)) / r, exact also for r near 0.  At scale k
+    the modular is this times k^-p, and the norm is its p-th root.
+    """
+    if M == math.inf:
+        return p * c * b ** (p - q) / (p - q)
+    t1 = (c / M) ** (1.0 / q)
+    if t1 >= b:
+        return M * b ** p
+    r = p - q
+    x = math.log(b / t1)
+    return M * t1 ** p + p * c * t1 ** r * (math.expm1(r * x) / r if r != 0.0 else x)
+
+
+# (M, c, q, b) of NR-08: the tail cut at b = 300 whose modular read 21.0
+# where the closed form is 9.6938, a steep and a shallow tail, q = 2 (the
+# log case under power(2)), a cut below t = 1, an indicator (t1 >= b), and
+# three tails on infinite mass, one of them cut below t = 1
+_BOUNDED_TAILS = (
+    (1.0, 1.0, 2.1, 300.0),
+    (4.0, 1.0, 3.5, 1e9),
+    (0.5, 2.0, 0.8, 1e4),
+    (1.0, 1.0, 2.0, 50.0),
+    (0.5, 0.1, 2.5, 0.8),
+    (1.0, 1.0, 3.0, 0.7),
+    (math.inf, 1.0, 0.5, 1e6),
+    (math.inf, 3.0, 1.0, 40.0),
+    (math.inf, 2.0, 1.2, 0.05),
+)
+
+
 def _suite_norms(col: _Collector, seed: int) -> None:
     rng = random.Random(seed)
     worst_gap = -math.inf
@@ -326,6 +368,24 @@ def _suite_norms(col: _Collector, seed: int) -> None:
         " p in {1.5, 2, 3}, q - p in {0.5, 2}; +inf under exp_m(2) and delta(2), q in {2, 4, 6}",
         "<= 1e-12; +inf: True", f"{worst_strong!r}; +inf: {infinite}", 1e-12,
         worst_strong <= 1e-12 and infinite,
+    )
+
+    worst_bounded = 0.0
+    for p in (1.5, 2.0, 3.0):
+        for M, c, q, b in _BOUNDED_TAILS:
+            N, f = power_young(p), _bounded_power_tail(M, c, q, b)
+            closed = _bounded_power_modular(p, M, c, q, b)
+            for k in (0.5, 1.0, 2.0):
+                r, exact = modular(N, f, k), k ** -p * closed
+                err = abs(r.value - exact) / exact if r.is_finite else math.inf
+                worst_bounded = max(worst_bounded, err)
+            norm = closed ** (1.0 / p)
+            worst_bounded = max(worst_bounded, abs(luxemburg_norm(N, f).value - norm) / norm)
+    col.add(
+        "NR-08", "bounded support: min(M, c t^-q) 1[t < b] under power(p), p in {1.5, 2, 3},"
+        " on 6 finite and 3 infinite masses: modular at k in {0.5, 1, 2} and strong norm"
+        " equal their closed forms",
+        "<= 1e-12", worst_bounded, 1e-12, worst_bounded <= 1e-12,
     )
 
 

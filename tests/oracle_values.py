@@ -119,3 +119,24 @@ EXP_ALPHA_BY_MASS = {
 #
 # t^(p-1) leaves the float range past t = 35.4, where 1/N(t) is still 1e-272.
 EXP2_EXTREMAL_L200 = 8.716959257084353
+
+# L^50 norms of the exp_m(m) extremal functions on mass 1, m = 1 and 1/2:
+# (t0^p + p I)^(1/p) with p = 50, t0 = (m ln 2)^(1/m) and
+# I = int_{t0}^inf t^(p-1) / N(t) dt, N(t) = e^(t^m/m) - 1.  Expanding 1/N
+# as sum_k e^(-k t^m/m) and substituting u = t^m/m gives
+# I = m^(a-1) sum_k k^(-a) Gamma(a, k ln 2) with a = p/m.  mpmath at 50
+# digits gives 19.4832542269812817713858... (m = 1) and
+# 360.861110913271293620849... (m = 1/2); at 30 digits the series and
+# ``quad`` split up to t = 300 (m = 1) and t = 2e5 (m = 1/2) agree to 25:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 50
+#     m, p = mp.mpf(1), mp.mpf(50)  # or m = mp.mpf(1) / 2
+#     u0, a = mp.log(2), p / m
+#     I = m ** (a - 1) * mp.nsum(lambda k: k ** -a * mp.gammainc(a, k * u0),
+#                                [1, mp.inf])
+#     ((m * u0) ** a + p * I) ** (1 / p)
+#
+# The library's tail is 0 past t_z = (700 m)^(1/m), where N reaches its
+# cap; the part of the integral past t_z is below 1e-150 of the whole.
+EXP_EXTREMAL_L50 = {1.0: 19.48325422698128, 0.5: 360.8611109132713}

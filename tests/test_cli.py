@@ -5,7 +5,8 @@ import pytest
 
 from orlicz.cli import main
 
-from oracle_values import DELTA2_K0, EXP2_EXTREMAL_L200, INDICATOR_EXP2, K0_EXP
+from oracle_values import (DELTA2_K0, EXP2_EXTREMAL_L200, EXP_EXTREMAL_L50, INDICATOR_EXP2,
+                           K0_EXP)
 
 
 def run(capsys, *argv):
@@ -108,6 +109,17 @@ class TestNormCommand:
         assert rc == 0
         assert json.loads(out)["results"]["lp(200)"]["value"] == pytest.approx(
             EXP2_EXTREMAL_L200, rel=1e-12)
+
+    def test_lp_norm_of_an_extremal_function_whose_integrand_rises(self, capsys):
+        # p t^49 T(t) rises over the first decades past t_p; the range ends
+        # at the tail's zero start t = 700, so the rise is no divergence
+        rc, out, _ = run(
+            capsys, "norm", "--young", "exp_m:1",
+            "--fn", '{"kind":"extremal","mass":1.0}', "--kind", "lp:50",
+        )
+        assert rc == 0
+        assert json.loads(out)["results"]["lp(50)"]["value"] == pytest.approx(
+            EXP_EXTREMAL_L50[1.0], rel=1e-12)
 
     def test_lp_norm_whose_integrand_leaves_the_float_range(self, capsys):
         # the exp_m(1) extremal tail decays like e^-t, and p t^199 e^-t peaks

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from orlicz.descriptors import parse_descriptor
@@ -12,6 +12,7 @@ from orlicz.errors import NonConvergence, NonEvaluable, NotDominated
 from orlicz.numerics import integrate
 from orlicz.norms import (
     _plateau_end,
+    _zero_start,
     coupling_check,
     lebesgue_norm,
     luxemburg_norm,
@@ -19,9 +20,11 @@ from orlicz.norms import (
     weak_norm,
 )
 from orlicz.tails import AnalyticTail, TailRepFunction, chebyshev_tail, step_tail
+from orlicz.verify import _bounded_power_modular, _bounded_power_tail
 from orlicz.young import YoungFunction, custom_young, delta_young, exp_young, power_young
 
-from oracle_values import EXP2_EXTREMAL_L200, INDICATOR_EXP2
+from oracle_values import (DELTA2_CRITERION_T_FORM, EXP2_EXTREMAL_L200, EXP_EXTREMAL_L50,
+                           INDICATOR_EXP2)
 
 
 @pytest.fixture
@@ -476,6 +479,94 @@ class TestPlateau:
             assert lebesgue_norm(f, p).value == pytest.approx(norm, rel=1e-12)
 
 
+@st.composite
+def _bounded_power_cases(draw):
+    """(p, M, c, q, b): on finite mass any q, on infinite mass q < p - 0.3;
+    b from 0.01 to 1e9 on both, so that an infinite-mass tail's power
+    singularity at 0 also meets a range that ends below t = 1."""
+    p = draw(st.floats(min_value=1.2, max_value=4.0))
+    c = draw(st.floats(min_value=0.1, max_value=10.0))
+    if draw(st.booleans()):
+        M = draw(st.floats(min_value=0.05, max_value=20.0))
+        q = draw(st.floats(min_value=0.3, max_value=6.0))
+        b = 10.0 ** draw(st.floats(min_value=-2.0, max_value=9.0))
+    else:
+        M = math.inf
+        q = draw(st.floats(min_value=0.1, max_value=p - 0.3))
+        b = 10.0 ** draw(st.floats(min_value=-2.0, max_value=9.0))
+    return p, M, c, q, b
+
+
+class TestSupportEnd:
+    """The zero start t_z: the quadrature ends where the tail vanishes."""
+
+    @pytest.mark.parametrize("f, t_z, faint", [
+        (_bounded_power_tail(1.0, 1.0, 2.1, 300.0), 300.0, False),
+        # 1/N is 0 past N's overflow cap, from about e^-700 just below it
+        (extremal_function(exp_young(2.0), 1.0), None, True),
+        (TailRepFunction(AnalyticTail(lambda t: 0.0), 1.0), None, True),
+        (_power_plateau_tail(3.0, 1.0), math.inf, False),
+    ], ids=["cut-power", "exp-extremal", "zero", "power"])
+    def test_zero_start_is_exact(self, f, t_z, faint):
+        found, found_faint = _zero_start(f.tail, _plateau_end(f.tail, f.total_mass))
+        assert found_faint == faint
+        if t_z is not None:
+            assert found == t_z
+        if found < math.inf:
+            # the first float past max(t_p, 1e-12) where the tail is 0
+            below = math.nextafter(found, 0.0)
+            assert f.tail.value(found) == 0.0
+            assert below <= 1e-12 or f.tail.value(below) > 0.0
+
+    @seed(31)
+    @settings(max_examples=60)
+    @example(case=(2.0, 1.0, 1.0, 2.1, 300.0))  # the modular read 21.0, not 9.6938
+    @given(case=_bounded_power_cases())
+    def test_bounded_power_tails_meet_the_closed_form(self, case):
+        # a ladder that runs past b settles on the power law below b and
+        # adds the uncut tail's remainder, which is not there
+        p, M, c, q, b = case
+        N, f = power_young(p), _bounded_power_tail(M, c, q, b)
+        whole = _bounded_power_modular(p, M, c, q, b)
+        for k in (0.5, 1.0, 2.0):
+            assert modular(N, f, k).value == pytest.approx(k ** -p * whole, rel=1e-12)
+        assert luxemburg_norm(N, f).value == pytest.approx(whole ** (1.0 / p), rel=1e-12)
+
+    def test_a_zero_at_the_float_range_end_is_no_support_end(self):
+        # the delta(2) extremal tail 1/N(t) reads 0 past t = 3.1e11, where N
+        # reaches its overflow cap, though 1/N is about e^-700 there: at
+        # k = 1 the modular, the integral of N'(t)/N(t), is +inf all the
+        # same, and at k = 1.5 the stretch past 3.1e11 weighs 1e-8
+        N = delta_young(2.0)
+        f = extremal_function(N, 1.0)
+        assert _zero_start(f.tail, _plateau_end(f.tail, 1.0))[1]
+        assert modular(N, f, 1.0).is_divergent
+        assert modular(N, f, 1.5).value == pytest.approx(DELTA2_CRITERION_T_FORM[1.5],
+                                                         rel=1e-11)
+
+    @pytest.mark.parametrize("N, f, evaluations, reads, calls", [
+        # without the zero start and the shared reads the same norms took
+        # 9 modulars and 2,245 calls of the tail callable
+        (exp_young(2.0), extremal_function(exp_young(2.0), 1.0), 9, 1115, 1336),
+        # 8 modulars and 1,246 calls
+        (delta_young(2.5), extremal_function(delta_young(2.5), 1.0), 8, 142, 448),
+        # 3 modulars and 249 calls
+        (power_young(2.0), _power_plateau_tail(3.0, 1.0), 3, 33, 184),
+    ], ids=["exp_m(2)-extremal", "delta(2.5)-extremal", "power(2)-cubic"])
+    def test_read_counts_are_bounded(self, N, f, evaluations, reads, calls):
+        # deterministic counts of one Luxemburg norm: the modulars, the
+        # distinct tail values they read, and every call of the tail
+        # callable (the weak norm's grid and the plateau and zero searches
+        # included)
+        seen = []
+        tail = AnalyticTail(lambda t: seen.append(t) or f.tail.fn(t))
+        r = luxemburg_norm(N, TailRepFunction(tail, f.total_mass))
+        assert r.value == luxemburg_norm(N, f).value
+        assert r.trace["modular_evaluations"] <= evaluations
+        assert r.trace["tail_reads"] <= reads
+        assert len(seen) <= calls
+
+
 class TestLebesgueNorm:
     def test_exact_sum(self, two_piece):
         r = lebesgue_norm(two_piece, 2.0)
@@ -505,6 +596,14 @@ class TestLebesgueNorm:
         # p exp((p - 1) ln t + ln T)
         f = extremal_function(exp_young(2.0), 1.0)
         assert lebesgue_norm(f, 200.0).value == pytest.approx(EXP2_EXTREMAL_L200, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1.0, 0.5])
+    def test_extremal_functions_at_p_50(self, m):
+        # p t^49 T(t) still rises over the first three decades past t_p; the
+        # range ends at t_z = (700 m)^(1/m), and a bounded range is never
+        # called divergent
+        f = extremal_function(exp_young(m), 1.0)
+        assert lebesgue_norm(f, 50.0).value == pytest.approx(EXP_EXTREMAL_L50[m], rel=1e-12)
 
     def test_integrand_past_the_float_range_is_not_evaluable(self):
         # p t^199 e^-t peaks near 1e373 at t = 199: the norm Gamma(201)^(1/200)

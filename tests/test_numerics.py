@@ -158,6 +158,22 @@ class TestLogAxisAndBreaks:
         # three probes and one 15-point panel on each of two decades
         assert len(calls) == 33
 
+    def test_finite_upper_limit_ends_the_ladder(self):
+        # past t = 1 a finite range runs the ladder up to b; slopes near -1
+        # do not make a bounded range divergent
+        assert integrate(lambda t: 1.0 / t, 1.0, 1e6).value == pytest.approx(
+            math.log(1e6), rel=1e-13)
+        assert integrate(lambda t: t ** -1.02, 1.0, 1e12).value == pytest.approx(
+            (1.0 - 1e12 ** -0.02) / 0.02, rel=1e-13)
+        # t^-1.5 settles after two decades, its remainder truncated at b:
+        # the same 33 samples as on [1, inf)
+        calls = []
+        r = integrate(lambda t: calls.append(t) or t ** -1.5, 1.0, 1e9)
+        assert r.value == pytest.approx(2.0 * (1.0 - 1e9 ** -0.5), rel=1e-13)
+        assert len(calls) == 33
+        # from 0, the down ladder takes the power singularity below 1
+        assert integrate(lambda t: t ** -0.5, 0.0, 100.0).value == pytest.approx(20.0, rel=1e-13)
+
     def test_declared_kink(self):
         # p t^(p-1) min(M, t^-q): the modular of a kinked power tail under
         # power(p), with the kink t1 = M^(-1/q) off the ladder's cutoffs
