@@ -266,6 +266,11 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
     partial sum there is the result, the power-law remainder of an
     earlier settle is truncated at that end, and no slope makes the
     range divergent.
+
+    Downward, a zero probe settles nothing while the partial sum is
+    still 0: the support of f may begin below it, as for 1[t < 0.01].
+    A sweep that reads 0 on every decade down to its last cut returns
+    finite 0.
     """
     g = _log_axis(f)
     prev_probe = f(cuts[0])
@@ -320,7 +325,10 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
 
         remainder = None
         if probe == 0.0:
-            remainder = 0.0
+            if partial > 0.0 or not downward:
+                remainder = 0.0
+            elif i == last:  # zero on every decade swept
+                return FiniteOrDivergent.finite(0.0), err
         elif slope is not None:
             if downward and slope > -1.0 + SLOPE_MARGIN:
                 remainder = probe * c / (slope + 1.0)
@@ -416,7 +424,9 @@ def integrate(
     not, runs the decade ladder, after a downward one from 1 where a is
     0.  A finite b ends the ladder: its last cutoff is b, the partial sum
     there is the result, an earlier settle truncates its power-law
-    remainder at b, and no slope calls the range divergent.
+    remainder at b, and no slope calls the range divergent.  The
+    downward ladder goes on past decades where f is 0 until it meets
+    f's support; an f that is 0 down to 1e-12 integrates to 0 there.
 
     ``breaks`` are the points where f has a kink or a jump, positive,
     finite and increasing.  Every panel that would straddle one is split

@@ -111,8 +111,9 @@ class AnalyticTail:
     where the tail drops to 0 for good (if it does so below 1e12).  The
     modular and the Lebesgue norm find both and integrate only between
     them; a drop to 0 from below 1e-300, where the tail leaves the float
-    range, ends the range only where the integrand there is negligible
-    (see ``norms._past_plateau``).  Any other undeclared kink is integrated
+    range, ends the range only where the integrand there is negligible,
+    and is otherwise added to these breaks for that integral (see
+    ``norms._past_plateau``).  Any other undeclared kink is integrated
     as if the tail were smooth: the quadrature runs in s = ln t, and its
     error estimate does not see a kink that lies between a ladder cutoff
     and the nearest node.  Over 150 seeded tails min(M, t^-q) on infinite

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from orlicz.descriptors import parse_descriptor
 from orlicz.embedding import extremal_function
 from orlicz.errors import NonConvergence, NonEvaluable, NotDominated
+from orlicz.expfamily import exp_embedding_constant
 from orlicz.numerics import integrate
 from orlicz.norms import (
     _plateau_end,
@@ -544,10 +545,32 @@ class TestSupportEnd:
         assert modular(N, f, 1.5).value == pytest.approx(DELTA2_CRITERION_T_FORM[1.5],
                                                          rel=1e-11)
 
+    @pytest.mark.parametrize("m", [1.0, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("mass", [0.25, 1.0, 4.0])
+    def test_exp_extremal_norm_is_the_embedding_constant(self, m, mass):
+        # the sharp constant k0 is attained: it is the strong norm of the
+        # extremal function, whose tail falls to 0 at N's overflow cap
+        N = exp_young(m)
+        assert luxemburg_norm(N, extremal_function(N, mass)).value == pytest.approx(
+            exp_embedding_constant(m, mass), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    def test_jump_at_a_kept_zero_start_is_a_panel_end(self, m):
+        # at k = 1 the integrand just below t_z is not negligible, so the
+        # range runs past t_z; the jump to 0 there ends a panel, where
+        # bisecting it took 1,222 and 1,193 calls of the tail callable
+        N = exp_young(m)
+        f = extremal_function(N, 1.0)
+        seen = []
+        tail = AnalyticTail(lambda t: seen.append(t) or f.tail.fn(t))
+        modular(N, TailRepFunction(tail, 1.0), 1.0)
+        assert len(seen) <= 300
+
     @pytest.mark.parametrize("N, f, evaluations, reads, calls", [
         # without the zero start and the shared reads the same norms took
-        # 9 modulars and 2,245 calls of the tail callable
-        (exp_young(2.0), extremal_function(exp_young(2.0), 1.0), 9, 1115, 1336),
+        # 9 modulars and 2,245 calls of the tail callable; before the jump
+        # at the kept zero start ended a panel, 1,115 reads and 1,336 calls
+        (exp_young(2.0), extremal_function(exp_young(2.0), 1.0), 9, 155, 376),
         # 8 modulars and 1,246 calls
         (delta_young(2.5), extremal_function(delta_young(2.5), 1.0), 8, 142, 448),
         # 3 modulars and 249 calls

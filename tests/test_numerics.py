@@ -101,6 +101,20 @@ class TestSemiInfinite:
         r = integrate(lambda w: math.exp(-w), 0.0, math.inf)
         assert r.value == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [0.01, 1e-3, 1e-6])
+    def test_support_below_the_first_decades(self, c):
+        # the down ladder from 1 reads zeros on [c, 1]; they settle nothing
+        # while the partial sum is 0, so it goes on to the support below c
+        r = integrate(lambda t: 1.0 if t < c else 0.0, 0.0, math.inf)
+        assert r.value == pytest.approx(c, rel=1e-13)
+
+    def test_zero_on_every_decade(self):
+        calls = []
+        r = integrate(lambda t: calls.append(t) or 0.0, 0.0, math.inf)
+        assert r.is_finite and r.value == 0.0
+        # the down ladder sweeps all its decades down to 1e-12
+        assert min(calls) < 1e-11
+
     def test_divergence_at_zero_endpoint(self):
         r = integrate(lambda w: 1.0 / w, 0.0, math.inf)
         assert r.is_divergent

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from orlicz.embedding import extremal_function
 from orlicz.norms import _FIRST_NODES, NORM_CAP, weak_norm
 from orlicz.tails import AnalyticTail, TailRepFunction, step_tail
-from orlicz.young import delta_young, exp_young, power_young
+from orlicz.young import YoungFunction, custom_young, delta_young, exp_young, power_young
 
 _GRID_PER_DECADE = 20  # weak-norm sample nodes t = 10^(j/20)
 _GRID_FIRST = (-15 * _GRID_PER_DECADE, 16 * _GRID_PER_DECADE)  # t in [1e-15, 1e16]
@@ -301,3 +301,23 @@ def test_sampler_reads_the_same_nodes(name):
 
 def test_first_grid_node_table():
     assert list(_FIRST_NODES) == [10.0 ** (j / 20) for j in range(-300, 321)]
+
+
+def test_a_class_wrapper_on_inverse_sees_every_evaluation(monkeypatch):
+    # the benchmark tracer counts inverse evaluations by replacing
+    # YoungFunction.inverse on the class; the analytic weak norm looks the
+    # method up on N once per call, after the wrapper is in place
+    own = []
+    N = custom_young(lambda u: u ** 3, lambda w: own.append(w) or w ** (1.0 / 3.0),
+                     lambda u: 3.0 * u * u, "cube")
+    own.clear()  # the round-trip check of custom_young
+    seen = []
+    inverse = YoungFunction.inverse
+
+    def counted(self, w):
+        seen.append(w)
+        return inverse(self, w)
+
+    monkeypatch.setattr(YoungFunction, "inverse", counted)
+    weak_norm(N, TailRepFunction(power_tail(1.0, 1.0, 2.0), 1.0))
+    assert seen == own and len(own) > 10
