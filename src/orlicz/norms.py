@@ -23,8 +23,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, NonConvergence, NonEvaluable,
                      NotDominated)
-from .numerics import (ABS_TOL, LADDER, NORM_CAP, NORM_REL_TOL, FiniteOrDivergent, LadderTrace,
-                       _IntegrandOverflow, _unit_crossing, integrate)
+from .numerics import (ABS_TOL, LADDER, NORM_CAP, NORM_REL_TOL, REL_TOL, FiniteOrDivergent,
+                       LadderTrace, _IntegrandOverflow, _unit_crossing, integrate)
 from .tails import AnalyticTail, StepTail, TailRepFunction, _reference_label
 from .young import YoungFunction
 
@@ -190,67 +190,89 @@ def _past_plateau(integrand: Callable[[float], float], tail: AnalyticTail, t_p: 
 
 
 _POWER_WALK = 8  # floats the closed-form power norm may step up past rounding
+# below this a modular's error is bounded by the kernel's absolute stop ABS_TOL,
+# not by its relative one REL_TOL, so it is no start for the closed form
+_POWER_START_FLOOR = ABS_TOL / REL_TOL
+_ABOVE = f"modular above 1 up to cap {NORM_CAP:g}"  # the notes of the caps
+_BELOW = "modular below 1 down to cap"
+_WEAK_ABOVE = f"weak norm (a lower bound) above cap {NORM_CAP:g}"
 
 
 def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     """The strong (Luxemburg) norm inf{k > 0 : modular(f, k) <= 1}.
 
-    The weak norm w is a lower bound: modular(f, k) >= T(t) N(t/k) for
-    every t (Chebyshev), and that exceeds 1 for some t at every k < w.
-    So ``weak_norm`` runs first.  If w exceeds 2^64 (NORM_CAP), as it
-    does whenever it is +inf, the norm is +inf with no modular evaluated.
-    Otherwise the modular, non-increasing in k, is read from s = w, raised
-    to 2^-64 where w is below it (from 1 if w is 0), a divergent modular
-    counting as +inf.
-
     Under power(p) the norm is the L^p norm in closed form: modular(k) =
-    (s/k)^p modular(s), so one modular at s gives k = s modular(s)^(1/p)
-    (Krasnosel'skii and Rutickii, 1961).  That k is +inf where the
-    modular diverges and 0 where it is 0.  The norm is +inf if k exceeds
-    2^64 and 0 if k is below 2^-64.  Rounding may leave modular(k) just
-    above 1; k then steps up one float at a time until modular(k) <= 1,
-    for at most ``_POWER_WALK`` floats, past which NonConvergence is
-    raised.
+    (s/k)^p modular(s) for every s, so one modular at a start s gives
+    k = s modular(s)^(1/p) (Krasnosel'skii and Rutickii, 1961).  The start
+    needs no weak norm: s = 1 on an analytic tail (``"unit"``), and on a
+    step tail its largest value (``"largest value"``), where the modular
+    is the scaled sum sum_i (v_i/top)^p m_i that ``lebesgue_norm`` takes.
+    A modular there that the ladder's slopes call divergent is +inf at
+    every k, by the same scaling, so the norm is +inf after that one
+    modular.  Only where the modular at s is no fit start does the
+    weak-norm start below take over (``"weak norm"``): where it is
+    divergent with no ladder points (an integrand, a plateau term or a
+    step sum that overflows), or finite below ABS_TOL / REL_TOL = 1e-4,
+    0 and values below the smallest normal float included.  Below that
+    floor the kernel's absolute stop, not its relative one, bounds the
+    modular's error: read at s = 1, the tail min(1, (t/1e-9)^-5.4)
+    under power(1.56) came out 7e-5 off, and e^-1000t under power(200)
+    raised NonConvergence.  At the weak-norm start w the modular is at
+    least about 1.  The norm is +inf if k exceeds 2^64 and 0 if k is below
+    2^-64.  Rounding may leave modular(k) just above 1; k then steps up
+    one float at a time until modular(k) <= 1, for at most
+    ``_POWER_WALK`` floats, past which NonConvergence is raised.
 
-    Off power, the modular goes to the shared crossing solver from s.
+    Off power, the weak norm w is a lower bound: modular(f, k) >= T(t)
+    N(t/k) for every t (Chebyshev), and that exceeds 1 for some t at
+    every k < w.  So ``weak_norm`` runs first.  If w exceeds 2^64
+    (NORM_CAP), as it does whenever it is +inf, the norm is +inf with no
+    modular evaluated.  Otherwise the modular, non-increasing in k, goes
+    to the shared crossing solver from s = w, raised to 2^-64 where w is
+    below it (from 1 if w is 0), a divergent modular counting as +inf.
     The norm is +inf if the modular stays above 1 up to 2^64, 0 if it
     stays at or below 1 down to 2^-64, and else the end of the final
     bracket where the modular is at most 1.  That bracket is 4 ulp wide,
     or NORM_REL_TOL wide where the modular only jumps from +inf or to 0;
-    the accuracy is fixed, and no caller chooses another.
+    the accuracy is fixed, and no caller chooses another.  The power
+    path's weak-norm start is this s, with the same cap on w.
 
     On an analytic tail the plateau end t_p (``_plateau_end``) and the
     zero start t_z (``_zero_start``) are found once, after the cap test
-    on w.  Every modular takes the plateau (0, t_p] in closed form and
-    integrates only over the support (t_p, t_z], and the modulars read
-    the tail through one dict from t to T(t) that lives for this call, so
-    a node an earlier modular read is not read again.
+    on w where one runs first.  Every modular takes the plateau (0, t_p]
+    in closed form and integrates only over the support (t_p, t_z], and
+    the modulars read the tail through one dict from t to T(t) that lives
+    for this call, so a node an earlier modular read is not read again.
 
     Either way a cap that decides the norm is recorded in the trace as
     ``note``.  Modular values are cached by k.  The trace records
-    ``modular_evaluations``, w as ``weak_lower_bound``, t_p as
-    ``plateau_end`` and t_z as ``zero_start`` (None on a step tail,
-    without a plateau or a zero start below 1e12, or where the cap on w
-    decided the norm first), the number of distinct tail values the
-    modulars read as ``tail_reads`` and, off power, the final
-    ``bracket``.  An inconclusive modular anywhere aborts with
+    ``modular_evaluations``, w as ``weak_lower_bound`` (None where no weak
+    norm ran), the start s and its kind as ``start`` (None where no
+    modular was read), t_p as ``plateau_end`` and t_z as ``zero_start``
+    (None on a step tail, without a plateau or a zero start below 1e12,
+    or where the cap on w decided the norm first), the number of distinct
+    tail values the modulars read as ``tail_reads`` and, off power, the
+    final ``bracket``.  An inconclusive modular anywhere aborts with
     BudgetExceeded rather than silently guessing a side; a root search
     that stalls raises NonConvergence.
     """
     tail = f.tail
     if isinstance(tail, StepTail) and tail.is_zero:
         return NormResult(0.0, 0.0, {"modular_evaluations": 0, "weak_lower_bound": 0.0,
-                                     "plateau_end": None, "zero_start": None,
+                                     "start": None, "plateau_end": None, "zero_start": None,
                                      "tail_reads": 0, "note": "zero function"})
 
     cache: Dict[float, float] = {}
     reads: Dict[float, float] = {}  # T(t) at the analytic modulars' nodes
-    w = weak_norm(N, f).value
+    w: Optional[float] = None  # the weak norm, where one runs
+    start: Optional[Tuple[float, str]] = None  # the first modular's k and its kind
     t_p: Optional[float] = None  # the analytic tail's plateau end, once found
     zero = (math.inf, False)  # and its zero start, as ``_zero_start`` gives it
+    first: Optional[FiniteOrDivergent] = None  # the first modular, with its evidence
 
     def mod(k: float) -> float:
         """modular(f, k), with +inf standing for a divergent modular."""
+        nonlocal first
         if k not in cache:
             try:
                 if t_p is None:
@@ -262,42 +284,61 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
                     f"modular at k={k:g} could not be classified: {exc}"
                 ) from exc
             cache[k] = r.value if r.is_finite else math.inf
+            if first is None:
+                first = r
         return cache[k]
 
     def trace(**extra: object) -> Dict[str, object]:
         return {"modular_evaluations": len(cache), "weak_lower_bound": w,
-                "plateau_end": t_p or None,
+                "start": start, "plateau_end": t_p or None,
                 "zero_start": zero[0] if zero[0] < math.inf else None,
                 "tail_reads": len(reads), **extra}
 
     def capped(value: float, note: str) -> NormResult:
         return NormResult(value, None, trace(note=note))
 
-    above = f"modular above 1 up to cap {NORM_CAP:g}"
-    below = "modular below 1 down to cap"
-    if w > NORM_CAP:
-        return capped(math.inf, f"weak norm (a lower bound) above cap {NORM_CAP:g}")
+    def weak_start() -> bool:
+        """Run the weak norm and start from w; False where w is above the cap."""
+        nonlocal w, start
+        w = weak_norm(N, f).value
+        if w > NORM_CAP:
+            return False
+        start = (max(w, 1.0 / NORM_CAP) if w > 0.0 else 1.0, "weak norm")
+        return True
+
+    power = N.family == "power"
+    if not power and not weak_start():
+        return capped(math.inf, _WEAK_ABOVE)
     if not isinstance(tail, StepTail):
         t_p = _plateau_end(tail, f.total_mass)
         zero = _zero_start(tail, t_p)
-    start = max(w, 1.0 / NORM_CAP) if w > 0.0 else 1.0
-    if N.family == "power":
-        k = start * mod(start) ** (1.0 / N.param)
+    if power:
+        if isinstance(tail, StepTail):
+            start = (tail.thresholds[-1], "largest value")
+        else:
+            start = (1.0, "unit")
+        mod(start[0])
+        if first.is_divergent and first.evidence.points:
+            return capped(math.inf, _ABOVE)  # divergent by its slopes: at every k
+        if not (first.is_finite and first.value >= _POWER_START_FLOOR) and not weak_start():
+            return capped(math.inf, _WEAK_ABOVE)
+        s = start[0]
+        k = s * mod(s) ** (1.0 / N.param)
         if k > NORM_CAP:
-            return capped(math.inf, above)
+            return capped(math.inf, _ABOVE)
         if k < 1.0 / NORM_CAP:
-            return capped(0.0, below)
+            return capped(0.0, _BELOW)
         for _ in range(_POWER_WALK):
             if mod(k) <= 1.0:
                 return NormResult(k, cache[k], trace())
             k = math.nextafter(k, math.inf)
         raise NonConvergence(f"modular still above 1 {_POWER_WALK} floats past the "
                              f"closed-form power norm, at k={k:g}")
-    lo, hi = _unit_crossing(mod, start)
+    lo, hi = _unit_crossing(mod, start[0])
     if hi == math.inf:
-        return capped(math.inf, above)
+        return capped(math.inf, _ABOVE)
     if lo == 0.0:
-        return capped(0.0, below)
+        return capped(0.0, _BELOW)
     return NormResult(hi, cache[hi], trace(bracket=(lo, hi)))
 
 
@@ -641,8 +682,13 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     over the (value, mass) pieces, scaled by the largest value top so that
     v^p neither overflows nor underflows; a norm beyond the float range
     reads +inf.  For p > 1 this is also the Luxemburg norm under power(p),
-    which ``luxemburg_norm`` reads off one modular; this function keeps
-    its own sum because it accepts p = 1, which ``power_young`` rejects.
+    which ``luxemburg_norm`` reads off one modular at a start that needs
+    no weak norm: on a step tail top, where the modular is this sum, on
+    an analytic tail 1.  There a modular that diverges by its ladder
+    slopes makes the norm +inf at once, and only a modular that overflows
+    or is below 1e-4, where the kernel's absolute stop bounds its error,
+    sends it to the weak-norm start.  This function keeps its own
+    sum because it accepts p = 1, which ``power_young`` rejects.
     On an analytic tail the plateau (0, t_p] where T equals the total
     mass M (``_plateau_end``) contributes M t_p^p in closed form, and the
     quadrature runs over the rest of the support (t_p, t_z], t_z being

@@ -57,6 +57,9 @@ LADDER = tuple(10.0 ** j for j in range(13))  # upper-tail cutoffs 1.0 .. 1e12
 SLOPE_MARGIN = 0.05
 PERSISTENCE = 3
 SUB_DECADES = 12  # decades below LADDER[0] swept toward a lower endpoint at 0
+# the downward cutoffs 1 .. 1e-307: a sweep whose partial sum is still 0
+# goes on past its SUB_DECADES, down to the end of the normal floats
+_DOWN_CUTS = tuple(10.0 ** -j for j in range(308))
 NORM_CAP = 2.0 ** 64  # crossings are sought within [1/NORM_CAP, NORM_CAP]
 NORM_REL_TOL = 1e-12  # relative width at which the norms stop refining
 
@@ -269,20 +272,26 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
 
     Downward, a zero probe settles nothing while the partial sum is
     still 0: the support of f may begin below it, as for 1[t < 0.01].
-    A sweep that reads 0 on every decade down to its last cut returns
-    finite 0.
+    The sweep takes SUB_DECADES decades past the last cut at which both
+    the partial sum and the probe were 0, as far as ``cuts`` reach, so a
+    support that begins in the last decades, or below them, gets the
+    decades a support from 1 gets.  A sweep whose partial sum is still 0
+    at its last cut returns finite 0: f is 0 there, or t f(t) underflows
+    on every decade swept.
     """
     g = _log_axis(f)
     prev_probe = f(cuts[0])
     end = cuts[-1]
-    last = len(cuts) - 1
+    last = min(SUB_DECADES, len(cuts) - 1) if downward else len(cuts) - 1
     partial = 0.0
     err = 0.0
     points = []
     flags = []
     estimates = []
     prev_accel = None
-    for i in range(1, len(cuts)):
+    i = 0
+    while i < last:
+        i += 1
         c_prev, c = cuts[i - 1], cuts[i]
         lo, hi = (c, c_prev) if downward else (c_prev, c)
         seg_budget = max(abs_budget, 0.05 * REL_TOL * abs(partial))
@@ -295,6 +304,8 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
         if bounded and i == last:
             return FiniteOrDivergent.finite(partial), err
         probe = f(c)
+        if downward and partial == 0.0 and probe == 0.0:
+            last = min(i + SUB_DECADES, len(cuts) - 1)
         slope = None
         if probe > 0.0 and prev_probe > 0.0:
             slope = math.log(probe / prev_probe) / math.log(c / c_prev)
@@ -327,8 +338,6 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
         if probe == 0.0:
             if partial > 0.0 or not downward:
                 remainder = 0.0
-            elif i == last:  # zero on every decade swept
-                return FiniteOrDivergent.finite(0.0), err
         elif slope is not None:
             if downward and slope > -1.0 + SLOPE_MARGIN:
                 remainder = probe * c / (slope + 1.0)
@@ -366,6 +375,8 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
             prev_accel = None
         prev_probe = probe
 
+    if downward and partial == 0.0:  # every decade swept integrated to 0
+        return FiniteOrDivergent.finite(0.0), err
     trace = LadderTrace(tuple(points), note="cutoff ladder exhausted without a verdict")
     crossings = sum(1 for x, y in zip(flags, flags[1:]) if x != y)
     if crossings >= 3:
@@ -389,10 +400,6 @@ def _up_cuts(start: float, end: float):
         while len(cuts) < 4:
             cuts.append(cuts[-1] * 10.0)
     return cuts
-
-
-def _down_cuts(top: float):
-    return [top * 10.0 ** (-j) for j in range(SUB_DECADES + 1)]
 
 
 class _IntegrandOverflow(Exception):
@@ -426,7 +433,9 @@ def integrate(
     there is the result, an earlier settle truncates its power-law
     remainder at b, and no slope calls the range divergent.  The
     downward ladder goes on past decades where f is 0 until it meets
-    f's support; an f that is 0 down to 1e-12 integrates to 0 there.
+    f's support, and then sweeps its usual 12 decades from there; an f
+    that is 0 down to 1e-307, the end of the normal floats, integrates
+    to 0.
 
     ``breaks`` are the points where f has a kink or a jump, positive,
     finite and increasing.  Every panel that would straddle one is split
@@ -455,7 +464,7 @@ def integrate(
         parts = 0.0
         if a == 0.0:
             base = LADDER[0]
-            down, _ = _ladder_pass(f, _down_cuts(base), ABS_TOL, True, breaks)
+            down, _ = _ladder_pass(f, _DOWN_CUTS, ABS_TOL, True, breaks)
             if down.is_divergent:
                 return down
             parts += down.value

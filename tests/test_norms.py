@@ -20,7 +20,7 @@ from orlicz.norms import (
     modular,
     weak_norm,
 )
-from orlicz.tails import AnalyticTail, TailRepFunction, chebyshev_tail, step_tail
+from orlicz.tails import AnalyticTail, StepTail, TailRepFunction, chebyshev_tail, step_tail
 from orlicz.verify import _bounded_power_modular, _bounded_power_tail
 from orlicz.young import YoungFunction, custom_young, delta_young, exp_young, power_young
 
@@ -226,18 +226,106 @@ class TestLuxemburgNorm:
             math.sqrt(0.5 * (1.5e19 ** 2 + 1.0e19 ** 2)), rel=1e-12)
         assert luxemburg_norm(N, step_tail([(3.0e19, 0.5)], 1.0)).value == math.inf
 
-    @pytest.mark.parametrize("f, plateau_end", [
-        (step_tail([(2.0, 0.3), (1.0, 0.5)], 1.0), None),
-        (TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -4.0)), 1.0), 1.0),
+    @pytest.mark.parametrize("f", [
+        step_tail([(2.0, 0.3), (1.0, 0.5)], 1.0),
+        extremal_function(exp_young(2.0), 1.0),
     ], ids=["step", "analytic"])
-    def test_trace_records_the_weak_lower_bound(self, f, plateau_end):
-        N = power_young(2.0)
+    def test_trace_records_the_weak_lower_bound(self, f):
+        # off power the weak norm runs first, and the crossing search starts there
+        N = exp_young(2.0)
         r = luxemburg_norm(N, f)
         w = r.trace["weak_lower_bound"]
         assert w == weak_norm(N, f).value
-        assert r.trace["plateau_end"] == plateau_end
+        assert r.trace["start"] == (w, "weak norm")
+        step = isinstance(f.tail, StepTail)
+        assert r.trace["plateau_end"] == (None if step else _plateau_end(f.tail, 1.0))
         assert 0.0 < w <= r.value < math.inf
         assert luxemburg_norm(N, f).trace == r.trace
+
+    @pytest.mark.parametrize("f, start, plateau_end", [
+        (step_tail([(2.0, 0.3), (1.0, 0.5)], 1.0), (2.0, "largest value"), None),
+        (TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -4.0)), 1.0), (1.0, "unit"), 1.0),
+    ], ids=["step", "analytic"])
+    def test_power_trace_records_its_start(self, f, start, plateau_end):
+        # under power one modular at the start decides the norm; no weak norm runs
+        r = luxemburg_norm(power_young(2.0), f)
+        assert r.trace["weak_lower_bound"] is None
+        assert r.trace["start"] == start
+        assert r.trace["plateau_end"] == plateau_end
+        assert r.trace["modular_evaluations"] <= 2
+        assert 0.0 < r.value < math.inf
+        assert luxemburg_norm(power_young(2.0), f).trace == r.trace
+
+    def test_power_start_falls_back_to_the_weak_norm(self):
+        # e^-t under power(200): modular(1) overflows at t = 99.02, while the
+        # norm Gamma(201)^(1/200) is a float; the weak-norm start reaches it
+        N = power_young(200.0)
+        f = TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0)
+        r = luxemburg_norm(N, f)
+        assert r.value == 74.90045280473883
+        w = weak_norm(N, f).value
+        assert r.trace["weak_lower_bound"] == w
+        assert r.trace["start"] == (w, "weak norm")
+        # e^-1000t: modular(1) = 200! 1e-600 is a float, but far below the
+        # kernel's relative range; the closed form read there raised
+        # NonConvergence
+        f = TailRepFunction(AnalyticTail(lambda t: math.exp(-1e3 * t)), 1.0)
+        r = luxemburg_norm(N, f)
+        assert r.value == pytest.approx(74.90045280473883e-3, rel=1e-14)
+        assert r.trace["start"][1] == "weak norm"
+
+    @pytest.mark.parametrize("sigma, p, q", [
+        (1e-4, 3.548, 7.045), (1e-6, 3.622, 7.597), (1e-9, 1.558, 5.376), (1e-9, 2.82, 6.741),
+    ])
+    def test_power_start_below_the_kernel_range_falls_back(self, sigma, p, q):
+        # the tail of sigma min(1, t^-q): modular(1) = sigma^p q/(q - p) lies
+        # below 1e-4, where the kernel's absolute stop bounds its error; read
+        # at k = 1 it put the norm up to 7e-5 off, so the weak-norm start is used
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / sigma) ** -q)), 1.0)
+        r = luxemburg_norm(power_young(p), f)
+        assert r.value == pytest.approx(sigma * (q / (q - p)) ** (1.0 / p), rel=1e-14)
+        assert r.trace["start"][1] == "weak norm"
+
+    @pytest.mark.parametrize("p, q", [(2.0, 1.5), (3.0, 1.2), (4.0, 3.9)])
+    def test_power_slope_divergence_runs_no_weak_norm(self, p, q, monkeypatch):
+        # q < p: the modular at 1 diverges by its ladder slopes, so by scaling
+        # at every k, and the norm is +inf after that one modular
+        def no_weak_norm(N, f):
+            raise AssertionError("weak_norm ran")
+
+        monkeypatch.setattr("orlicz.norms.weak_norm", no_weak_norm)
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -q)), 1.0)
+        r = luxemburg_norm(power_young(p), f)
+        assert r.value == math.inf
+        assert r.trace["modular_evaluations"] == 1
+        assert r.trace["weak_lower_bound"] is None
+        assert r.trace["start"] == (1.0, "unit")
+
+    def test_power_start_matches_the_weak_norm_start(self):
+        # the value from the new start is the closed form read at the weak
+        # norm's start, s modular(s)^(1/p) with s = weak_norm(N, f), to 4 ulp
+        rng = random.Random(2021)
+        cases = []
+        for _ in range(120):
+            p, q = rng.uniform(1.5, 4.0), rng.uniform(1.2, 6.0)
+            cases.append((p, TailRepFunction(
+                AnalyticTail(lambda t, q=q: min(1.0, t ** -q)), 1.0)))
+        for mass in (0.25, 1.0, 4.0):
+            for p in (1.5, 2.0, 3.0):
+                cases.append((p, extremal_function(power_young(p), mass)))
+        cases += [(rng.uniform(1.5, 4.0), f) for f in random_steps(2021)]
+        for p, f in cases:
+            N = power_young(p)
+            w = weak_norm(N, f).value
+            if w > 2.0 ** 64:
+                expected = math.inf
+            else:
+                s = max(w, 2.0 ** -64) if w > 0.0 else 1.0
+                m = modular(N, f, s)
+                expected = s * m.value ** (1.0 / p) if m.is_finite else math.inf
+            value = luxemburg_norm(N, f).value
+            assert value == expected or abs(value - expected) <= 4.0 * math.ulp(expected), (
+                p, f.tail, value, expected)
 
 
 class TestWeakNorm:

@@ -108,12 +108,20 @@ class TestSemiInfinite:
         r = integrate(lambda t: 1.0 if t < c else 0.0, 0.0, math.inf)
         assert r.value == pytest.approx(c, rel=1e-13)
 
+    @pytest.mark.parametrize("c", [1e-11, 1e-13, 1e-20])
+    def test_support_in_the_last_decades(self, c):
+        # a support that begins in the sweep's last decades, or below them:
+        # the sweep goes on while its partial sum is 0, and then takes its
+        # usual decades from there
+        r = integrate(lambda t: 1.0 if t < c else 0.0, 0.0, math.inf)
+        assert r.value == pytest.approx(c, rel=1e-12)
+
     def test_zero_on_every_decade(self):
         calls = []
         r = integrate(lambda t: calls.append(t) or 0.0, 0.0, math.inf)
         assert r.is_finite and r.value == 0.0
-        # the down ladder sweeps all its decades down to 1e-12
-        assert min(calls) < 1e-11
+        # the down ladder sweeps its decades down to the end of the normal floats
+        assert min(calls) < 1e-300
 
     def test_divergence_at_zero_endpoint(self):
         r = integrate(lambda w: 1.0 / w, 0.0, math.inf)
