@@ -26,7 +26,7 @@ from .errors import (BudgetExceeded, Inconclusive, NonConvergence, NonEvaluable,
 from .numerics import (ABS_TOL, LADDER, NORM_CAP, NORM_REL_TOL, REL_TOL, FiniteOrDivergent,
                        LadderTrace, _IntegrandOverflow, _unit_crossing, integrate)
 from .tails import AnalyticTail, StepTail, TailRepFunction, _reference_label
-from .young import YoungFunction
+from .young import YoungFunction, _power_family
 
 __all__ = [
     "NormResult",
@@ -66,8 +66,7 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
     kernel quadrature of T(t) N'(t/k)/k runs over the rest of the
     support (t_p, t_z], t_z being where T vanishes (``_zero_start``;
     +inf for a tail still positive at 1e12), split at the tail's breaks;
-    see ``_analytic_modular`` and ``_past_plateau``.  Divergence verdicts
-    propagate.
+    see ``_analytic_modular``.  Divergence verdicts propagate.
     """
     if not (k > 0.0):
         raise ValueError("modular scale k must be positive")
@@ -99,51 +98,16 @@ def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float
     there from the end of its float range.
     On (0, t_p] the tail is the total mass M, so there the integral of
     T(t) N'(t/k)/k is M N(t_p/k) exactly (Krasnosel'skii and Rutickii,
-    1961); a plateau term of +inf makes the modular divergent.  Past t_z
-    the tail is 0.  The kernel integrates T(t) N'(t/k)/k over (t_p, t_z],
-    split at the tail's breaks; a sample of it that overflows makes the
-    modular divergent.  With t_p = 0 and t_z = +inf this is the
-    quadrature over (0, inf) alone.
-
-    Tail values are read through ``reads``, a dict from t to T(t) that
-    the modulars of one norm share: the kernel's nodes depend on t_p,
-    t_z and the breaks, not on k, so later modulars find most of their
-    nodes there.  Only validated values are stored; an error propagates.
-    """
-    value = f.tail.value
-
-    def integrand(t: float) -> float:
-        T = reads.get(t)
-        if T is None:
-            T = reads[t] = value(t)
-        if T == 0.0:
-            return 0.0
-        d = N.derivative(t / k)
-        if d == 0.0:
-            return 0.0
-        v = T * d / k
-        if v == math.inf:
-            # at small k the growth of N' overtakes the tail's decay while
-            # both factors are still representable separately: the modular
-            # is far beyond 1 there, which is all the callers need to know
-            raise _IntegrandOverflow(f"integrand overflow near t={t:g} at k={k:g}")
-        return v
-
-    plateau = f.total_mass * N(t_p / k) if t_p > 0.0 else 0.0
-    return _past_plateau(integrand, f.tail, t_p, zero, plateau,
-                         f"plateau term M N(t_p/k) overflows at t_p={t_p:g}, k={k:g}")
-
-
-def _past_plateau(integrand: Callable[[float], float], tail: AnalyticTail, t_p: float,
-                  zero: Tuple[float, bool], plateau: float, note: str) -> FiniteOrDivergent:
-    """plateau + the integral of ``integrand`` over (t_p, t_z].
-
-    Divergent with ``note`` where the plateau term is +inf, or where the
-    plateau reaches the largest float: the tail then never leaves its
-    mass within the float range, and nothing past it can be integrated.
-    Where t_z is the float next to t_p, the tail drops from the mass to 0
-    there, and the plateau term is the whole result: the kernel's nodes
-    would round onto the ends of that gap.
+    1961).  The modular is divergent where that plateau term is +inf, or
+    where the plateau reaches the largest float: the tail then never
+    leaves its mass within the float range, and nothing past it can be
+    integrated.  Past t_z the tail is 0.  The kernel integrates T(t)
+    N'(t/k)/k over (t_p, t_z], split at the tail's breaks; a sample of it
+    that overflows makes the modular divergent.  With t_p = 0 and t_z =
+    +inf this is the quadrature over (0, inf) alone.  Where t_z is the
+    float next to t_p, the tail drops from the mass to 0 there, and the
+    plateau term is the whole result: the kernel's nodes would round onto
+    the ends of that gap.
 
     Where T falls to 0 from the end of its float range (``_zero_start``),
     its true value past t_z is positive: 1/N past N's overflow cap, say,
@@ -164,9 +128,36 @@ def _past_plateau(integrand: Callable[[float], float], tail: AnalyticTail, t_p: 
     ladder from 1 then takes the tail's singularity at 0, decade by
     decade below t_z/10, which the t-axis panels of a range ending
     below 1 do not.
+
+    Tail values are read through ``reads``, a dict from t to T(t) that
+    the modulars of one norm share: the kernel's nodes depend on t_p,
+    t_z and the breaks, not on k, so later modulars find most of their
+    nodes there.  Only validated values are stored; an error propagates.
     """
+    tail = f.tail
+    value = tail.value
+
+    def integrand(t: float) -> float:
+        T = reads.get(t)
+        if T is None:
+            T = reads[t] = value(t)
+        if T == 0.0:
+            return 0.0
+        d = N.derivative(t / k)
+        if d == 0.0:
+            return 0.0
+        v = T * d / k
+        if v == math.inf:
+            # at small k the growth of N' overtakes the tail's decay while
+            # both factors are still representable separately: the modular
+            # is far beyond 1 there, which is all the callers need to know
+            raise _IntegrandOverflow(f"integrand overflow near t={t:g} at k={k:g}")
+        return v
+
+    plateau = f.total_mass * N(t_p / k) if t_p > 0.0 else 0.0
     if plateau == math.inf or t_p == _FLOAT_MAX:
-        return FiniteOrDivergent.divergent(LadderTrace((), note=note))
+        return FiniteOrDivergent.divergent(LadderTrace(
+            (), note=f"plateau term M N(t_p/k) overflows at t_p={t_p:g}, k={k:g}"))
     t_z, faint = zero
     if t_z == math.nextafter(t_p, math.inf):
         return FiniteOrDivergent.finite(plateau)
@@ -198,44 +189,70 @@ _BELOW = "modular below 1 down to cap"
 _WEAK_ABOVE = f"weak norm (a lower bound) above cap {NORM_CAP:g}"
 
 
+def _weak_start(w: float) -> Optional[float]:
+    """The start a weak norm w gives: max(w, 2^-64), 1 if w is 0, None above 2^64."""
+    if w > NORM_CAP:
+        return None
+    return max(w, 1.0 / NORM_CAP) if w > 0.0 else 1.0
+
+
+def _power_start(tail: StepTail | AnalyticTail, read: Callable[[float], FiniteOrDivergent],
+                 weak: Callable[[], float]) -> Optional[Tuple[float, str, FiniteOrDivergent]]:
+    """(s, kind, modular(s)): the start of the closed-form power norm, or None.
+
+    Under power(p), modular(k) = (s/k)^p modular(s) for every s, so the
+    norm is s modular(s)^(1/p) (Krasnosel'skii and Rutickii, 1961), and a
+    modular at s that the ladder's slopes call divergent is +inf at every
+    k.  ``read(k)`` is the caller's modular and ``weak()`` its weak norm.
+    On a step tail s is its largest value top (``"largest value"``): the
+    modular there is the exact sum sum_i (v_i/top)^p m_i, whose terms do
+    not overflow, and which is exact at any scale.  On an analytic tail
+    s = 1 (``"unit"``) where the modular there is divergent with ladder
+    points or finite and at least ABS_TOL / REL_TOL = 1e-4.  Below that
+    floor the kernel's absolute stop, not its relative one, bounds its
+    error (min(1, (t/1e-9)^-5.4) under power(1.56) came out 7e-5 off).
+    There, and where the modular at 1 overflows (t^(p-1) or the plateau
+    term), s moves to the ``_weak_start`` of the weak norm w (``"weak
+    norm"``), where the modular is about 1 or more, read once if s = 1;
+    None where w exceeds 2^64 and no start is left.
+    """
+    if isinstance(tail, StepTail):
+        s = tail.thresholds[-1]
+        return s, "largest value", read(s)
+    r = read(1.0)
+    if r.is_divergent and r.evidence.points or r.is_finite and r.value >= _POWER_START_FLOOR:
+        return 1.0, "unit", r
+    s = _weak_start(weak())
+    if s is None:
+        return None
+    return s, "weak norm", r if s == 1.0 else read(s)
+
+
 def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     """The strong (Luxemburg) norm inf{k > 0 : modular(f, k) <= 1}.
 
-    Under power(p) the norm is the L^p norm in closed form: modular(k) =
-    (s/k)^p modular(s) for every s, so one modular at a start s gives
-    k = s modular(s)^(1/p) (Krasnosel'skii and Rutickii, 1961).  The start
-    needs no weak norm: s = 1 on an analytic tail (``"unit"``), and on a
-    step tail its largest value (``"largest value"``), where the modular
-    is the scaled sum sum_i (v_i/top)^p m_i that ``lebesgue_norm`` takes.
-    A modular there that the ladder's slopes call divergent is +inf at
-    every k, by the same scaling, so the norm is +inf after that one
-    modular.  Only where the modular at s is no fit start does the
-    weak-norm start below take over (``"weak norm"``): where it is
-    divergent with no ladder points (an integrand, a plateau term or a
-    step sum that overflows), or finite below ABS_TOL / REL_TOL = 1e-4,
-    0 and values below the smallest normal float included.  Below that
-    floor the kernel's absolute stop, not its relative one, bounds the
-    modular's error: read at s = 1, the tail min(1, (t/1e-9)^-5.4)
-    under power(1.56) came out 7e-5 off, and e^-1000t under power(200)
-    raised NonConvergence.  At the weak-norm start w the modular is at
-    least about 1.  The norm is +inf if k exceeds 2^64 and 0 if k is below
-    2^-64.  Rounding may leave modular(k) just above 1; k then steps up
-    one float at a time until modular(k) <= 1, for at most
+    Under power(p) the norm is the L^p norm in closed form: k = s
+    modular(s)^(1/p), read off one modular at the start s that
+    ``_power_start`` picks, as in ``lebesgue_norm``.  A modular there
+    that the ladder's slopes call divergent makes the norm +inf after
+    that one modular, and so does a start that is not left (a weak norm
+    above 2^64).  The norm is +inf if k exceeds 2^64 (NORM_CAP) and 0 if
+    k is below 2^-64.  Rounding may leave modular(k) just above 1; k then
+    steps up one float at a time until modular(k) <= 1, for at most
     ``_POWER_WALK`` floats, past which NonConvergence is raised.
 
     Off power, the weak norm w is a lower bound: modular(f, k) >= T(t)
     N(t/k) for every t (Chebyshev), and that exceeds 1 for some t at
-    every k < w.  So ``weak_norm`` runs first.  If w exceeds 2^64
-    (NORM_CAP), as it does whenever it is +inf, the norm is +inf with no
-    modular evaluated.  Otherwise the modular, non-increasing in k, goes
-    to the shared crossing solver from s = w, raised to 2^-64 where w is
-    below it (from 1 if w is 0), a divergent modular counting as +inf.
-    The norm is +inf if the modular stays above 1 up to 2^64, 0 if it
-    stays at or below 1 down to 2^-64, and else the end of the final
-    bracket where the modular is at most 1.  That bracket is 4 ulp wide,
-    or NORM_REL_TOL wide where the modular only jumps from +inf or to 0;
-    the accuracy is fixed, and no caller chooses another.  The power
-    path's weak-norm start is this s, with the same cap on w.
+    every k < w.  So ``weak_norm`` runs first.  If w exceeds 2^64, as it
+    does whenever it is +inf, the norm is +inf with no modular
+    evaluated.  Otherwise the modular, non-increasing in k, goes to the
+    shared crossing solver from s = w, raised to 2^-64 where w is below
+    it (from 1 if w is 0; ``_weak_start``), a divergent modular counting
+    as +inf.  The norm is +inf if the modular stays above 1 up to 2^64,
+    0 if it stays at or below 1 down to 2^-64, and else the end of the
+    final bracket where the modular is at most 1.  That bracket is 4 ulp
+    wide, or NORM_REL_TOL wide where the modular only jumps from +inf or
+    to 0; the accuracy is fixed, and no caller chooses another.
 
     On an analytic tail the plateau end t_p (``_plateau_end``) and the
     zero start t_z (``_zero_start``) are found once, after the cap test
@@ -248,7 +265,8 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     ``note``.  Modular values are cached by k.  The trace records
     ``modular_evaluations``, w as ``weak_lower_bound`` (None where no weak
     norm ran), the start s and its kind as ``start`` (None where no
-    modular was read), t_p as ``plateau_end`` and t_z as ``zero_start``
+    modular was read; under power, the unit start where no start is
+    left), t_p as ``plateau_end`` and t_z as ``zero_start``
     (None on a step tail, without a plateau or a zero start below 1e12,
     or where the cap on w decided the norm first), the number of distinct
     tail values the modulars read as ``tail_reads`` and, off power, the
@@ -265,14 +283,14 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     cache: Dict[float, float] = {}
     reads: Dict[float, float] = {}  # T(t) at the analytic modulars' nodes
     w: Optional[float] = None  # the weak norm, where one runs
-    start: Optional[Tuple[float, str]] = None  # the first modular's k and its kind
+    start: Optional[Tuple[float, str]] = None  # the closed form's or the search's k and its kind
     t_p: Optional[float] = None  # the analytic tail's plateau end, once found
     zero = (math.inf, False)  # and its zero start, as ``_zero_start`` gives it
-    first: Optional[FiniteOrDivergent] = None  # the first modular, with its evidence
+    last: Optional[FiniteOrDivergent] = None  # the latest modular, with its evidence
 
     def mod(k: float) -> float:
         """modular(f, k), with +inf standing for a divergent modular."""
-        nonlocal first
+        nonlocal last
         if k not in cache:
             try:
                 if t_p is None:
@@ -284,9 +302,18 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
                     f"modular at k={k:g} could not be classified: {exc}"
                 ) from exc
             cache[k] = r.value if r.is_finite else math.inf
-            if first is None:
-                first = r
+            last = r
         return cache[k]
+
+    def read(k: float) -> FiniteOrDivergent:
+        """The modular at a k not read before, with its evidence."""
+        mod(k)
+        return last
+
+    def weak() -> float:
+        nonlocal w
+        w = weak_norm(N, f).value
+        return w
 
     def trace(**extra: object) -> Dict[str, object]:
         return {"modular_evaluations": len(cache), "weak_lower_bound": w,
@@ -297,33 +324,23 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     def capped(value: float, note: str) -> NormResult:
         return NormResult(value, None, trace(note=note))
 
-    def weak_start() -> bool:
-        """Run the weak norm and start from w; False where w is above the cap."""
-        nonlocal w, start
-        w = weak_norm(N, f).value
-        if w > NORM_CAP:
-            return False
-        start = (max(w, 1.0 / NORM_CAP) if w > 0.0 else 1.0, "weak norm")
-        return True
-
     power = N.family == "power"
-    if not power and not weak_start():
-        return capped(math.inf, _WEAK_ABOVE)
+    if not power:
+        s = _weak_start(weak())
+        if s is None:
+            return capped(math.inf, _WEAK_ABOVE)
+        start = (s, "weak norm")
     if not isinstance(tail, StepTail):
         t_p = _plateau_end(tail, f.total_mass)
         zero = _zero_start(tail, t_p)
     if power:
-        if isinstance(tail, StepTail):
-            start = (tail.thresholds[-1], "largest value")
-        else:
+        found = _power_start(tail, read, weak)
+        if found is None:
             start = (1.0, "unit")
-        mod(start[0])
-        if first.is_divergent and first.evidence.points:
-            return capped(math.inf, _ABOVE)  # divergent by its slopes: at every k
-        if not (first.is_finite and first.value >= _POWER_START_FLOOR) and not weak_start():
             return capped(math.inf, _WEAK_ABOVE)
+        start = found[:2]
         s = start[0]
-        k = s * mod(s) ** (1.0 / N.param)
+        k = s * mod(s) ** (1.0 / N.param)  # +inf where the modular at s is divergent
         if k > NORM_CAP:
             return capped(math.inf, _ABOVE)
         if k < 1.0 / NORM_CAP:
@@ -676,72 +693,52 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
 
 
 def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
-    """(int |f|^p dmu)^(1/p) through the tail: (p int t^(p-1) T(t) dt)^(1/p).
+    """(int |f|^p dmu)^(1/p): s modular(s)^(1/p) under power(p), s from ``_power_start``.
 
-    On a step tail this is the exact sum top (sum_j (v_j/top)^p m_j)^(1/p)
-    over the (value, mass) pieces, scaled by the largest value top so that
-    v^p neither overflows nor underflows; a norm beyond the float range
-    reads +inf.  For p > 1 this is also the Luxemburg norm under power(p),
-    which ``luxemburg_norm`` reads off one modular at a start that needs
-    no weak norm: on a step tail top, where the modular is this sum, on
-    an analytic tail 1.  There a modular that diverges by its ladder
-    slopes makes the norm +inf at once, and only a modular that overflows
-    or is below 1e-4, where the kernel's absolute stop bounds its error,
-    sends it to the weak-norm start.  This function keeps its own
-    sum because it accepts p = 1, which ``power_young`` rejects.
-    On an analytic tail the plateau (0, t_p] where T equals the total
-    mass M (``_plateau_end``) contributes M t_p^p in closed form, and the
-    quadrature runs over the rest of the support (t_p, t_z], t_z being
-    where T vanishes (``_zero_start``; +inf for a tail still positive at
-    1e12; see ``_past_plateau`` for a fall to 0 from below 1e-300); a
-    plateau term of +inf is divergent.  Where
-    p t^(p-1) leaves the float range, the integrand is taken as
-    p exp((p - 1) ln t + ln T(t)); where that leaves it too, NonEvaluable
-    names t and p (the integral may well be finite, so it is not called
-    divergent).  p = +inf, like NaN, raises ValueError: the sup norm is
-    not this formula.
+    The power Young function is built here for any p >= 1, p = 1
+    included, which ``power_young`` rejects.  At s = 1 the modular is
+    p int t^(p-1) T(t) dt, and on a step tail, at its largest value top,
+    the exact sum sum_j (v_j/top)^p m_j over the (value, mass) pieces.
+    Unlike ``luxemburg_norm`` this has no caps and no float walk, so a
+    norm of 1e200 stays a float.  The result is divergent where the
+    modular at the start is divergent with ladder points (+inf at every
+    scale), or where the tail's plateau reaches the largest float.
+    Where no usable start is left (the modular at 1 overflows or lies
+    below 1e-4 and the weak norm exceeds 2^64, or the modular at the
+    weak-norm start overflows), NonEvaluable names p: the integral may
+    well be finite, so it is not called divergent.  p = +inf, like NaN,
+    raises ValueError: the sup norm is not this formula.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("Lebesgue exponent must satisfy 1 <= p < inf")
     tail = f.tail
+    N = _power_family(p)
     if isinstance(tail, StepTail):
         if tail.is_zero:
             return FiniteOrDivergent.finite(0.0)
-        top = tail.thresholds[-1]
-        total = sum((v / top) ** p * m for v, m in tail.pieces())
-        return FiniteOrDivergent.finite(top * total ** (1.0 / p))
 
-    def integrand(t: float) -> float:
-        T = tail.value(t)
-        if T == 0.0:
-            return 0.0
-        try:
-            v = p * t ** (p - 1.0) * T
-        except OverflowError:
-            v = math.inf
-        if v == math.inf:  # p t^(p-1) leaves the float range; the product may not
-            try:
-                v = p * math.exp((p - 1.0) * math.log(t) + math.log(T))
-            except OverflowError:
-                v = math.inf
-            if v == math.inf:
-                raise NonEvaluable(
-                    f"p t^(p-1) T(t) leaves the float range at t={t:g}, p={p:g}")
-        return v
+        def read(k: float) -> FiniteOrDivergent:
+            return modular(N, f, k)
+    else:
+        t_p = _plateau_end(tail, f.total_mass)
+        if t_p == _FLOAT_MAX:
+            return FiniteOrDivergent.divergent(
+                LadderTrace((), note="the plateau reaches the largest float"))
+        zero = _zero_start(tail, t_p)
+        reads: Dict[float, float] = {}
 
-    t_p = _plateau_end(tail, f.total_mass)
-    zero = _zero_start(tail, t_p)
-    plateau = 0.0
-    if t_p > 0.0:
-        try:
-            plateau = f.total_mass * t_p ** p
-        except OverflowError:
-            plateau = math.inf
-    r = _past_plateau(integrand, tail, t_p, zero, plateau,
-                      f"plateau term M t_p^p overflows at t_p={t_p:g}")
+        def read(k: float) -> FiniteOrDivergent:
+            return _analytic_modular(N, f, k, t_p, zero, reads)
+
+    found = _power_start(tail, read, lambda: weak_norm(N, f).value)
+    if found is None or found[2].is_divergent and not found[2].evidence.points:
+        raise NonEvaluable(f"no start for the closed-form L^p norm at p={p:g}: the modular "
+                           f"overflows or is below {_POWER_START_FLOOR:g}, and the weak "
+                           f"norm gives no usable start")
+    s, _, r = found
     if r.is_divergent:
         return r
-    return FiniteOrDivergent.finite(r.value ** (1.0 / p))
+    return FiniteOrDivergent.finite(s * r.value ** (1.0 / p))
 
 
 @dataclass(frozen=True)

@@ -270,14 +270,16 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
     earlier settle is truncated at that end, and no slope makes the
     range divergent.
 
-    Downward, a zero probe settles nothing while the partial sum is
-    still 0: the support of f may begin below it, as for 1[t < 0.01].
-    The sweep takes SUB_DECADES decades past the last cut at which both
-    the partial sum and the probe were 0, as far as ``cuts`` reach, so a
-    support that begins in the last decades, or below them, gets the
-    decades a support from 1 gets.  A sweep whose partial sum is still 0
-    at its last cut returns finite 0: f is 0 there, or t f(t) underflows
-    on every decade swept.
+    A zero probe settles nothing while the partial sum is still 0: the
+    support of f may begin past it, as for 1[t < 0.01] downward or
+    1[t > 100] t^-2 upward, whose two zero probes at 10 and 100 once
+    settled it at 0.  Downward, the sweep takes SUB_DECADES decades past
+    the last cut at which both the partial sum and the probe were 0, as
+    far as ``cuts`` reach, so a support that begins in the last decades,
+    or below them, gets the decades a support from 1 gets; upward it
+    takes no cuts past its own.  A sweep whose partial sum is still 0 at
+    its last cut returns finite 0: f is 0 there, or t f(t) underflows on
+    every decade swept.
     """
     g = _log_axis(f)
     prev_probe = f(cuts[0])
@@ -336,7 +338,7 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
 
         remainder = None
         if probe == 0.0:
-            if partial > 0.0 or not downward:
+            if partial > 0.0:
                 remainder = 0.0
         elif slope is not None:
             if downward and slope > -1.0 + SLOPE_MARGIN:
@@ -375,7 +377,7 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
             prev_accel = None
         prev_probe = probe
 
-    if downward and partial == 0.0:  # every decade swept integrated to 0
+    if partial == 0.0:  # every decade swept integrated to 0
         return FiniteOrDivergent.finite(0.0), err
     trace = LadderTrace(tuple(points), note="cutoff ladder exhausted without a verdict")
     crossings = sum(1 for x, y in zip(flags, flags[1:]) if x != y)

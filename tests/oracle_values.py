@@ -140,3 +140,33 @@ EXP2_EXTREMAL_L200 = 8.716959257084353
 # The library's tail is 0 past t_z = (700 m)^(1/m), where N reaches its
 # cap; the part of the integral past t_z is below 1e-150 of the whole.
 EXP_EXTREMAL_L50 = {1.0: 19.48325422698128, 0.5: 360.8611109132713}
+
+# L^200 norm of e^-t on mass 1, Gamma(201)^(1/200), which is also that of
+# the exp_m(1) extremal function: its tail min(1, 1/(e^t - 1)) moves the
+# integral p int t^(p-1) T(t) dt by 1e-58 of it.  mpmath at
+# 40 digits gives 74.90045280473883292574353466051797147598...:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     mp.gamma(201) ** (mp.mpf(1) / 200)
+#
+# The integral Gamma(201) = 7.9e374 is not a float, nor is p t^199 e^-t
+# near its peak at t = 199.
+EXP_L200 = 74.90045280473883
+
+# L^200 norm of the exp_m(1/2) extremal function on mass 1, whose tail is
+# min(1, 1/N(t)) with N(t) = e^(2 sqrt(t)) - 1: (u0^p + p I)^(1/p) with
+# p = 200, u0 = s0^2, s0 = ln(2)/2 and I = int_{u0}^inf t^(p-1) / N(t) dt.
+# Substituting t = s^2 and expanding 1/N as sum_k e^(-2ks) gives
+# p I = 2p sum_k Gamma(2p, 2k s0) / (2k)^(2p).  mpmath at 40 digits gives
+# 5520.419478116737437177241716291795340026..., both by that series and by
+# ``quad`` split at u0, 1, 1e4, 4e4, 1e5 and 1e6 (agreeing to all 40):
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     p, s0 = mp.mpf(200), mp.log(2) / 2
+#     u0 = s0 ** 2
+#     S = mp.nsum(lambda k: mp.gammainc(2 * p, 2 * k * s0) / (2 * k) ** (2 * p),
+#                 [1, mp.inf])
+#     (u0 ** p + 2 * p * S) ** (1 / p)
+EXP05_EXTREMAL_L200 = 5520.419478116737

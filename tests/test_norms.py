@@ -22,10 +22,11 @@ from orlicz.norms import (
 )
 from orlicz.tails import AnalyticTail, StepTail, TailRepFunction, chebyshev_tail, step_tail
 from orlicz.verify import _bounded_power_modular, _bounded_power_tail
-from orlicz.young import YoungFunction, custom_young, delta_young, exp_young, power_young
+from orlicz.young import (YoungFunction, _power_family, custom_young, delta_young, exp_young,
+                          power_young)
 
-from oracle_values import (DELTA2_CRITERION_T_FORM, EXP2_EXTREMAL_L200, EXP_EXTREMAL_L50,
-                           INDICATOR_EXP2)
+from oracle_values import (DELTA2_CRITERION_T_FORM, EXP05_EXTREMAL_L200, EXP2_EXTREMAL_L200,
+                           EXP_EXTREMAL_L50, EXP_L200, INDICATOR_EXP2)
 
 
 @pytest.fixture
@@ -41,6 +42,22 @@ def random_steps(seed, count=40):
                   for _ in range(rng.randint(1, 8))]
         out.append(step_tail(pieces, 1.0))
     return out
+
+
+def power_start_cases():
+    """(p, f): power tails min(1, t^-q), power extremal functions on three
+    masses and random step tails, each with an exponent p in [1.5, 4]."""
+    rng = random.Random(2021)
+    cases = []
+    for _ in range(120):
+        p, q = rng.uniform(1.5, 4.0), rng.uniform(1.2, 6.0)
+        cases.append((p, TailRepFunction(
+            AnalyticTail(lambda t, q=q: min(1.0, t ** -q)), 1.0)))
+    for mass in (0.25, 1.0, 4.0):
+        for p in (1.5, 2.0, 3.0):
+            cases.append((p, extremal_function(power_young(p), mass)))
+    cases += [(rng.uniform(1.5, 4.0), f) for f in random_steps(2021)]
+    return cases
 
 
 FAMILIES = (power_young(2.0), exp_young(2.0), delta_young(2.0))
@@ -274,17 +291,47 @@ class TestLuxemburgNorm:
         assert r.value == pytest.approx(74.90045280473883e-3, rel=1e-14)
         assert r.trace["start"][1] == "weak norm"
 
+    def test_power_norm_whose_weak_start_modular_has_a_late_support(self):
+        # at the weak-norm start w = 5413.4 the integrand's support on the
+        # upward ladder began past two zero probes, which once settled the
+        # modular at 0, below the Chebyshev bound of 1, and the norm at 0.0
+        f = extremal_function(exp_young(0.5), 1.0)
+        r = luxemburg_norm(power_young(200.0), f)
+        assert r.value == pytest.approx(EXP05_EXTREMAL_L200, rel=1e-12)
+        assert r.trace["start"][1] == "weak norm"
+
     @pytest.mark.parametrize("sigma, p, q", [
         (1e-4, 3.548, 7.045), (1e-6, 3.622, 7.597), (1e-9, 1.558, 5.376), (1e-9, 2.82, 6.741),
     ])
     def test_power_start_below_the_kernel_range_falls_back(self, sigma, p, q):
         # the tail of sigma min(1, t^-q): modular(1) = sigma^p q/(q - p) lies
         # below 1e-4, where the kernel's absolute stop bounds its error; read
-        # at k = 1 it put the norm up to 7e-5 off, so the weak-norm start is used
+        # at k = 1 it put the norm up to 7e-5 off, so the weak-norm start is
+        # used, by the Lebesgue norm too
         f = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / sigma) ** -q)), 1.0)
         r = luxemburg_norm(power_young(p), f)
-        assert r.value == pytest.approx(sigma * (q / (q - p)) ** (1.0 / p), rel=1e-14)
+        expected = sigma * (q / (q - p)) ** (1.0 / p)
+        assert r.value == pytest.approx(expected, rel=1e-14)
         assert r.trace["start"][1] == "weak norm"
+        assert lebesgue_norm(f, p).value == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("pieces", [
+        [(3.0, 1e-6), (1.0, 2e-6)], [(3.0, 4e-7), (1.0, 6e-7)],
+    ])
+    def test_power_step_tail_of_small_mass_runs_no_weak_norm(self, pieces, monkeypatch):
+        # a step sum is exact at any scale, so the floor of the analytic start
+        # does not apply: the largest value stays the start even where the
+        # modular there is below 1e-4
+        def no_weak_norm(N, f):
+            raise AssertionError("weak_norm ran")
+
+        monkeypatch.setattr("orlicz.norms.weak_norm", no_weak_norm)
+        f = step_tail(pieces, 1.0)
+        r = luxemburg_norm(power_young(2.0), f)
+        assert r.trace["start"] == (pieces[0][0], "largest value")
+        assert r.trace["modular_evaluations"] <= 2
+        expected = lebesgue_norm(f, 2.0).value
+        assert abs(r.value - expected) <= 4.0 * math.ulp(expected)
 
     @pytest.mark.parametrize("p, q", [(2.0, 1.5), (3.0, 1.2), (4.0, 3.9)])
     def test_power_slope_divergence_runs_no_weak_norm(self, p, q, monkeypatch):
@@ -304,17 +351,7 @@ class TestLuxemburgNorm:
     def test_power_start_matches_the_weak_norm_start(self):
         # the value from the new start is the closed form read at the weak
         # norm's start, s modular(s)^(1/p) with s = weak_norm(N, f), to 4 ulp
-        rng = random.Random(2021)
-        cases = []
-        for _ in range(120):
-            p, q = rng.uniform(1.5, 4.0), rng.uniform(1.2, 6.0)
-            cases.append((p, TailRepFunction(
-                AnalyticTail(lambda t, q=q: min(1.0, t ** -q)), 1.0)))
-        for mass in (0.25, 1.0, 4.0):
-            for p in (1.5, 2.0, 3.0):
-                cases.append((p, extremal_function(power_young(p), mass)))
-        cases += [(rng.uniform(1.5, 4.0), f) for f in random_steps(2021)]
-        for p, f in cases:
+        for p, f in power_start_cases():
             N = power_young(p)
             w = weak_norm(N, f).value
             if w > 2.0 ** 64:
@@ -522,10 +559,12 @@ class TestPlateau:
         assert r.value == pytest.approx(1.0 / N.inverse(1.0), rel=1e-12)
         assert r.trace["plateau_end"] == 1.0
         assert any(n and n.startswith("plateau term M N(t_p/k) overflows") for n in notes)
+        # the plateau term 1e400 of min(1, (t/1e200)^-3) overflows at k = 1,
+        # but the integral 3e400 is finite, and the weak norm 1.7e200 is no
+        # start: no verdict is left, and a divergent one would be wrong
         heavy_plateau = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 1e200) ** -3.0)), 1.0)
-        r = lebesgue_norm(heavy_plateau, 2.0)
-        assert r.is_divergent
-        assert r.evidence.note.startswith("plateau term M t_p^p overflows")
+        with pytest.raises(NonEvaluable, match="p=2"):
+            lebesgue_norm(heavy_plateau, 2.0)
 
     def test_no_sample_below_the_plateau(self, monkeypatch):
         # the modular of the delta(2) extremal function at k = 2 took 299
@@ -716,13 +755,38 @@ class TestLebesgueNorm:
         f = extremal_function(exp_young(m), 1.0)
         assert lebesgue_norm(f, 50.0).value == pytest.approx(EXP_EXTREMAL_L50[m], rel=1e-12)
 
-    def test_integrand_past_the_float_range_is_not_evaluable(self):
-        # p t^199 e^-t peaks near 1e373 at t = 199: the norm Gamma(201)^(1/200)
-        # = 74.9 is finite, but the integral, Gamma(201) = 7.9e374, is not a
-        # float, so the integrand cannot be sampled; finite, it is not divergent
-        f = TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0)
-        with pytest.raises(NonEvaluable, match=r"float range at t=.*, p=200$"):
-            lebesgue_norm(f, 200.0)
+    @pytest.mark.parametrize("f, expected", [
+        (TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0), EXP_L200),
+        (extremal_function(exp_young(1.0), 1.0), EXP_L200),
+        (extremal_function(exp_young(0.5), 1.0), EXP05_EXTREMAL_L200),
+    ], ids=["e^-t", "exp_m(1) extremal", "exp_m(0.5) extremal"])
+    def test_integrand_past_the_float_range_starts_at_the_weak_norm(self, f, expected):
+        # p t^199 e^-t peaks near 1e373 at t = 199, and the integral
+        # Gamma(201) = 7.9e374 is not a float: the modular at 1 overflows,
+        # and read at the weak norm, near the norm, it is about 1
+        assert lebesgue_norm(f, 200.0).value == pytest.approx(expected, rel=1e-14)
+
+    def test_closed_form_is_one_modular(self):
+        # the Lebesgue norm is s modular(s)^(1/p) under power(p), bit for bit,
+        # at s = 1 on an analytic tail and at the largest value on a step tail
+        cases = power_start_cases()
+        cases += [(p, f) for p in (1.0, 50.0) for _, f in power_start_cases()]
+        for p, f in cases:
+            s = f.tail.thresholds[-1] if isinstance(f.tail, StepTail) else 1.0
+            m = modular(_power_family(p), f, s)
+            r = lebesgue_norm(f, p)
+            if m.is_divergent:
+                assert r.is_divergent, (p, f.tail)
+            else:
+                assert r.value == s * m.value ** (1.0 / p), (p, f.tail)
+
+    def test_p_equal_to_one(self, two_piece):
+        # L^1: the mean of |f|, which power_young does not admit as a Young function
+        e = TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0)
+        assert lebesgue_norm(e, 1.0).value == pytest.approx(1.0, rel=1e-14)
+        cube = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0)), 1.0)
+        assert lebesgue_norm(cube, 1.0).value == pytest.approx(1.5, rel=1e-14)
+        assert lebesgue_norm(two_piece, 1.0).value == pytest.approx(2.0 * 0.3 + 0.5, rel=1e-15)
 
     def test_exponent_validated(self, two_piece):
         with pytest.raises(ValueError):

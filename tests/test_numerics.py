@@ -116,6 +116,17 @@ class TestSemiInfinite:
         r = integrate(lambda t: 1.0 if t < c else 0.0, 0.0, math.inf)
         assert r.value == pytest.approx(c, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [100.0, 1e4])
+    @pytest.mark.parametrize("a, b", [(1.0, math.inf), (0.0, math.inf), (1.0, 1e6)],
+                             ids=["from 1", "from 0", "bounded"])
+    def test_support_past_the_first_upward_decades(self, c, a, b):
+        # 1[t > c] t^-2: the up ladder's probes at 10 and 100 read 0, which
+        # settle nothing while the partial sum is 0; two of them once
+        # settled the integral at 0
+        r = integrate(lambda t: t ** -2.0 if t > c else 0.0, a, b)
+        expected = 1.0 / c - (1.0 / b if b < math.inf else 0.0)
+        assert r.value == pytest.approx(expected, rel=1e-12)
+
     def test_zero_on_every_decade(self):
         calls = []
         r = integrate(lambda t: calls.append(t) or 0.0, 0.0, math.inf)
