@@ -91,10 +91,7 @@ class FunctionDescriptor:
             def fn(t: float) -> float:
                 if t <= kink:  # t^-p may overflow here, and is the mass anyway
                     return mass
-                try:
-                    v = t ** -p
-                except OverflowError:  # only on infinite mass, where the kink is 0
-                    return math.inf
+                v = t ** -p  # overflows only on infinite mass, where the kink is 0
                 return v if v < mass else mass
 
             return TailRepFunction(AnalyticTail(fn, label=f"min(mass, t^-{p:g})"), mass)

@@ -61,11 +61,11 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
     list of pieces or copy of the levels built.  N is called through its
     bound ``__call__``, looked up on the class, so a wrapper put on
     ``YoungFunction.__call__`` still sees every evaluation.  On an
-    analytic tail, the plateau (0, t_p] where T equals the total mass M,
-    found by ``_plateau_end``, contributes M N(t_p/k) in closed form, and
-    kernel quadrature of T(t) N'(t/k)/k runs over the rest of the
-    support (t_p, t_z], t_z being where T vanishes (``_zero_start``;
-    +inf for a tail still positive at 1e12), split at the tail's breaks;
+    analytic tail, the plateau (0, t_p] where T equals the total mass M
+    contributes M N(t_p/k) in closed form, and kernel quadrature of
+    T(t) N'(t/k)/k runs over the rest of the support (t_p, t_z], t_z
+    being where T vanishes (+inf for a tail still positive at 1e12),
+    both ends found by ``_support_ends``, split at the tail's breaks;
     see ``_analytic_modular``.  Divergence verdicts propagate.
     """
     if not (k > 0.0):
@@ -84,8 +84,7 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
                 LadderTrace((), note=f"exact modular sum overflows at k={k:g}")
             )
         return FiniteOrDivergent.finite(total)
-    t_p = _plateau_end(tail, f.total_mass)
-    return _analytic_modular(N, f, k, t_p, _zero_start(tail, t_p), {})
+    return _analytic_modular(N, f, k, *_support_ends(tail, f.total_mass), {})
 
 
 def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float,
@@ -93,9 +92,9 @@ def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float
                       reads: Dict[float, float]) -> FiniteOrDivergent:
     """The modular of an analytic tail on the support (t_p, t_z].
 
-    t_p is the plateau end (0: none) and ``zero`` is what ``_zero_start``
-    returns: the zero start t_z (+inf: none) and whether T falls to 0
-    there from the end of its float range.
+    t_p is the plateau end (0: none) and ``zero`` the pair that
+    ``_support_ends`` returns with it: the zero start t_z (+inf: none)
+    and whether T falls to 0 there from the end of its float range.
     On (0, t_p] the tail is the total mass M, so there the integral of
     T(t) N'(t/k)/k is M N(t_p/k) exactly (Krasnosel'skii and Rutickii,
     1961).  The modular is divergent where that plateau term is +inf, or
@@ -109,7 +108,7 @@ def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float
     plateau term is the whole result: the kernel's nodes would round onto
     the ends of that gap.
 
-    Where T falls to 0 from the end of its float range (``_zero_start``),
+    Where T falls to 0 from the end of its float range (``faint``),
     its true value past t_z is positive: 1/N past N's overflow cap, say,
     which is about e^-700.  The range then ends at t_z only where the
     integrand times t just below t_z, its density on the log axis, is at
@@ -254,8 +253,8 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     wide, or NORM_REL_TOL wide where the modular only jumps from +inf or
     to 0; the accuracy is fixed, and no caller chooses another.
 
-    On an analytic tail the plateau end t_p (``_plateau_end``) and the
-    zero start t_z (``_zero_start``) are found once, after the cap test
+    On an analytic tail the plateau end t_p and the zero start t_z
+    (``_support_ends``) are found once, after the cap test
     on w where one runs first.  Every modular takes the plateau (0, t_p]
     in closed form and integrates only over the support (t_p, t_z], and
     the modulars read the tail through one dict from t to T(t) that lives
@@ -285,7 +284,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     w: Optional[float] = None  # the weak norm, where one runs
     start: Optional[Tuple[float, str]] = None  # the closed form's or the search's k and its kind
     t_p: Optional[float] = None  # the analytic tail's plateau end, once found
-    zero = (math.inf, False)  # and its zero start, as ``_zero_start`` gives it
+    zero = (math.inf, False)  # and its zero start, as ``_support_ends`` gives it
     last: Optional[FiniteOrDivergent] = None  # the latest modular, with its evidence
 
     def mod(k: float) -> float:
@@ -331,8 +330,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
             return capped(math.inf, _WEAK_ABOVE)
         start = (s, "weak norm")
     if not isinstance(tail, StepTail):
-        t_p = _plateau_end(tail, f.total_mass)
-        zero = _zero_start(tail, t_p)
+        t_p, zero = _support_ends(tail, f.total_mass)
     if power:
         found = _power_start(tail, read, weak)
         if found is None:
@@ -560,68 +558,42 @@ def _bits_float(b: int) -> float:
     return struct.unpack("<d", struct.pack("<q", b))[0]
 
 
-def _plateau_end(tail: AnalyticTail, mass: float) -> float:
-    """The largest float t_p with T(t_p) >= mass, or 0 if there is none above 1e-12.
+def _support_ends(tail: AnalyticTail, mass: float) -> Tuple[float, Tuple[float, bool]]:
+    """(t_p, (t_z, faint)): the plateau end and the zero start of T.
 
-    T is nonincreasing and at most the mass, so T equals the mass on
-    (0, t_p].  On positive doubles the order of the values is the order of
-    their bit patterns, so t_p is bisected over the patterns from 1e-12 to
-    the largest float: at most 64 tail reads.  A tail value that raises
-    OverflowError reads as +inf, as in ``weak_norm``.  On infinite mass,
-    or where T(1e-12) is below the mass, the result is 0.
+    T is nonincreasing and at most the mass M.  The plateau end t_p is
+    the largest float with T(t_p) >= M, so T equals M on (0, t_p]; it is
+    0 on infinite mass or where T(1e-12) is below M.  The zero start t_z
+    is the smallest float above max(t_p, 1e-12) with T(t_z) = 0, so T
+    vanishes on [t_z, inf) and the quadrature can stop there; it is +inf
+    where T(1e12) > 0, and t_p < 1e12 otherwise, T being M at t_p.  On
+    positive doubles the order of the values is the order of their bit
+    patterns, so each end is bisected over the patterns: t_p from 1e-12
+    to the largest float (at most 64 tail reads), then, only where
+    T(1e12) is 0, t_z up to 1e12 (at most 63 more), and T is read once
+    more at the float below t_z; otherwise the one read at 1e12 is all
+    the zero start costs.
+
+    ``faint`` says whether T falls to 0 at t_z from below 1e-300.  Such
+    a fall is where the tail leaves the float range, by an underflow or
+    by 1/N at N's overflow cap (about e^-700 = 1e-304), rather than
+    necessarily where its support ends; ``_analytic_modular`` ends the
+    range there only where the integrand is negligible.
     """
-    if math.isinf(mass):
-        return 0.0
-
-    def below(b: int) -> bool:
-        try:
-            return tail.value(_bits_float(b)) < mass
-        except OverflowError:
-            return False
-
-    lo = _float_bits(_PLATEAU_FLOOR)
-    if below(lo):
-        return 0.0
-    # the first pattern past lo where T is below the mass; +inf's pattern
-    # stands in for a tail that never drops below it within the float range
-    first = bisect_left(range(lo + 1, _float_bits(math.inf)), True, key=below)
-    return _bits_float(lo + first)
-
-
-def _zero_start(tail: AnalyticTail, t_p: float) -> Tuple[float, bool]:
-    """(t_z, faint): the smallest float t_z > max(t_p, 1e-12) with T(t_z) = 0,
-    or +inf if T(1e12) > 0, and whether T falls to 0 there from below 1e-300.
-
-    T is nonincreasing, so it vanishes on [t_z, inf) and the quadrature
-    can stop at t_z.  Only where T(1e12) is already 0 is t_z bisected
-    over the bit patterns of the floats above max(t_p, 1e-12), as in
-    ``_plateau_end`` (at most 63 more tail reads), and T read once more
-    at the float below t_z; otherwise the one read at 1e12 is all it
-    costs.  A tail value that raises OverflowError reads as +inf, so not
-    as 0.  t_p is the plateau end, at which T is the mass, so T(1e12) = 0
-    implies t_p < 1e12.
-
-    A fall from below 1e-300 (``faint``) is where the tail leaves the
-    float range, by an underflow or by 1/N at N's overflow cap
-    (about e^-700 = 1e-304), rather than necessarily where its support
-    ends; ``_past_plateau`` ends the range there only where the
-    integrand is negligible.
-    """
-    def value(t: float) -> float:
-        try:
-            return tail.value(t)
-        except OverflowError:
-            return math.inf
-
-    def zero(b: int) -> bool:
-        return value(_bits_float(b)) == 0.0
-
-    top = _float_bits(_ZERO_CEIL)
-    if not zero(top):
-        return math.inf, False
-    lo = _float_bits(max(t_p, _PLATEAU_FLOOR)) + 1
-    t_z = _bits_float(lo + bisect_left(range(lo, top), True, key=zero))
-    return t_z, value(math.nextafter(t_z, 0.0)) < _FAINT
+    value = tail.value
+    t_p = 0.0
+    if mass < math.inf and value(_PLATEAU_FLOOR) >= mass:
+        # t_p is the pattern before the first one past lo where T is below the
+        # mass; +inf's stands in for a tail that stays at the mass to max_float
+        lo = _float_bits(_PLATEAU_FLOOR)
+        t_p = _bits_float(lo + bisect_left(range(lo + 1, _float_bits(math.inf)), True,
+                                           key=lambda b: value(_bits_float(b)) < mass))
+    if value(_ZERO_CEIL) != 0.0:
+        return t_p, (math.inf, False)
+    lo, top = _float_bits(max(t_p, _PLATEAU_FLOOR)) + 1, _float_bits(_ZERO_CEIL)
+    t_z = _bits_float(lo + bisect_left(range(lo, top), True,
+                                       key=lambda b: value(_bits_float(b)) == 0.0))
+    return t_p, (t_z, value(math.nextafter(t_z, 0.0)) < _FAINT)
 
 
 def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
@@ -631,13 +603,11 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     so the norm is sup_t g(t) with g(t) = t / N^{-1}(1/min(T(t), mass)),
     and no search over K is needed.  A level is capped at the total mass,
     which a step level may exceed by rounding, and at the largest float.
-    A level of +inf is what 1/N(t) gives wherever N(t) underflows, and a
-    tail value that raises OverflowError reads as +inf too, so such a
-    level stands for one just beyond the float range; it gives the norm
-    +inf at every t above 2^64 N^{-1}(1/max_float).  A level of 0 gives
-    g = 0.  On a step tail the levels are held on left-open intervals, so
-    the sup is the maximum over the thresholds t_i.  On an analytic tail
-    it is taken to NORM_REL_TOL by ``_log_t_sup``, which relies on T
+    A level of +inf, which 1/N(t) gives wherever N(t) underflows, stands
+    for one just beyond the float range; it gives the norm +inf at every
+    t above 2^64 N^{-1}(1/max_float).  A level of 0 gives g = 0.  On a
+    step tail the levels are held on left-open intervals, so the sup is
+    the maximum over the thresholds t_i.  On an analytic tail it is taken to NORM_REL_TOL by ``_log_t_sup``, which relies on T
     being nonincreasing: g is t / N^{-1}(1/cap) wherever T(t) >= cap and
     0 wherever T(t) = 0, so those grid nodes are filled in without
     evaluating T, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for s < t, so
@@ -671,18 +641,12 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
                 value, argmax = v, t
         count, plateau_end, zero_start = len(tail.thresholds), None, None
     else:
-        value_at, inverse = tail.value, N.inverse
-
-        def level(t: float) -> float:
-            try:
-                return value_at(t)
-            except OverflowError:
-                return math.inf
+        inverse = N.inverse
 
         def u(y: float) -> float:
             return inverse(1.0 / (cap if cap < y else y))
 
-        value, argmax, count, plateau_end, zero_start = _log_t_sup(level, u, cap)
+        value, argmax, count, plateau_end, zero_start = _log_t_sup(tail.value, u, cap)
     return NormResult(value, None, {
         "reference": _reference_label(N),
         "evaluations": count,
@@ -720,11 +684,10 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
         def read(k: float) -> FiniteOrDivergent:
             return modular(N, f, k)
     else:
-        t_p = _plateau_end(tail, f.total_mass)
+        t_p, zero = _support_ends(tail, f.total_mass)
         if t_p == _FLOAT_MAX:
             return FiniteOrDivergent.divergent(
                 LadderTrace((), note="the plateau reaches the largest float"))
-        zero = _zero_start(tail, t_p)
         reads: Dict[float, float] = {}
 
         def read(k: float) -> FiniteOrDivergent:

@@ -113,13 +113,17 @@ class AnalyticTail:
     them; a drop to 0 from below 1e-300, where the tail leaves the float
     range, ends the range only where the integrand there is negligible,
     and is otherwise added to these breaks for that integral (see
-    ``norms._past_plateau``).  Any other undeclared kink is integrated
+    ``norms._analytic_modular``).  Any other undeclared kink is integrated
     as if the tail were smooth: the quadrature runs in s = ln t, and its
     error estimate does not see a kink that lies between a ladder cutoff
     and the nearest node.  Over 150 seeded tails min(M, t^-q) on infinite
     mass under power(p), with p in [1.2, 4], q - p in [0.3, 4] and M in
     [0.05, 20], the modular at k = 1 was up to 1.4e-5 off without a break
     at the kink and 3.4e-15 off with it.
+
+    A value past the float range reads as +inf: an OverflowError that
+    ``fn`` raises (t^-q near 0, say) is caught in ``value``, through
+    which the library reads ``fn``, and returns +inf.
     """
 
     fn: Callable[[float], float]
@@ -133,7 +137,10 @@ class AnalyticTail:
     def value(self, t: float) -> float:
         if t <= 0.0:
             raise ValueError("tail functions are defined for t > 0")
-        v = self.fn(t)
+        try:
+            v = self.fn(t)
+        except OverflowError:
+            v = math.inf
         if v != v or v < 0.0:
             raise ValueError(f"tail callable returned {v!r} at t={t!r}")
         return v

@@ -59,7 +59,10 @@ class YoungFunction:
     Evaluation goes through abs(u), so evenness is exact by construction.
     The inverse must satisfy N(N^{-1}(w)) = w to 1e-10 relative on a log
     grid; builtin families have analytic inverses and derivatives, custom
-    functions may omit the derivative (central differences are used).
+    functions may omit the derivative (central differences of N are used).
+    A value past the float range reads as +inf: an OverflowError that the
+    evaluator or the derivative raises is caught here, and nowhere
+    downstream, and returns +inf.
 
     Builtin families also carry ``log_criterion``: given c > 0 it returns
     u -> log(N(cu) N'(u) / N(u)^2) for u > 0, the criterion integrand in
@@ -77,7 +80,10 @@ class YoungFunction:
     log_criterion: Optional[Callable[[float], Callable[[float], float]]] = None
 
     def __call__(self, u: float) -> float:
-        return self._evaluate(abs(u))
+        try:
+            return self._evaluate(abs(u))
+        except OverflowError:
+            return math.inf
 
     def inverse(self, w: float) -> float:
         if w < 0.0:
@@ -89,11 +95,17 @@ class YoungFunction:
     def derivative(self, u: float) -> float:
         u = abs(u)
         if self._derivative is not None:
-            return self._derivative(u)
+            try:
+                return self._derivative(u)
+            except OverflowError:
+                return math.inf
         if u == 0.0:
             return 0.0
         h = u * 1e-6
-        return (self._evaluate(u + h) - self._evaluate(u - h)) / (2.0 * h)
+        above = self(u + h)
+        if above == math.inf:  # where both reads overflow, inf - inf would be NaN
+            return math.inf
+        return (above - self(u - h)) / (2.0 * h)
 
     def describe(self) -> str:
         if self.label:
@@ -105,10 +117,7 @@ class YoungFunction:
 
 def _power_family(p: float) -> YoungFunction:
     def ev(u):
-        try:
-            return u ** p
-        except OverflowError:
-            return math.inf
+        return u ** p
 
     def inv(w):
         if math.isinf(w):
@@ -118,10 +127,7 @@ def _power_family(p: float) -> YoungFunction:
     def der(u):
         if u == 0.0:
             return 0.0
-        try:
-            return p * u ** (p - 1.0)
-        except OverflowError:
-            return math.inf
+        return p * u ** (p - 1.0)
 
     def log_criterion(c):
         # N(cu)/N(u) = c^p and N'(u)/N(u) = p/u
@@ -133,10 +139,7 @@ def _power_family(p: float) -> YoungFunction:
 
 def _exp_family(m: float) -> YoungFunction:
     def ev(u):
-        try:
-            x = u ** m / m
-        except OverflowError:
-            return math.inf
+        x = u ** m / m
         if x > _EXP_CAP:
             return math.inf
         return math.expm1(x)
@@ -149,13 +152,10 @@ def _exp_family(m: float) -> YoungFunction:
     def der(u):
         if u == 0.0:
             return 1.0 if m == 1.0 else 0.0
-        try:
-            x = u ** m / m
-            if x > _EXP_CAP:
-                return math.inf
-            return u ** (m - 1.0) * math.exp(x)
-        except OverflowError:
+        x = u ** m / m
+        if x > _EXP_CAP:
             return math.inf
+        return u ** (m - 1.0) * math.exp(x)
 
     log_m = math.log(m)
 
@@ -288,13 +288,7 @@ def custom_young(
     and the limit ratios are the caller's responsibility; they are not
     checked.
     """
-    def guarded(u: float) -> float:
-        try:
-            return evaluate(u)
-        except OverflowError:
-            return math.inf
-
-    N = YoungFunction("custom", None, guarded, inverse, derivative, label)
+    N = YoungFunction("custom", None, evaluate, inverse, derivative, label)
     if N(0.0) != 0.0:
         raise BadParameter("custom Young function must satisfy N(0) = 0")
     _roundtrip_check(N)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import orlicz
-from orlicz.norms import luxemburg_norm, weak_norm
+from orlicz.norms import lebesgue_norm, luxemburg_norm, modular, weak_norm
 from orlicz.numerics import integrate
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(orlicz.__path__) if m.name != "__main__")
@@ -30,6 +30,8 @@ def test_all_names_resolve(name):
     (integrate, ["f", "a", "b", "breaks"]),
     (luxemburg_norm, ["N", "f"]),
     (weak_norm, ["N", "f"]),
+    (modular, ["N", "f", "k"]),
+    (lebesgue_norm, ["f", "p"]),
 ])
 def test_numeric_api_takes_no_tolerance(fn, params):
     # accuracies are module constants, the same for every caller

@@ -12,8 +12,7 @@ from orlicz.errors import NonConvergence, NonEvaluable, NotDominated
 from orlicz.expfamily import exp_embedding_constant
 from orlicz.numerics import integrate
 from orlicz.norms import (
-    _plateau_end,
-    _zero_start,
+    _support_ends,
     coupling_check,
     lebesgue_norm,
     luxemburg_norm,
@@ -255,7 +254,7 @@ class TestLuxemburgNorm:
         assert w == weak_norm(N, f).value
         assert r.trace["start"] == (w, "weak norm")
         step = isinstance(f.tail, StepTail)
-        assert r.trace["plateau_end"] == (None if step else _plateau_end(f.tail, 1.0))
+        assert r.trace["plateau_end"] == (None if step else _support_ends(f.tail, 1.0)[0])
         assert 0.0 < w <= r.value < math.inf
         assert luxemburg_norm(N, f).trace == r.trace
 
@@ -516,15 +515,14 @@ class TestPlateau:
                           "mass": 0.1}).build(),
     ], ids=["extremal", "power-unit-mass", "power-mass-4", "descriptor"])
     def test_plateau_end_is_exact(self, f):
-        t_p = _plateau_end(f.tail, f.total_mass)
+        t_p, _ = _support_ends(f.tail, f.total_mass)
         assert f.tail.value(t_p) >= f.total_mass > f.tail.value(math.nextafter(t_p, math.inf))
 
     def test_overflowing_tail_finds_its_plateau(self):
         # t^-400 raises OverflowError below t = 0.17, which reads as +inf
         f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -400.0)), 1.0)
-        with pytest.raises(OverflowError):
-            f.tail.value(0.1)
-        assert _plateau_end(f.tail, 1.0) == 1.0
+        assert f.tail.value(0.1) == math.inf
+        assert _support_ends(f.tail, 1.0)[0] == 1.0
         exact = math.sqrt(400.0 / 398.0)  # int |f|^2 = 1 + 2 / 398
         assert modular(power_young(2.0), f, 1.0).value == pytest.approx(exact ** 2, rel=1e-14)
 
@@ -534,7 +532,7 @@ class TestPlateau:
     ], ids=["infinite-mass", "below-the-mass"])
     def test_no_plateau_keeps_the_full_quadrature(self, f):
         N, k = power_young(2.0), 1.5
-        assert _plateau_end(f.tail, f.total_mass) == 0.0
+        assert _support_ends(f.tail, f.total_mass)[0] == 0.0
         whole = integrate(lambda t: f.tail.value(t) * N.derivative(t / k) / k, 0.0, math.inf)
         assert modular(N, f, k).value == whole.value
         assert luxemburg_norm(N, f).trace["plateau_end"] is None
@@ -584,7 +582,7 @@ class TestPlateau:
         N = delta_young(2.0)
         f = extremal_function(N, 1.0)
         modular(N, f, 2.0)
-        assert min(seen) >= _plateau_end(f.tail, 1.0)
+        assert min(seen) >= _support_ends(f.tail, 1.0)[0]
         assert len(seen) <= 200
 
     def test_kinked_power_tails_meet_the_closed_form(self):
@@ -636,7 +634,7 @@ class TestSupportEnd:
         (_power_plateau_tail(3.0, 1.0), math.inf, False),
     ], ids=["cut-power", "exp-extremal", "zero", "power"])
     def test_zero_start_is_exact(self, f, t_z, faint):
-        found, found_faint = _zero_start(f.tail, _plateau_end(f.tail, f.total_mass))
+        _, (found, found_faint) = _support_ends(f.tail, f.total_mass)
         assert found_faint == faint
         if t_z is not None:
             assert found == t_z
@@ -667,7 +665,7 @@ class TestSupportEnd:
         # same, and at k = 1.5 the stretch past 3.1e11 weighs 1e-8
         N = delta_young(2.0)
         f = extremal_function(N, 1.0)
-        assert _zero_start(f.tail, _plateau_end(f.tail, 1.0))[1]
+        assert _support_ends(f.tail, 1.0)[1][1]
         assert modular(N, f, 1.0).is_divergent
         assert modular(N, f, 1.5).value == pytest.approx(DELTA2_CRITERION_T_FORM[1.5],
                                                          rel=1e-11)
@@ -715,6 +713,38 @@ class TestSupportEnd:
         assert r.trace["modular_evaluations"] <= evaluations
         assert r.trace["tail_reads"] <= reads
         assert len(seen) <= calls
+
+
+class TestTailPastTheFloatRange:
+    """A tail value whose callable raises OverflowError reads as +inf everywhere."""
+
+    @pytest.fixture(params=["callable", "descriptor"])
+    def steep(self, request):
+        # t^-400 on infinite mass raises OverflowError below t = 0.17
+        if request.param == "callable":
+            return TailRepFunction(AnalyticTail(lambda t: t ** -400.0), math.inf)
+        return parse_descriptor({"kind": "analytic-tail", "family": "power", "p": 400.0,
+                                 "mass": "inf"}).build()
+
+    def test_modular_is_divergent_by_integrand_overflow(self, steep):
+        r = modular(power_young(2.0), steep, 1.0)
+        assert r.is_divergent
+        assert r.evidence.note.startswith("integrand overflow near t=")
+
+    def test_power_norm_is_capped_by_the_weak_norm(self, steep):
+        r = luxemburg_norm(power_young(2.0), steep)
+        assert r.value == math.inf
+        assert r.trace["note"].startswith("weak norm (a lower bound) above cap")
+
+    def test_lebesgue_norm_is_not_evaluable(self, steep):
+        # the start modular overflows and the weak norm is +inf: no verdict,
+        # and in particular not a divergent one
+        with pytest.raises(NonEvaluable, match="p=2"):
+            lebesgue_norm(steep, 2.0)
+
+    def test_weak_and_exponential_norms_stay_infinite(self, steep):
+        assert weak_norm(power_young(2.0), steep).value == math.inf
+        assert luxemburg_norm(exp_young(2.0), steep).value == math.inf
 
 
 class TestLebesgueNorm:

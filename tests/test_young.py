@@ -61,6 +61,22 @@ class TestConstruction:
         assert power_young(2.0)(1e200) == math.inf
         assert exp_young(2.0).inverse(math.inf) == math.inf
 
+    def test_custom_overflow_reads_as_infinity(self):
+        # u ** 2.0 raises OverflowError past u = 1.34e154; with no derivative
+        # given, both central-difference reads overflow at 1e200
+        N = custom_young(lambda u: u ** 2.0, lambda w: w ** 0.5)
+        assert N(1e200) == math.inf
+        assert N.derivative(2.0) == pytest.approx(4.0, rel=1e-9)
+        for u in (1e154, math.nextafter(1.3407807929942596e154, 0.0), 1e200):
+            d = N.derivative(u)
+            assert d == math.inf or math.isfinite(d)
+        assert N.derivative(1e200) == math.inf
+        # a given derivative that raises OverflowError reads as +inf too
+        cubic = custom_young(lambda u: u ** 3.0, lambda w: w ** (1.0 / 3.0),
+                             derivative=lambda u: 3.0 * u ** 2.0)
+        assert cubic.derivative(1e200) == math.inf
+        assert cubic(1e200) == math.inf
+
     def test_derivative_analytic_vs_difference(self):
         for N in FAMILIES:
             bare = custom_young(lambda u, N=N: N(u), lambda w, N=N: N.inverse(w))
