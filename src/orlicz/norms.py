@@ -407,6 +407,23 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     flat g is not slowed.  A tail value at a filled or skipped node is
     never read or validated.
 
+    Any one sample above NORM_CAP proves the sup +inf, so the first
+    grid's fill runs a cap certificate (``certified``) right after the
+    two bisections and the read of the last node before the zero run,
+    before any other node is read.  It runs where T(1e16) > 0 and g at
+    1e16 exceeds g at the first node past the plateau (whose T the
+    bisection read) by more than the factor 1 + NORM_REL_TOL: g is read
+    at the grid nodes 1, 2, 4, 8, ... decades past 1e16 (t = 1e17, 1e18,
+    1e20, 1e24, ..., the last at 1e300) while each sample exceeds the one
+    before by that factor.  At the first sample above NORM_CAP the result
+    is +inf, its node the argmax and the probes counted among the
+    evaluations; no other node is read and no decade is added.  Where no
+    probe passes NORM_CAP, the grid runs as without them (a probe changes
+    no sample, and its read is not shared with a later fill), so a finite
+    result keeps its value and argmax.  A g that does not rise across the
+    grid pays no probe.  The low end has no certificate: there g grows
+    past 2^64 only on an infinite (or huge) mass, and the grid climbs it.
+
     While the sample at an end node exceeds every other sample by more
     than the factor 1 + NORM_REL_TOL (so rounding noise on a flat g does
     not count), the grid grows by a whole decade at that end, up to t =
@@ -439,8 +456,29 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     def g(t: float, y: float) -> float:
         return 0.0 if y == 0.0 else _ratio(t, u(y))
 
-    def fill(a: int, b: int) -> List[float]:
-        """g on the nodes j = a..b, in ascending order."""
+    def certified(first: float, end: float) -> bool:
+        """The first grid's cap certificate (above): whether g passes NORM_CAP.
+
+        ``first`` and ``end`` are g at the first node past the plateau and
+        at t = 1e16.  Only a sample above NORM_CAP becomes the largest
+        sample, and its node the argmax.
+        """
+        nonlocal best, argmax, count
+        hi = _GRID_FIRST[1]
+        reach = _GRID_LIMIT - hi
+        prev, v, t, off = first, end, _FIRST_NODES[-1], 0
+        while v <= NORM_CAP:
+            if not v > margin * prev or off == reach:
+                return False
+            off = min(max(2 * off, step), reach)
+            t = 10.0 ** ((hi + off) / step)
+            count += 1
+            prev, v = v, g(t, T(t))
+        best, argmax = v, t
+        return True
+
+    def fill(a: int, b: int) -> Optional[List[float]]:
+        """g on the nodes j = a..b, in ascending order; None where ``certified``."""
         nonlocal best, argmax, count, plateau_end, zero_start
         if (a, b) == _GRID_FIRST:
             nodes: Sequence[float] = _FIRST_NODES
@@ -468,6 +506,11 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         if p < z:
             last = z - 1
             vals[last] = g(nodes[last], level_at(last))
+            # T at p was read by the plateau's bisection
+            if (z == n and (a, b) == _GRID_FIRST
+                    and certified(g(nodes[p], level_at(p)), vals[last])):
+                count += len(levels)
+                return None  # +inf is proven: no other node is read
             top = max(best, vals[p - 1] if p else 0.0, vals[last])
             i = p
             get = levels.get
@@ -502,8 +545,13 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             best, argmax = v, t
         return v
 
+    def node_t(j: Optional[int]) -> Optional[float]:
+        return None if j is None else 10.0 ** (j / step)
+
     lo, hi = _GRID_FIRST
     block = fill(lo, hi)
+    if block is None:
+        return math.inf, argmax, count, node_t(plateau_end), node_t(zero_start)
     inner = max(block[1:-1])  # the largest sample off the two end nodes
     vals = deque(block)
     while best <= NORM_CAP:
@@ -519,9 +567,6 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             vals.extend(block)
         else:
             break
-
-    def node_t(j: Optional[int]) -> Optional[float]:
-        return None if j is None else 10.0 ** (j / step)
 
     runs = node_t(plateau_end), node_t(zero_start)
     if best > NORM_CAP:
@@ -620,13 +665,19 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     inverse.  ``tail.value`` and ``N.inverse`` are looked up once per
     call, on the instance, so a wrapper put on ``YoungFunction.inverse``
     before the call still sees every inverse evaluation.  Its docstring
-    states what its grid can miss.
+    states what its grid can miss.  A +inf the grid would find by
+    climbing decade by decade is mostly proven by its cap certificate:
+    where g rises across the first grid, g is probed 1, 2, 4, ...
+    decades past t = 1e16 before the rest of the grid is read, and one
+    sample above 2^64 settles the norm.
     The trace records as ``evaluations`` the number of tail values read
     (on a step tail, one per threshold; on an analytic tail, the grid
-    nodes neither filled nor skipped plus the golden-section points),
-    the t where the returned value was attained as
-    ``argmax_t`` (None for 0), and the last plateau node and the first
-    zero node of the grid as ``plateau_end_t`` and ``zero_start_t``
+    nodes neither filled nor skipped plus the golden-section points and
+    the certificate's probes), the t where the returned value was
+    attained as ``argmax_t`` (None for 0; for a +inf the certificate
+    proves, the certificate node, whose sample passed 2^64), and the last
+    plateau node and the first zero node of the first grid's bisections
+    (and of any decade added) as ``plateau_end_t`` and ``zero_start_t``
     (None where the run is absent, and always on a step tail).
     """
     mass = f.total_mass

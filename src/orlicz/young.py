@@ -59,7 +59,11 @@ class YoungFunction:
     Evaluation goes through abs(u), so evenness is exact by construction.
     The inverse must satisfy N(N^{-1}(w)) = w to 1e-10 relative on a log
     grid; builtin families have analytic inverses and derivatives, custom
-    functions may omit the derivative (central differences of N are used).
+    functions may omit the derivative.  Central differences of N then
+    stand in for it, with the step h = u 1e-6 raised to one ulp of u,
+    where u 1e-6 underflows (u below about 5e-318).  The difference reads
+    0 where N(u +- h) underflows: under u^2 that is u = 1e-300, whose
+    true slope is 2e-300.
     A value past the float range reads as +inf: an OverflowError that the
     evaluator or the derivative raises is caught here, and nowhere
     downstream, and returns +inf.
@@ -101,7 +105,7 @@ class YoungFunction:
                 return math.inf
         if u == 0.0:
             return 0.0
-        h = u * 1e-6
+        h = max(u * 1e-6, math.ulp(u))
         above = self(u + h)
         if above == math.inf:  # where both reads overflow, inf - inf would be NaN
             return math.inf

@@ -12,6 +12,7 @@ from orlicz.errors import NonConvergence, NonEvaluable, NotDominated
 from orlicz.expfamily import exp_embedding_constant
 from orlicz.numerics import integrate
 from orlicz.norms import (
+    _WEAK_ABOVE,
     _support_ends,
     coupling_check,
     lebesgue_norm,
@@ -178,6 +179,20 @@ class TestLuxemburgNorm:
         assert r.value == math.inf
         assert "cap" in r.trace["note"]
         assert r.trace["modular_evaluations"] == 0
+
+    @pytest.mark.parametrize("N, q", [(exp_young(1.5), 2.5), (delta_young(1.8), 4.0)],
+                             ids=["exp_m", "delta"])
+    def test_weak_cap_is_certified_past_the_first_grid(self, N, q):
+        # the weak norm's probes 1, 2, 4, ... decades past t = 1e16 pass 2^64
+        # before the interior of the first grid is read; climbing the grid a
+        # decade at a time took 58 and 131 calls of the tail callable
+        seen = []
+        f = TailRepFunction(AnalyticTail(lambda t: seen.append(t) or min(1.0, t ** -q)), 1.0)
+        r = luxemburg_norm(N, f)
+        assert r.value == math.inf
+        assert r.trace["note"] == _WEAK_ABOVE
+        assert r.trace["weak_lower_bound"] == math.inf
+        assert len(seen) <= 30
 
     def test_power_divergence_settles_in_one_modular(self, heavy):
         # under power(p), modular(k) = k^-p modular(1): divergent at every k
@@ -491,8 +506,11 @@ class TestWeakNorm:
         # node t_i lies below the running maximum is skipped
         assert first.trace["evaluations"] == 87
         assert weak_norm(power_young(2.0), g).trace == first.trace
-        assert weak_norm(delta_young(2.0), g).trace["evaluations"] == 100
-        assert weak_norm(exp_young(2.0), g).trace["evaluations"] == 58
+        # under delta and exp_m the norm is +inf, proven by the cap
+        # certificate's probes past t = 1e16 (100 and 58 reads climbing the
+        # grid a decade at a time)
+        assert weak_norm(delta_young(2.0), g).trace["evaluations"] == 22
+        assert weak_norm(exp_young(2.0), g).trace["evaluations"] == 21
         # on the extremal function g = 1 on the whole grid up to rounding, so
         # no node can be skipped
         N = power_young(2.0)

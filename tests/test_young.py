@@ -77,6 +77,15 @@ class TestConstruction:
         assert cubic.derivative(1e200) == math.inf
         assert cubic(1e200) == math.inf
 
+    @pytest.mark.parametrize("u", [1e-320, 5e-324])
+    def test_difference_step_never_underflows_to_zero(self, u):
+        # u * 1e-6 underflows to 0 here, which divided by zero; the step is
+        # one ulp instead, and N(u +- h) underflowing reads as slope 0
+        square = custom_young(lambda u: u ** 2.0, lambda w: w ** 0.5)
+        assert square.derivative(u) == 0.0
+        identity = custom_young(lambda u: u, lambda w: w)
+        assert identity.derivative(u) == 1.0
+
     def test_derivative_analytic_vs_difference(self):
         for N in FAMILIES:
             bare = custom_young(lambda u, N=N: N(u), lambda w, N=N: N.inverse(w))
