@@ -57,34 +57,48 @@ def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent
     """The quantity int N(|f|/k) dmu computed through the tail of f.
 
     On a step tail, the exact sum of N(v_i/k) (levels[i] - levels[i+1])
-    over the thresholds v_i, in one pass over the tail's tuples with no
-    list of pieces or copy of the levels built.  N is called through its
-    bound ``__call__``, looked up on the class, so a wrapper put on
-    ``YoungFunction.__call__`` still sees every evaluation.  On an
-    analytic tail, the plateau (0, t_p] where T equals the total mass M
-    contributes M N(t_p/k) in closed form, and kernel quadrature of
-    T(t) N'(t/k)/k runs over the rest of the support (t_p, t_z], t_z
-    being where T vanishes (+inf for a tail still positive at 1e12),
-    both ends found by ``_support_ends``, split at the tail's breaks;
-    see ``_analytic_modular``.  Divergence verdicts propagate.
+    over the thresholds v_i, read as a float by ``_step_modular`` (a
+    wrapper put on ``YoungFunction.__call__`` sees every term) and
+    divergent where it overflows.  On an analytic tail, the plateau (0,
+    t_p] where T equals the total mass M contributes M N(t_p/k) in closed
+    form, and kernel quadrature of T(t) N'(t/k)/k runs over the rest of
+    the support (t_p, t_z], t_z being where T vanishes (+inf for a tail
+    still positive at 1e12), both ends found by ``_support_ends``, split
+    at the tail's breaks; see ``_analytic_modular``.  Divergence verdicts
+    propagate.
     """
     if not (k > 0.0):
         raise ValueError("modular scale k must be positive")
     tail = f.tail
     if isinstance(tail, StepTail):
-        ev = N.__call__
-        levels = tail.levels
-        total = 0.0
-        # the next level as an iterator: a sliced copy of the levels per call
-        # takes new allocator pools for its sizes (0.4 MB on the step workload)
-        for v, a, b in zip(tail.thresholds, levels, chain(islice(levels, 1, None), (0.0,))):
-            total += ev(v / k) * (a - b)
+        total = _step_modular(N, tail, k)
         if math.isinf(total):
             return FiniteOrDivergent.divergent(
                 LadderTrace((), note=f"exact modular sum overflows at k={k:g}")
             )
         return FiniteOrDivergent.finite(total)
     return _analytic_modular(N, f, k, *_support_ends(tail, f.total_mass), {})
+
+
+def _step_modular(N: YoungFunction, tail: StepTail, k: float) -> float:
+    """The exact step sum sum_i N(v_i/k) (levels[i] - levels[i+1]), +inf where it overflows.
+
+    The library's one step-sum loop: one pass over the tail's tuples, in
+    the order of the thresholds, with no list of pieces or copy of the
+    levels built.  N is called through its bound ``__call__``, looked up
+    on the class once per call, so a wrapper put on
+    ``YoungFunction.__call__`` still sees every evaluation.  A term past
+    the float range is +inf (``YoungFunction.__call__``), and so is the
+    sum.
+    """
+    ev = N.__call__
+    levels = tail.levels
+    total = 0.0
+    # the next level as an iterator: a sliced copy of the levels per call
+    # takes new allocator pools for its sizes (0.4 MB on the step workload)
+    for v, a, b in zip(tail.thresholds, levels, chain(islice(levels, 1, None), (0.0,))):
+        total += ev(v / k) * (a - b)
+    return total
 
 
 def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float,
@@ -195,32 +209,50 @@ def _weak_start(w: float) -> Optional[float]:
     return max(w, 1.0 / NORM_CAP) if w > 0.0 else 1.0
 
 
-def _power_start(tail: StepTail | AnalyticTail, read: Callable[[float], FiniteOrDivergent],
-                 weak: Callable[[], float]) -> Optional[Tuple[float, str, FiniteOrDivergent]]:
-    """(s, kind, modular(s)): the start of the closed-form power norm, or None.
+def _power_start(tail: StepTail | AnalyticTail, t_p: Optional[float],
+                 read: Callable[[float], Optional[FiniteOrDivergent]],
+                 weak: Callable[[], float]) -> Optional[Tuple[float, str,
+                                                            Optional[FiniteOrDivergent]]]:
+    """(s, kind, read(s)): the start of the closed-form power norm, or None.
 
     Under power(p), modular(k) = (s/k)^p modular(s) for every s, so the
     norm is s modular(s)^(1/p) (Krasnosel'skii and Rutickii, 1961), and a
     modular at s that the ladder's slopes call divergent is +inf at every
-    k.  ``read(k)`` is the caller's modular and ``weak()`` its weak norm.
-    On a step tail s is its largest value top (``"largest value"``): the
-    modular there is the exact sum sum_i (v_i/top)^p m_i, whose terms do
-    not overflow, and which is exact at any scale.  On an analytic tail
-    s = 1 (``"unit"``) where the modular there is divergent with ladder
-    points or finite and at least ABS_TOL / REL_TOL = 1e-4.  Below that
-    floor the kernel's absolute stop, not its relative one, bounds its
-    error (min(1, (t/1e-9)^-5.4) under power(1.56) came out 7e-5 off).
-    There, and where the modular at 1 overflows (t^(p-1) or the plateau
-    term), s moves to the ``_weak_start`` of the weak norm w (``"weak
-    norm"``), where the modular is about 1 or more, read once if s = 1;
-    None where w exceeds 2^64 and no start is left.
+    k.  ``read(k)`` is the caller's modular, ``weak()`` its weak norm and
+    t_p the analytic tail's plateau end (``_support_ends``).  On a step
+    tail s is its largest value top (``"largest value"``), and that is
+    all this branch decides: the modular there is the exact sum sum_i
+    (v_i/top)^p m_i, whose terms do not overflow, and which is exact at
+    any scale.  ``luxemburg_norm`` reads that sum as a float through
+    ``_step_modular``, so its ``read`` returns None there.  On an
+    analytic tail s = 1 (``"unit"``) where the modular there is divergent
+    with ladder points or finite and at least ABS_TOL / REL_TOL = 1e-4.
+    Below that floor the kernel's absolute stop, not its relative one,
+    bounds its error (min(1, (t/1e-9)^-5.4) under power(1.56) came out
+    7e-5 off).  Where the modular at 1 overflows (no ladder points) and
+    t_p > 1, the plateau term M t_p^p may be what overflowed, so s = t_p
+    (``"plateau end"``) is read next, where that term is M; the same test
+    keeps it.  Otherwise, below the floor and where the modular at 1 (and
+    at t_p) overflows, s moves to the ``_weak_start`` of the weak norm w
+    (``"weak norm"``), where the modular is about 1 or more, read once if
+    s = 1; None where w exceeds 2^64 and no start is left.
     """
     if isinstance(tail, StepTail):
         s = tail.thresholds[-1]
         return s, "largest value", read(s)
+
+    def usable(r: FiniteOrDivergent) -> bool:
+        if r.is_divergent:
+            return bool(r.evidence.points)
+        return r.value >= _POWER_START_FLOOR
+
     r = read(1.0)
-    if r.is_divergent and r.evidence.points or r.is_finite and r.value >= _POWER_START_FLOOR:
+    if usable(r):
         return 1.0, "unit", r
+    if r.is_divergent and t_p > 1.0:
+        at_plateau = read(t_p)
+        if usable(at_plateau):
+            return t_p, "plateau end", at_plateau
     s = _weak_start(weak())
     if s is None:
         return None
@@ -253,19 +285,24 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     wide, or NORM_REL_TOL wide where the modular only jumps from +inf or
     to 0; the accuracy is fixed, and no caller chooses another.
 
-    On an analytic tail the plateau end t_p and the zero start t_z
-    (``_support_ends``) are found once, after the cap test
-    on w where one runs first.  Every modular takes the plateau (0, t_p]
-    in closed form and integrates only over the support (t_p, t_z], and
-    the modulars read the tail through one dict from t to T(t) that lives
-    for this call, so a node an earlier modular read is not read again.
+    On a step tail every modular is the float ``_step_modular`` reads
+    (+inf where it overflows), and a wrapper put on
+    ``YoungFunction.__call__`` sees ``modular_evaluations`` times the
+    number of pieces calls.  On an analytic tail the plateau end t_p and
+    the zero start t_z (``_support_ends``) are found once, after the cap
+    test on w where one runs first.  Every modular takes the plateau (0,
+    t_p] in closed form and integrates only over the support (t_p, t_z],
+    and the modulars read the tail through one dict from t to T(t) that
+    lives for this call, so a node an earlier modular read is not read
+    again.
 
     Either way a cap that decides the norm is recorded in the trace as
     ``note``.  Modular values are cached by k.  The trace records
     ``modular_evaluations``, w as ``weak_lower_bound`` (None where no weak
     norm ran), the start s and its kind as ``start`` (None where no
-    modular was read; under power, the unit start where no start is
-    left), t_p as ``plateau_end`` and t_z as ``zero_start``
+    modular was read; under power, one of ``_power_start``'s kinds, and
+    the unit start where no start is left), t_p as ``plateau_end`` and
+    t_z as ``zero_start``
     (None on a step tail, without a plateau or a zero start below 1e12,
     or where the cap on w decided the norm first), the number of distinct
     tail values the modulars read as ``tail_reads`` and, off power, the
@@ -274,7 +311,8 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     that stalls raises NonConvergence.
     """
     tail = f.tail
-    if isinstance(tail, StepTail) and tail.is_zero:
+    step = isinstance(tail, StepTail)
+    if step and tail.is_zero:
         return NormResult(0.0, 0.0, {"modular_evaluations": 0, "weak_lower_bound": 0.0,
                                      "start": None, "plateau_end": None, "zero_start": None,
                                      "tail_reads": 0, "note": "zero function"})
@@ -285,27 +323,28 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     start: Optional[Tuple[float, str]] = None  # the closed form's or the search's k and its kind
     t_p: Optional[float] = None  # the analytic tail's plateau end, once found
     zero = (math.inf, False)  # and its zero start, as ``_support_ends`` gives it
-    last: Optional[FiniteOrDivergent] = None  # the latest modular, with its evidence
+    last: Optional[FiniteOrDivergent] = None  # the latest analytic modular, with its evidence
 
     def mod(k: float) -> float:
         """modular(f, k), with +inf standing for a divergent modular."""
         nonlocal last
-        if k not in cache:
+        v = cache.get(k)
+        if v is None:
             try:
-                if t_p is None:
-                    r = modular(N, f, k)
-                else:
-                    r = _analytic_modular(N, f, k, t_p, zero, reads)
+                if step:
+                    v = cache[k] = _step_modular(N, tail, k)
+                    return v
+                r = _analytic_modular(N, f, k, t_p, zero, reads)
             except (BudgetExceeded, Inconclusive) as exc:
                 raise BudgetExceeded(
                     f"modular at k={k:g} could not be classified: {exc}"
                 ) from exc
-            cache[k] = r.value if r.is_finite else math.inf
+            v = cache[k] = r.value if r.is_finite else math.inf
             last = r
-        return cache[k]
+        return v
 
-    def read(k: float) -> FiniteOrDivergent:
-        """The modular at a k not read before, with its evidence."""
+    def read(k: float) -> Optional[FiniteOrDivergent]:
+        """The modular at a k not read before, with its evidence (None on a step tail)."""
         mod(k)
         return last
 
@@ -329,10 +368,10 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
         if s is None:
             return capped(math.inf, _WEAK_ABOVE)
         start = (s, "weak norm")
-    if not isinstance(tail, StepTail):
+    if not step:
         t_p, zero = _support_ends(tail, f.total_mass)
     if power:
-        found = _power_start(tail, read, weak)
+        found = _power_start(tail, t_p, read, weak)
         if found is None:
             start = (1.0, "unit")
             return capped(math.inf, _WEAK_ABOVE)
@@ -366,11 +405,6 @@ _FLOAT_MAX = sys.float_info.max
 # the whole +-300-decade range would hold 12,001
 _FIRST_NODES = tuple(10.0 ** (j / _GRID_PER_DECADE)
                      for j in range(_GRID_FIRST[0], _GRID_FIRST[1] + 1))
-
-
-def _ratio(t: float, u: float) -> float:
-    """g = t / u, +inf where u = N^{-1}(1/level) is 0."""
-    return t / u if u > 0.0 else math.inf
 
 
 def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
@@ -454,7 +488,11 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     skip_margin = margin * margin
 
     def g(t: float, y: float) -> float:
-        return 0.0 if y == 0.0 else _ratio(t, u(y))
+        """t / u(y): 0 where y is 0, +inf where u(y) is 0."""
+        if y == 0.0:
+            return 0.0
+        uy = u(y)
+        return t / uy if uy > 0.0 else math.inf
 
     def certified(first: float, end: float) -> bool:
         """The first grid's cap certificate (above): whether g passes NORM_CAP.
@@ -652,24 +690,26 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     for one just beyond the float range; it gives the norm +inf at every
     t above 2^64 N^{-1}(1/max_float).  A level of 0 gives g = 0.  On a
     step tail the levels are held on left-open intervals, so the sup is
-    the maximum over the thresholds t_i.  On an analytic tail it is taken to NORM_REL_TOL by ``_log_t_sup``, which relies on T
-    being nonincreasing: g is t / N^{-1}(1/cap) wherever T(t) >= cap and
-    0 wherever T(t) = 0, so those grid nodes are filled in without
-    evaluating T, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for s < t, so
-    a grid node where that bound from an earlier node lies below the
-    largest sample is skipped; tail values at filled and skipped nodes
-    are not validated.  The filled and skipped runs are written as whole
-    slices, and the largest sample is taken once per stretch of nodes,
-    so the Python work per node not read is a division; a node that is
-    read costs one dict lookup, the tail call and one call of the
-    inverse.  ``tail.value`` and ``N.inverse`` are looked up once per
-    call, on the instance, so a wrapper put on ``YoungFunction.inverse``
-    before the call still sees every inverse evaluation.  Its docstring
-    states what its grid can miss.  A +inf the grid would find by
-    climbing decade by decade is mostly proven by its cap certificate:
-    where g rises across the first grid, g is probed 1, 2, 4, ...
-    decades past t = 1e16 before the rest of the grid is read, and one
-    sample above 2^64 settles the norm.
+    the maximum over the thresholds t_i, with no helper called per
+    threshold.  On an analytic tail it is taken to NORM_REL_TOL by
+    ``_log_t_sup``, whose docstring states what its grid can miss.  It
+    relies on T being nonincreasing: g is t / N^{-1}(1/cap) wherever
+    T(t) >= cap and 0 wherever T(t) = 0, so those grid nodes are filled
+    in without evaluating T, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for
+    s < t, so a grid node where that bound from an earlier node lies
+    below the largest sample is skipped; tail values at filled and
+    skipped nodes are not validated.  The filled and skipped runs are
+    written as whole slices, and the largest sample is taken once per
+    stretch of nodes, so the Python work per node not read is a division;
+    a node that is read costs one dict lookup, the tail call and one call
+    of the inverse.  A +inf the grid would find by climbing decade by
+    decade is mostly proven by its cap certificate: where g rises across
+    the first grid, g is probed 1, 2, 4, ... decades past t = 1e16 before
+    the rest of the grid is read, and one sample above 2^64 settles the
+    norm.  ``N.inverse`` (and ``tail.value``) are looked up once per
+    call, on the instance, for both kinds of tail, so a wrapper put on
+    ``YoungFunction.inverse`` before the call still sees every inverse
+    evaluation: one per threshold on a step tail.
     The trace records as ``evaluations`` the number of tail values read
     (on a step tail, one per threshold; on an analytic tail, the grid
     nodes neither filled nor skipped plus the golden-section points and
@@ -684,16 +724,16 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     tail = f.tail
     cap = min(mass, _FLOAT_MAX)
 
+    inverse = N.inverse
     if isinstance(tail, StepTail):
         value, argmax = 0.0, None
         for t, level in zip(tail.thresholds, tail.levels):
-            v = _ratio(t, N.inverse(1.0 / min(level, cap)))
+            ui = inverse(1.0 / (cap if cap < level else level))
+            v = t / ui if ui > 0.0 else math.inf
             if v > value:
                 value, argmax = v, t
         count, plateau_end, zero_start = len(tail.thresholds), None, None
     else:
-        inverse = N.inverse
-
         def u(y: float) -> float:
             return inverse(1.0 / (cap if cap < y else y))
 
@@ -713,16 +753,20 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     The power Young function is built here for any p >= 1, p = 1
     included, which ``power_young`` rejects.  At s = 1 the modular is
     p int t^(p-1) T(t) dt, and on a step tail, at its largest value top,
-    the exact sum sum_j (v_j/top)^p m_j over the (value, mass) pieces.
-    Unlike ``luxemburg_norm`` this has no caps and no float walk, so a
-    norm of 1e200 stays a float.  The result is divergent where the
-    modular at the start is divergent with ladder points (+inf at every
-    scale), or where the tail's plateau reaches the largest float.
-    Where no usable start is left (the modular at 1 overflows or lies
-    below 1e-4 and the weak norm exceeds 2^64, or the modular at the
-    weak-norm start overflows), NonEvaluable names p: the integral may
-    well be finite, so it is not called divergent.  p = +inf, like NaN,
-    raises ValueError: the sup norm is not this formula.
+    the exact sum sum_j (v_j/top)^p m_j over the (value, mass) pieces,
+    the float ``_step_modular`` reads (through ``modular``, which makes
+    an overflow divergent).  Unlike ``luxemburg_norm`` this has no caps
+    and no float walk, so a norm of 1e200 stays a float.  The result is
+    divergent where the modular at the start is divergent with ladder
+    points (+inf at every scale), or where the tail's plateau reaches the
+    largest float.  A plateau term that overflows at 1 is read again at
+    the plateau end t_p > 1, where it is the mass: the L^2 norm of
+    min(1, (t/1e200)^-3) is sqrt(3) 1e200 from modular(1e200) = 3.
+    Where no usable start is left (the modular at 1, and at t_p, overflows
+    or lies below 1e-4 and the weak norm exceeds 2^64, or the modular at
+    the weak-norm start overflows), NonEvaluable names p: the integral
+    may well be finite, so it is not called divergent.  p = +inf, like
+    NaN, raises ValueError: the sup norm is not this formula.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("Lebesgue exponent must satisfy 1 <= p < inf")
@@ -731,6 +775,7 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     if isinstance(tail, StepTail):
         if tail.is_zero:
             return FiniteOrDivergent.finite(0.0)
+        t_p = None
 
         def read(k: float) -> FiniteOrDivergent:
             return modular(N, f, k)
@@ -744,7 +789,7 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
         def read(k: float) -> FiniteOrDivergent:
             return _analytic_modular(N, f, k, t_p, zero, reads)
 
-    found = _power_start(tail, read, lambda: weak_norm(N, f).value)
+    found = _power_start(tail, t_p, read, lambda: weak_norm(N, f).value)
     if found is None or found[2].is_divergent and not found[2].evidence.points:
         raise NonEvaluable(f"no start for the closed-form L^p norm at p={p:g}: the modular "
                            f"overflows or is below {_POWER_START_FLOOR:g}, and the weak "
