@@ -18,7 +18,6 @@ import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, NonConvergence, NonEvaluable,
@@ -56,49 +55,33 @@ class NormResult:
 def modular(N: YoungFunction, f: TailRepFunction, k: float) -> FiniteOrDivergent:
     """The quantity int N(|f|/k) dmu computed through the tail of f.
 
-    On a step tail, the exact sum of N(v_i/k) (levels[i] - levels[i+1])
-    over the thresholds v_i, read as a float by ``_step_modular`` (a
-    wrapper put on ``YoungFunction.__call__`` sees every term) and
-    divergent where it overflows.  On an analytic tail, the plateau (0,
-    t_p] where T equals the total mass M contributes M N(t_p/k) in closed
-    form, and kernel quadrature of T(t) N'(t/k)/k runs over the rest of
-    the support (t_p, t_z], t_z being where T vanishes (+inf for a tail
-    still positive at 1e12), both ends found by ``_support_ends``, split
-    at the tail's breaks; see ``_analytic_modular``.  Divergence verdicts
-    propagate.
+    On a step tail, the exact sum of N(v_i/k) m_i over the thresholds v_i
+    and the piece masses m_i = levels[i] - levels[i+1] (taken once, when
+    the tail is built), in one pass over the tail's tuples, divergent
+    where it overflows.  N is called through its bound ``__call__``,
+    looked up on the class once per call, so a wrapper put on
+    ``YoungFunction.__call__`` still sees every evaluation.  On an
+    analytic tail, the plateau (0, t_p] where T equals the total mass M
+    contributes M N(t_p/k) in closed form, and kernel quadrature of
+    T(t) N'(t/k)/k runs over the rest of the support (t_p, t_z], t_z
+    being where T vanishes (+inf for a tail still positive at 1e12),
+    both ends found by ``_support_ends``, split at the tail's breaks;
+    see ``_analytic_modular``.  Divergence verdicts propagate.
     """
     if not (k > 0.0):
         raise ValueError("modular scale k must be positive")
     tail = f.tail
     if isinstance(tail, StepTail):
-        total = _step_modular(N, tail, k)
+        ev = N.__call__
+        total = 0.0
+        for v, m in zip(tail.thresholds, tail._masses):
+            total += ev(v / k) * m
         if math.isinf(total):
             return FiniteOrDivergent.divergent(
                 LadderTrace((), note=f"exact modular sum overflows at k={k:g}")
             )
         return FiniteOrDivergent.finite(total)
     return _analytic_modular(N, f, k, *_support_ends(tail, f.total_mass), {})
-
-
-def _step_modular(N: YoungFunction, tail: StepTail, k: float) -> float:
-    """The exact step sum sum_i N(v_i/k) (levels[i] - levels[i+1]), +inf where it overflows.
-
-    The library's one step-sum loop: one pass over the tail's tuples, in
-    the order of the thresholds, with no list of pieces or copy of the
-    levels built.  N is called through its bound ``__call__``, looked up
-    on the class once per call, so a wrapper put on
-    ``YoungFunction.__call__`` still sees every evaluation.  A term past
-    the float range is +inf (``YoungFunction.__call__``), and so is the
-    sum.
-    """
-    ev = N.__call__
-    levels = tail.levels
-    total = 0.0
-    # the next level as an iterator: a sliced copy of the levels per call
-    # takes new allocator pools for its sizes (0.4 MB on the step workload)
-    for v, a, b in zip(tail.thresholds, levels, chain(islice(levels, 1, None), (0.0,))):
-        total += ev(v / k) * (a - b)
-    return total
 
 
 def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float,
@@ -210,9 +193,8 @@ def _weak_start(w: float) -> Optional[float]:
 
 
 def _power_start(tail: StepTail | AnalyticTail, t_p: Optional[float],
-                 read: Callable[[float], Optional[FiniteOrDivergent]],
-                 weak: Callable[[], float]) -> Optional[Tuple[float, str,
-                                                            Optional[FiniteOrDivergent]]]:
+                 read: Callable[[float], FiniteOrDivergent],
+                 weak: Callable[[], float]) -> Optional[Tuple[float, str, FiniteOrDivergent]]:
     """(s, kind, read(s)): the start of the closed-form power norm, or None.
 
     Under power(p), modular(k) = (s/k)^p modular(s) for every s, so the
@@ -220,22 +202,22 @@ def _power_start(tail: StepTail | AnalyticTail, t_p: Optional[float],
     modular at s that the ladder's slopes call divergent is +inf at every
     k.  ``read(k)`` is the caller's modular, ``weak()`` its weak norm and
     t_p the analytic tail's plateau end (``_support_ends``).  On a step
-    tail s is its largest value top (``"largest value"``), and that is
-    all this branch decides: the modular there is the exact sum sum_i
-    (v_i/top)^p m_i, whose terms do not overflow, and which is exact at
-    any scale.  ``luxemburg_norm`` reads that sum as a float through
-    ``_step_modular``, so its ``read`` returns None there.  On an
-    analytic tail s = 1 (``"unit"``) where the modular there is divergent
-    with ladder points or finite and at least ABS_TOL / REL_TOL = 1e-4.
-    Below that floor the kernel's absolute stop, not its relative one,
-    bounds its error (min(1, (t/1e-9)^-5.4) under power(1.56) came out
-    7e-5 off).  Where the modular at 1 overflows (no ladder points) and
-    t_p > 1, the plateau term M t_p^p may be what overflowed, so s = t_p
-    (``"plateau end"``) is read next, where that term is M; the same test
-    keeps it.  Otherwise, below the floor and where the modular at 1 (and
-    at t_p) overflows, s moves to the ``_weak_start`` of the weak norm w
-    (``"weak norm"``), where the modular is about 1 or more, read once if
-    s = 1; None where w exceeds 2^64 and no start is left.
+    tail s is its largest value top (``"largest value"``): the modular
+    there is the exact sum sum_i (v_i/top)^p m_i, whose terms do not
+    overflow, and which is exact at any scale.  On an analytic tail
+    s = 1 (``"unit"``) where the modular there is divergent with ladder
+    points or finite and at least ABS_TOL / REL_TOL = 1e-4.  Below that
+    floor the kernel's absolute stop, not its relative one, bounds its
+    error (min(1, (t/1e-9)^-5.4) under power(1.56) came out 7e-5 off).
+    Where the modular at 1 overflows (no ladder points) and t_p > 1, the
+    plateau term M t_p^p may be what overflowed, so s = t_p (``"plateau
+    end"``) is read next, where that term is M; the same test keeps it.
+    A plateau that reaches the largest float is not read there: its
+    modular overflows at every k.  Otherwise, below the floor and where
+    the modular at 1 (and at t_p) overflows, s moves to the
+    ``_weak_start`` of the weak norm w (``"weak norm"``), where the
+    modular is about 1 or more, read once if s = 1; None where w exceeds
+    2^64 and no start is left.
     """
     if isinstance(tail, StepTail):
         s = tail.thresholds[-1]
@@ -249,7 +231,7 @@ def _power_start(tail: StepTail | AnalyticTail, t_p: Optional[float],
     r = read(1.0)
     if usable(r):
         return 1.0, "unit", r
-    if r.is_divergent and t_p > 1.0:
+    if r.is_divergent and 1.0 < t_p < _FLOAT_MAX:
         at_plateau = read(t_p)
         if usable(at_plateau):
             return t_p, "plateau end", at_plateau
@@ -285,16 +267,15 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     wide, or NORM_REL_TOL wide where the modular only jumps from +inf or
     to 0; the accuracy is fixed, and no caller chooses another.
 
-    On a step tail every modular is the float ``_step_modular`` reads
-    (+inf where it overflows), and a wrapper put on
-    ``YoungFunction.__call__`` sees ``modular_evaluations`` times the
-    number of pieces calls.  On an analytic tail the plateau end t_p and
-    the zero start t_z (``_support_ends``) are found once, after the cap
-    test on w where one runs first.  Every modular takes the plateau (0,
-    t_p] in closed form and integrates only over the support (t_p, t_z],
-    and the modulars read the tail through one dict from t to T(t) that
-    lives for this call, so a node an earlier modular read is not read
-    again.
+    On a step tail every modular is a call of ``modular``, so a wrapper
+    put on ``norms.modular`` sees ``modular_evaluations`` calls and one
+    put on ``YoungFunction.__call__`` that many times the number of
+    pieces.  On an analytic tail the plateau end t_p and the zero start
+    t_z (``_support_ends``) are found once, after the cap test on w where
+    one runs first.  Every modular takes the plateau (0, t_p] in closed
+    form and integrates only over the support (t_p, t_z], and the
+    modulars read the tail through one dict from t to T(t) that lives for
+    this call, so a node an earlier modular read is not read again.
 
     Either way a cap that decides the norm is recorded in the trace as
     ``note``.  Modular values are cached by k.  The trace records
@@ -302,13 +283,13 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     norm ran), the start s and its kind as ``start`` (None where no
     modular was read; under power, one of ``_power_start``'s kinds, and
     the unit start where no start is left), t_p as ``plateau_end`` and
-    t_z as ``zero_start``
-    (None on a step tail, without a plateau or a zero start below 1e12,
-    or where the cap on w decided the norm first), the number of distinct
-    tail values the modulars read as ``tail_reads`` and, off power, the
-    final ``bracket``.  An inconclusive modular anywhere aborts with
-    BudgetExceeded rather than silently guessing a side; a root search
-    that stalls raises NonConvergence.
+    t_z as ``zero_start`` (None on a step tail, without a plateau or a
+    zero start below 1e12, or where the cap on w decided the norm first),
+    the number of distinct tail values the modulars read as
+    ``tail_reads`` and, off power, the final ``bracket``.  An
+    inconclusive modular anywhere aborts with BudgetExceeded rather than
+    silently guessing a side; a root search that stalls raises
+    NonConvergence.
     """
     tail = f.tail
     step = isinstance(tail, StepTail)
@@ -323,7 +304,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     start: Optional[Tuple[float, str]] = None  # the closed form's or the search's k and its kind
     t_p: Optional[float] = None  # the analytic tail's plateau end, once found
     zero = (math.inf, False)  # and its zero start, as ``_support_ends`` gives it
-    last: Optional[FiniteOrDivergent] = None  # the latest analytic modular, with its evidence
+    last: Optional[FiniteOrDivergent] = None  # the latest modular, with its evidence
 
     def mod(k: float) -> float:
         """modular(f, k), with +inf standing for a divergent modular."""
@@ -332,9 +313,9 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
         if v is None:
             try:
                 if step:
-                    v = cache[k] = _step_modular(N, tail, k)
-                    return v
-                r = _analytic_modular(N, f, k, t_p, zero, reads)
+                    r = modular(N, f, k)
+                else:
+                    r = _analytic_modular(N, f, k, t_p, zero, reads)
             except (BudgetExceeded, Inconclusive) as exc:
                 raise BudgetExceeded(
                     f"modular at k={k:g} could not be classified: {exc}"
@@ -343,8 +324,8 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
             last = r
         return v
 
-    def read(k: float) -> Optional[FiniteOrDivergent]:
-        """The modular at a k not read before, with its evidence (None on a step tail)."""
+    def read(k: float) -> FiniteOrDivergent:
+        """The modular at a k not read before, with its evidence."""
         mod(k)
         return last
 
@@ -753,20 +734,19 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     The power Young function is built here for any p >= 1, p = 1
     included, which ``power_young`` rejects.  At s = 1 the modular is
     p int t^(p-1) T(t) dt, and on a step tail, at its largest value top,
-    the exact sum sum_j (v_j/top)^p m_j over the (value, mass) pieces,
-    the float ``_step_modular`` reads (through ``modular``, which makes
-    an overflow divergent).  Unlike ``luxemburg_norm`` this has no caps
-    and no float walk, so a norm of 1e200 stays a float.  The result is
-    divergent where the modular at the start is divergent with ladder
-    points (+inf at every scale), or where the tail's plateau reaches the
-    largest float.  A plateau term that overflows at 1 is read again at
-    the plateau end t_p > 1, where it is the mass: the L^2 norm of
-    min(1, (t/1e200)^-3) is sqrt(3) 1e200 from modular(1e200) = 3.
-    Where no usable start is left (the modular at 1, and at t_p, overflows
-    or lies below 1e-4 and the weak norm exceeds 2^64, or the modular at
-    the weak-norm start overflows), NonEvaluable names p: the integral
-    may well be finite, so it is not called divergent.  p = +inf, like
-    NaN, raises ValueError: the sup norm is not this formula.
+    the exact sum sum_j (v_j/top)^p m_j over the (value, mass) pieces.
+    Unlike ``luxemburg_norm`` this has no caps and no float walk, so a
+    norm of 1e200 stays a float.  The result is divergent where the
+    modular at the start is divergent with ladder points (+inf at every
+    scale), or where the tail's plateau reaches the largest float.  A
+    plateau term that overflows at 1 is read again at the plateau end
+    t_p > 1, where it is the mass: the L^2 norm of min(1, (t/1e200)^-3)
+    is sqrt(3) 1e200 from modular(1e200) = 3.  Where no usable start is
+    left (the modular at 1, and at t_p, overflows or lies below 1e-4 and
+    the weak norm exceeds 2^64, or the modular at the weak-norm start
+    overflows), NonEvaluable names p: the integral may well be finite,
+    so it is not called divergent.  p = +inf, like NaN, raises
+    ValueError: the sup norm is not this formula.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("Lebesgue exponent must satisfy 1 <= p < inf")

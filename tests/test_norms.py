@@ -305,6 +305,51 @@ class TestLuxemburgNorm:
         assert r.value == pytest.approx(74.90045280473883e-3, rel=1e-14)
         assert r.trace["start"][1] == "weak norm"
 
+    def test_power_start_reads_the_plateau_end(self):
+        # min(1, (t/100)^-400) under power(200): the plateau term 100^200 of
+        # modular(1) overflows; at the plateau end 100 the modular is
+        # 1 + 200/200 = 2, and the norm 100 2^(1/200) is read there, with no
+        # weak norm run
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 100.0) ** -400.0)), 1.0)
+        r = luxemburg_norm(power_young(200.0), f)
+        assert r.value == pytest.approx(100.0 * 2.0 ** (1.0 / 200.0), rel=1e-14)
+        assert r.trace["start"] == (100.0, "plateau end")
+        assert r.trace["weak_lower_bound"] is None
+        assert r.trace["modular_evaluations"] == 4  # at 1, 100, the norm and one float past
+        # min(1, (t/1e200)^-3) under power(2): modular(1e200) = 3, so the norm
+        # sqrt(3) 1e200 lies above the cap; the weak norm is not run
+        heavy_plateau = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 1e200) ** -3.0)), 1.0)
+        r = luxemburg_norm(power_young(2.0), heavy_plateau)
+        assert r.value == math.inf
+        assert r.trace["note"] == f"modular above 1 up to cap {2.0 ** 64:g}"
+        assert r.trace["start"] == (1e200, "plateau end")
+        assert r.trace["weak_lower_bound"] is None
+        assert r.trace["modular_evaluations"] == 2
+
+    def test_power_start_falls_back_past_an_unusable_plateau_end(self):
+        # 1e-6 min(1, (t/100)^-400) under power(200): modular(1) overflows,
+        # and modular(100) = 2e-6 lies below the 1e-4 floor, so the weak-norm
+        # start w = 100 1e-6^(1/200) is read third and gives the norm
+        # 100 (2e-6)^(1/200), as the Lebesgue norm does from its own reads
+        N = power_young(200.0)
+        f = TailRepFunction(AnalyticTail(lambda t: 1e-6 * min(1.0, (t / 100.0) ** -400.0)), 1e-6)
+        expected = 100.0 * 2e-6 ** (1.0 / 200.0)
+        r = luxemburg_norm(N, f)
+        w = weak_norm(N, f).value
+        assert r.value == pytest.approx(expected, rel=1e-14)
+        assert r.trace["start"] == (w, "weak norm")
+        assert r.trace["weak_lower_bound"] == w
+        assert r.trace["modular_evaluations"] == 4  # at 1, 100, w and the norm
+        assert lebesgue_norm(f, 200.0).value == pytest.approx(expected, rel=1e-14)
+        # a plateau that reaches the largest float is not read at its end
+        # (its modular overflows at every k): the weak norm +inf decides
+        everywhere = TailRepFunction(AnalyticTail(lambda t: 1.0), 1.0)
+        r = luxemburg_norm(power_young(2.0), everywhere)
+        assert r.value == math.inf
+        assert r.trace["note"] == _WEAK_ABOVE
+        assert r.trace["start"] == (1.0, "unit")
+        assert r.trace["modular_evaluations"] == 1
+
     def test_power_norm_whose_weak_start_modular_has_a_late_support(self):
         # at the weak-norm start w = 5413.4 the integrand's support on the
         # upward ladder began past two zero probes, which once settled the

@@ -355,3 +355,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             integrate(lambda w: 1.0 / w, 1.0, math.inf).require_finite()
         assert FiniteOrDivergent.finite(3.0).require_finite() == 3.0
+
+    def test_finite_is_the_frozen_object_the_constructor_builds(self):
+        import dataclasses
+
+        r = FiniteOrDivergent.finite(2.5)
+        built = FiniteOrDivergent("finite", value=2.5)
+        assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
+        assert r.is_finite and not r.is_divergent and r.evidence is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.value = 1.0

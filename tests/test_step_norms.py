@@ -1,10 +1,11 @@
 """Step-tail norms: every evaluation stays visible, and the results stay put.
 
-The strong norm reads each step sum as a float (``norms._step_modular``)
-and the weak norm runs its threshold loop inline.  A tracer that wraps
-``YoungFunction.__call__`` or ``YoungFunction.inverse`` on the class must
-still count every evaluation, and the norms of seeded step tails must
-keep the exact floats and traces pinned in ``FROZEN``.
+The step sums run over piece masses taken once per tail, and the weak
+norm runs its threshold loop inline.  A tracer that wraps ``modular`` in
+``orlicz.norms``, or ``YoungFunction.__call__`` or
+``YoungFunction.inverse`` on the class, must still count every
+evaluation, and the norms of seeded step tails must keep the exact
+floats and traces pinned in ``FROZEN``.
 """
 
 import math
@@ -43,7 +44,8 @@ CASES = {f"{fam}-{i}": (fam, i) for fam in ("power", "exp_m", "delta", "custom")
          for i in range(PER_FAMILY)}
 
 # (strong value, modular_evaluations, bracket, weak value, argmax_t), computed
-# before the step sums were read as plain floats; bracket is None under power
+# while each step sum took its masses as differences of levels term by term
+# and the weak norm called a helper per threshold; bracket is None under power
 FROZEN = {
     "power-0": (170.65138765832344, 2, None, 166.44808844475935, 384.3079649486683),
     "power-1": (39.69899725790788, 3, None, 39.69899725694227, 58.254352485653826),
@@ -158,6 +160,33 @@ def test_strong_norm_step_sums_stay_visible(N, monkeypatch):
     r = luxemburg_norm(N, f)
     assert r.trace["modular_evaluations"] > 1
     assert len(seen) == r.trace["modular_evaluations"] * len(PIECES)
+
+
+@pytest.mark.parametrize("N", YOUNG, ids=["power", "exp_m", "delta", "custom"])
+def test_strong_norm_reads_every_step_sum_through_modular(N, monkeypatch):
+    # a wrapper on the module attribute, as a tracer installs it, must see
+    # every step sum the norm reads as one call of modular
+    import orlicz.norms as norms_module
+
+    seen = []
+    plain = norms_module.modular
+
+    def counted(N, f, k):
+        seen.append(k)
+        return plain(N, f, k)
+
+    f = step_tail(PIECES, 1.0)
+    monkeypatch.setattr(norms_module, "modular", counted)
+    r = luxemburg_norm(N, f)
+    assert r.trace["modular_evaluations"] > 1
+    assert len(seen) == len(set(seen)) == r.trace["modular_evaluations"]
+
+
+def test_piece_masses_are_the_level_differences():
+    tail = step_tail(PIECES, 1.0).tail
+    levels = tail.levels + (0.0,)
+    assert tuple(tail._masses) == tuple(levels[i] - levels[i + 1] for i in range(len(tail.levels)))
+    assert tail.pieces() == list(zip(tail.thresholds, tail._masses))
 
 
 @pytest.mark.parametrize("N", YOUNG, ids=["power", "exp_m", "delta", "custom"])
