@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -89,9 +90,7 @@ def _cmd_norm(args) -> int:
         return _input_error(str(exc))
     if args.mass is not None:
         mass = math.inf if args.mass == "inf" else float(args.mass)
-        desc = FunctionDescriptor(
-            desc.kind, mass, pieces=desc.pieces, a=desc.a, family=desc.family, p=desc.p
-        )
+        desc = dataclasses.replace(desc, mass=mass)
     try:
         f = desc.build(young)
     except OrliczError as exc:

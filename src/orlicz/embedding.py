@@ -15,10 +15,11 @@ of N, which also keeps its value where N itself overflows; the
 substituted form over w = N(t) decays too slowly for the cutoff ladder
 when N grows like exp((ln t)^D).  Q is continuous, strictly decreasing,
 infinite at 1+ and vanishing at infinity, and the bound is attained by
-that extremal function; k0 is its Luxemburg norm.  For exp_m on a finite
-mass k0 has a closed form (``expfamily``), which one numeric Q certifies;
-otherwise it is found by the crossing solver the Luxemburg norm uses off
-power.
+that extremal function; k0 is its Luxemburg norm.  One function,
+``_k0_search``, finds k0 from a Q memoised over the criterion's trail.
+For exp_m on a finite mass k0 has a closed form (``expfamily``), which
+one numeric Q certifies; otherwise it is found by the crossing solver
+the Luxemburg norm uses off power.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BadParameter, BudgetExceeded, DivergentModular,
                      Inconclusive, NonConvergence, NonEvaluable)
@@ -200,27 +201,39 @@ def _resolve_verdict(
     return override, override, agreement
 
 
-def _unsettled(trace: List[Tuple[float, str, object]], k: float, reason: str) -> NonConvergence:
-    trace.append((k, INCONCLUSIVE, reason))
-    return NonConvergence(f"embedding modular at k={k!r} unsettled: {reason}")
-
-
-def _q_function(
+def _k0_search(
     N: YoungFunction,
     total_mass: float,
     criterion_trail: Sequence[Tuple[float, str, object]],
     trace: List[Tuple[float, str, object]],
-) -> Callable[[float], float]:
-    """Q(k) with +inf standing for a divergent Q, memoised by k.
+) -> Tuple[float, float]:
+    """Root k0 of Q(k) = 1, with the numeric Q(k0) that certifies it.
 
-    Q(1/C) is already known at every scaling C of the criterion trail,
-    and those values are reused.  Every new Q evaluation is appended to
-    ``trace`` as (k, tag, value); an unsettled Q (budget, inconclusive
-    ladder) raises NonConvergence via ``_unsettled``.
+    Q is memoised by k, +inf standing for a divergent Q.  Q(1/C) is
+    already known at every scaling C of the criterion trail, and those
+    values are reused; every new Q evaluation is appended to ``trace`` as
+    (k, tag, value).  exp_m on a finite mass takes k0 = alpha*(M)^(-1/m)
+    from ``expfamily`` and evaluates Q once, at k0; the returned Q(k0)
+    satisfies |Q(k0) - 1| <= Q_TOL, on either side of 1.  Every other
+    family (a relabelled copy of exp_m included) runs the shared crossing
+    solver on Q from k = 2, as the Luxemburg norm does off power, and k0
+    is the end of the final bracket where Q <= 1, so 1 - Q_TOL <= Q(k0)
+    <= 1.  A Q that jumps from +inf to below 1 is bisected to
+    NORM_REL_TOL and then fails Q_TOL at that end.
+
+    DivergentModular is raised when Q stays above 1 up to the solver's
+    cap.  When Q cannot be settled on the way (budget, inconclusive
+    ladder, or a k0 that misses Q_TOL) the last trace entry is (k,
+    "inconclusive", reason) and NonConvergence is raised, with no fallback
+    from the closed form to the search.
     """
     cache: Dict[float, Tuple[str, object]] = {
         1.0 / c: (tag, value) for c, tag, value in criterion_trail
     }
+
+    def unsettled(k: float, reason: object) -> NonConvergence:
+        trace.append((k, INCONCLUSIVE, reason))
+        return NonConvergence(f"embedding modular at k={k!r} unsettled: {reason}")
 
     def q(k: float) -> float:
         if k not in cache:
@@ -233,54 +246,18 @@ def _q_function(
                 trace.append((k, r.tag, r.value))
         tag, value = cache[k]
         if tag == INCONCLUSIVE:
-            raise _unsettled(trace, k, value)
+            raise unsettled(k, value)
         return value if tag == "finite" else math.inf
 
-    return q
-
-
-def _k0_crossing(q: Callable[[float], float]) -> float:
-    """Root of Q(k) = 1 by the shared crossing solver, started at k = 2.
-
-    The result is the end of the final bracket where Q <= 1, as for the
-    Luxemburg norm off power.  DivergentModular is raised when Q stays
-    above 1 up to the solver's cap.
-    """
-    # a Q that jumps from +inf to below 1 is bisected to NORM_REL_TOL and
-    # then fails Q_TOL at the upper end
-    _, k0 = _unit_crossing(q, 2.0)
-    if k0 == math.inf:
-        raise DivergentModular("embedding modular stayed above 1 up to the cap")
-    return k0
-
-
-def _k0_search(
-    N: YoungFunction,
-    total_mass: float,
-    criterion_trail: Sequence[Tuple[float, str, object]],
-    trace: List[Tuple[float, str, object]],
-) -> Tuple[float, float]:
-    """Root k0 of Q(k) = 1, with the numeric Q(k0) that certifies it.
-
-    exp_m on a finite mass takes k0 = alpha*(M)^(-1/m) from ``expfamily``
-    and evaluates Q once, at k0; the returned Q(k0) satisfies
-    |Q(k0) - 1| <= Q_TOL, on either side of 1.  Every other family runs
-    ``_k0_crossing`` on Q, and 1 - Q_TOL <= Q(k0) <= 1.
-
-    Every new Q evaluation is appended to ``trace`` as (k, tag, value).
-    When Q cannot be settled on the way (budget, inconclusive ladder, or a
-    k0 that misses Q_TOL) the last trace entry is (k, "inconclusive",
-    reason) and NonConvergence is raised, with no fallback from the closed
-    form to the search.
-    """
-    q = _q_function(N, total_mass, criterion_trail, trace)
     if N.family == "exp_m" and math.isfinite(total_mass):
         k0 = exp_embedding_constant(N.param, total_mass)
     else:
-        k0 = _k0_crossing(q)
+        _, k0 = _unit_crossing(q, 2.0)
+        if k0 == math.inf:
+            raise DivergentModular("embedding modular stayed above 1 up to the cap")
     value = q(k0)
     if not abs(value - 1.0) <= Q_TOL:
-        raise _unsettled(trace, k0, f"|Q - 1| = {abs(value - 1.0):.3g} exceeds {Q_TOL:g}")
+        raise unsettled(k0, f"|Q - 1| = {abs(value - 1.0):.3g} exceeds {Q_TOL:g}")
     return k0, value
 
 

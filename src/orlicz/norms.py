@@ -194,8 +194,8 @@ def _weak_start(w: float) -> Optional[float]:
 
 def _power_start(tail: StepTail | AnalyticTail, t_p: Optional[float],
                  read: Callable[[float], FiniteOrDivergent],
-                 weak: Callable[[], float]) -> Optional[Tuple[float, str, FiniteOrDivergent]]:
-    """(s, kind, read(s)): the start of the closed-form power norm, or None.
+                 weak: Callable[[], float]) -> Tuple[float, str, Optional[FiniteOrDivergent]]:
+    """(s, kind, read(s)): the start of the closed-form power norm.
 
     Under power(p), modular(k) = (s/k)^p modular(s) for every s, so the
     norm is s modular(s)^(1/p) (Krasnosel'skii and Rutickii, 1961), and a
@@ -204,41 +204,41 @@ def _power_start(tail: StepTail | AnalyticTail, t_p: Optional[float],
     t_p the analytic tail's plateau end (``_support_ends``).  On a step
     tail s is its largest value top (``"largest value"``): the modular
     there is the exact sum sum_i (v_i/top)^p m_i, whose terms do not
-    overflow, and which is exact at any scale.  On an analytic tail
-    s = 1 (``"unit"``) where the modular there is divergent with ladder
-    points or finite and at least ABS_TOL / REL_TOL = 1e-4.  Below that
-    floor the kernel's absolute stop, not its relative one, bounds its
-    error (min(1, (t/1e-9)^-5.4) under power(1.56) came out 7e-5 off).
-    Where the modular at 1 overflows (no ladder points) and t_p > 1, the
-    plateau term M t_p^p may be what overflowed, so s = t_p (``"plateau
-    end"``) is read next, where that term is M; the same test keeps it.
-    A plateau that reaches the largest float is not read there: its
-    modular overflows at every k.  Otherwise, below the floor and where
-    the modular at 1 (and at t_p) overflows, s moves to the
-    ``_weak_start`` of the weak norm w (``"weak norm"``), where the
-    modular is about 1 or more, read once if s = 1; None where w exceeds
-    2^64 and no start is left.
+    overflow, and which is exact at any scale.  An analytic tail has one
+    rule: s is the plateau end t_p (``"plateau end"``) where 1 < t_p <
+    max_float, and 1 (``"unit"``) otherwise.  At t_p the plateau term is
+    the mass M, so the modular is about M or more, well scaled where the
+    plateau term M t_p^p of the modular at 1 would dwarf the rest or
+    overflow.  A plateau that reaches the largest float is not read at its
+    end: its modular overflows at every k.
+
+    That one modular is kept where it is divergent with ladder points, or
+    finite and at least ABS_TOL / REL_TOL = 1e-4.  Below that floor the
+    kernel's absolute stop, not its relative one, bounds its error
+    (min(1, (t/1e-9)^-5.4) under power(1.56) came out 7e-5 off).  Where
+    it is unusable, s moves to the ``_weak_start`` of the weak norm w
+    (``"weak norm"``), where the modular is about 1 or more, read unless s
+    is the start already read.  A modular there that overflows with no
+    ladder points raises NonEvaluable: the norm may well be finite, so it
+    is not called +inf.  Where w exceeds 2^64 no start is left, and the
+    result is the start read with None in place of its modular.
     """
     if isinstance(tail, StepTail):
         s = tail.thresholds[-1]
         return s, "largest value", read(s)
-
-    def usable(r: FiniteOrDivergent) -> bool:
-        if r.is_divergent:
-            return bool(r.evidence.points)
-        return r.value >= _POWER_START_FLOOR
-
-    r = read(1.0)
-    if usable(r):
-        return 1.0, "unit", r
-    if r.is_divergent and 1.0 < t_p < _FLOAT_MAX:
-        at_plateau = read(t_p)
-        if usable(at_plateau):
-            return t_p, "plateau end", at_plateau
+    first, kind = (t_p, "plateau end") if 1.0 < t_p < _FLOAT_MAX else (1.0, "unit")
+    r = read(first)
+    if (r.value >= _POWER_START_FLOOR) if r.is_finite else r.evidence.points:
+        return first, kind, r
     s = _weak_start(weak())
     if s is None:
-        return None
-    return s, "weak norm", r if s == 1.0 else read(s)
+        return first, kind, None
+    if s != first:
+        r = read(s)
+    if r.is_divergent and not r.evidence.points:
+        raise NonEvaluable(f"no start for the closed-form power norm: the modular "
+                           f"overflows at the weak-norm start s={s:g}")
+    return s, "weak norm", r
 
 
 def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
@@ -246,12 +246,16 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
 
     Under power(p) the norm is the L^p norm in closed form: k = s
     modular(s)^(1/p), read off one modular at the start s that
-    ``_power_start`` picks, as in ``lebesgue_norm``.  A modular there
-    that the ladder's slopes call divergent makes the norm +inf after
-    that one modular, and so does a start that is not left (a weak norm
-    above 2^64).  The norm is +inf if k exceeds 2^64 (NORM_CAP) and 0 if
-    k is below 2^-64.  Rounding may leave modular(k) just above 1; k then
-    steps up one float at a time until modular(k) <= 1, for at most
+    ``_power_start`` picks, as in ``lebesgue_norm``: the plateau end t_p
+    of an analytic tail where 1 < t_p < max_float, else 1, and the weak
+    norm's start only where the modular there is unusable.  A modular at
+    the start that the ladder's slopes call divergent makes the norm
+    +inf after that one modular, and so does a start that is not left (a
+    weak norm above 2^64).  A modular at the weak norm's start that
+    overflows with no ladder points is no evidence of +inf, and raises
+    NonEvaluable.  The norm is +inf if k exceeds 2^64 (NORM_CAP) and 0
+    if k is below 2^-64.  Rounding may leave modular(k) just above 1; k
+    then steps up one float at a time until modular(k) <= 1, for at most
     ``_POWER_WALK`` floats, past which NonConvergence is raised.
 
     Off power, the weak norm w is a lower bound: modular(f, k) >= T(t)
@@ -282,7 +286,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     ``modular_evaluations``, w as ``weak_lower_bound`` (None where no weak
     norm ran), the start s and its kind as ``start`` (None where no
     modular was read; under power, one of ``_power_start``'s kinds, and
-    the unit start where no start is left), t_p as ``plateau_end`` and
+    the start read where no start is left), t_p as ``plateau_end`` and
     t_z as ``zero_start`` (None on a step tail, without a plateau or a
     zero start below 1e12, or where the cap on w decided the norm first),
     the number of distinct tail values the modulars read as
@@ -352,12 +356,10 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     if not step:
         t_p, zero = _support_ends(tail, f.total_mass)
     if power:
-        found = _power_start(tail, t_p, read, weak)
-        if found is None:
-            start = (1.0, "unit")
+        s, kind, r = _power_start(tail, t_p, read, weak)
+        start = (s, kind)
+        if r is None:
             return capped(math.inf, _WEAK_ABOVE)
-        start = found[:2]
-        s = start[0]
         k = s * mod(s) ** (1.0 / N.param)  # +inf where the modular at s is divergent
         if k > NORM_CAP:
             return capped(math.inf, _ABOVE)
@@ -735,18 +737,18 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
     included, which ``power_young`` rejects.  At s = 1 the modular is
     p int t^(p-1) T(t) dt, and on a step tail, at its largest value top,
     the exact sum sum_j (v_j/top)^p m_j over the (value, mass) pieces.
-    Unlike ``luxemburg_norm`` this has no caps and no float walk, so a
-    norm of 1e200 stays a float.  The result is divergent where the
-    modular at the start is divergent with ladder points (+inf at every
-    scale), or where the tail's plateau reaches the largest float.  A
-    plateau term that overflows at 1 is read again at the plateau end
-    t_p > 1, where it is the mass: the L^2 norm of min(1, (t/1e200)^-3)
-    is sqrt(3) 1e200 from modular(1e200) = 3.  Where no usable start is
-    left (the modular at 1, and at t_p, overflows or lies below 1e-4 and
-    the weak norm exceeds 2^64, or the modular at the weak-norm start
-    overflows), NonEvaluable names p: the integral may well be finite,
-    so it is not called divergent.  p = +inf, like NaN, raises
-    ValueError: the sup norm is not this formula.
+    An analytic tail whose plateau ends at t_p > 1 starts there, where
+    the plateau term is the mass: the L^2 norm of min(1, (t/1e200)^-3) is
+    sqrt(3) 1e200 from modular(1e200) = 3.  Unlike ``luxemburg_norm``
+    this has no caps and no float walk, so a norm of 1e200 stays a
+    float.  The result is divergent where the modular at the start is
+    divergent with ladder points (+inf at every scale), or where the
+    tail's plateau reaches the largest float.  Where no usable start is
+    left (the modular at the start overflows or lies below 1e-4 and the
+    weak norm exceeds 2^64), NonEvaluable names p, and ``_power_start``
+    raises it where the modular at the weak norm's start overflows: the
+    integral may well be finite, so it is not called divergent.  p =
+    +inf, like NaN, raises ValueError: the sup norm is not this formula.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("Lebesgue exponent must satisfy 1 <= p < inf")
@@ -769,12 +771,11 @@ def lebesgue_norm(f: TailRepFunction, p: float) -> FiniteOrDivergent:
         def read(k: float) -> FiniteOrDivergent:
             return _analytic_modular(N, f, k, t_p, zero, reads)
 
-    found = _power_start(tail, t_p, read, lambda: weak_norm(N, f).value)
-    if found is None or found[2].is_divergent and not found[2].evidence.points:
+    s, _, r = _power_start(tail, t_p, read, lambda: weak_norm(N, f).value)
+    if r is None:
         raise NonEvaluable(f"no start for the closed-form L^p norm at p={p:g}: the modular "
                            f"overflows or is below {_POWER_START_FLOOR:g}, and the weak "
-                           f"norm gives no usable start")
-    s, _, r = found
+                           f"norm exceeds {NORM_CAP:g}")
     if r.is_divergent:
         return r
     return FiniteOrDivergent.finite(s * r.value ** (1.0 / p))

@@ -162,6 +162,20 @@ class TestNormCommand:
         assert rc == 0
         assert json.loads(out)["function"]["mass"] == 2.0
 
+    def test_mass_override_keeps_the_analytic_tail(self, capsys):
+        # the override replaces the mass alone: family and p stay as given,
+        # and t^-2 on infinite mass has the weak power(2) norm 1
+        rc, out, _ = run(
+            capsys, "norm", "--young", "power:2",
+            "--fn", '{"kind":"analytic-tail","family":"power","p":2,"mass":1}',
+            "--kind", "weak", "--mass", "inf",
+        )
+        assert rc == 0
+        rec = json.loads(out)
+        assert rec["function"] == {"kind": "analytic-tail", "family": "power", "p": 2.0,
+                                   "mass": "inf"}
+        assert rec["results"]["weak"]["value"] == pytest.approx(1.0, rel=1e-12)
+
     def test_csv_output(self, capsys):
         rc, out, _ = run(
             capsys, "norm", "--young", "exp_m:2",

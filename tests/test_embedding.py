@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -9,8 +10,7 @@ from orlicz.embedding import (
     INCONCLUSIVE,
     NON_COINCIDENT,
     Q_TOL,
-    _k0_crossing,
-    _q_function,
+    _k0_search,
     coincidence_criterion,
     embedding_constant,
     embedding_modular,
@@ -198,14 +198,14 @@ class TestEmbeddingConstant:
     def test_search_matches_closed_form(self, m, mass):
         # exp_m reports no longer run the crossing search, delta does: the
         # search stays gated on the exact answer, at m >= 150 too, where
-        # the integrand lives in a window about t0/m wide above t0
+        # the integrand lives in a window about t0/m wide above t0.  exp_m
+        # relabelled as custom keeps its Q and log form, and takes the search
         N = exp_young(m)
         trail = coincidence_criterion(N, mass).trail
-        q = _q_function(N, mass, trail, [])
-        k0 = _k0_crossing(q)
+        k0, q_at_k0 = _k0_search(dataclasses.replace(N, family="custom"), mass, trail, [])
         closed = exp_embedding_constant(m, mass)
         assert abs(k0 - closed) <= 1e-12 * closed
-        assert 1.0 - Q_TOL <= q(k0) <= 1.0
+        assert 1.0 - Q_TOL <= q_at_k0 <= 1.0
 
     def test_modular_at_result_is_one(self):
         N = exp_young(2.0)

@@ -307,15 +307,15 @@ class TestLuxemburgNorm:
 
     def test_power_start_reads_the_plateau_end(self):
         # min(1, (t/100)^-400) under power(200): the plateau term 100^200 of
-        # modular(1) overflows; at the plateau end 100 the modular is
-        # 1 + 200/200 = 2, and the norm 100 2^(1/200) is read there, with no
-        # weak norm run
+        # modular(1) would overflow; the start is the plateau end 100, where
+        # the modular is 1 + 200/200 = 2, and the norm 100 2^(1/200) is read
+        # there, with no modular at 1 and no weak norm run
         f = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 100.0) ** -400.0)), 1.0)
         r = luxemburg_norm(power_young(200.0), f)
         assert r.value == pytest.approx(100.0 * 2.0 ** (1.0 / 200.0), rel=1e-14)
         assert r.trace["start"] == (100.0, "plateau end")
         assert r.trace["weak_lower_bound"] is None
-        assert r.trace["modular_evaluations"] == 4  # at 1, 100, the norm and one float past
+        assert r.trace["modular_evaluations"] == 3  # at 100, the norm and one float past
         # min(1, (t/1e200)^-3) under power(2): modular(1e200) = 3, so the norm
         # sqrt(3) 1e200 lies above the cap; the weak norm is not run
         heavy_plateau = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 1e200) ** -3.0)), 1.0)
@@ -324,12 +324,12 @@ class TestLuxemburgNorm:
         assert r.trace["note"] == f"modular above 1 up to cap {2.0 ** 64:g}"
         assert r.trace["start"] == (1e200, "plateau end")
         assert r.trace["weak_lower_bound"] is None
-        assert r.trace["modular_evaluations"] == 2
+        assert r.trace["modular_evaluations"] == 1
 
     def test_power_start_falls_back_past_an_unusable_plateau_end(self):
-        # 1e-6 min(1, (t/100)^-400) under power(200): modular(1) overflows,
-        # and modular(100) = 2e-6 lies below the 1e-4 floor, so the weak-norm
-        # start w = 100 1e-6^(1/200) is read third and gives the norm
+        # 1e-6 min(1, (t/100)^-400) under power(200): at the plateau end 100
+        # the modular 2e-6 lies below the 1e-4 floor, so the weak-norm start
+        # w = 100 1e-6^(1/200) is read second and gives the norm
         # 100 (2e-6)^(1/200), as the Lebesgue norm does from its own reads
         N = power_young(200.0)
         f = TailRepFunction(AnalyticTail(lambda t: 1e-6 * min(1.0, (t / 100.0) ** -400.0)), 1e-6)
@@ -339,7 +339,7 @@ class TestLuxemburgNorm:
         assert r.value == pytest.approx(expected, rel=1e-14)
         assert r.trace["start"] == (w, "weak norm")
         assert r.trace["weak_lower_bound"] == w
-        assert r.trace["modular_evaluations"] == 4  # at 1, 100, w and the norm
+        assert r.trace["modular_evaluations"] == 3  # at 100, w and the norm
         assert lebesgue_norm(f, 200.0).value == pytest.approx(expected, rel=1e-14)
         # a plateau that reaches the largest float is not read at its end
         # (its modular overflows at every k): the weak norm +inf decides
@@ -349,6 +349,40 @@ class TestLuxemburgNorm:
         assert r.trace["note"] == _WEAK_ABOVE
         assert r.trace["start"] == (1.0, "unit")
         assert r.trace["modular_evaluations"] == 1
+        # where no start is left, the trace names the start that was read:
+        # min(1, (t/1e30)^-203) under power(200) overflows N' at its plateau
+        # end 1e30, and the weak norm 1e30 lies above the cap
+        beyond = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 1e30) ** -203.0)), 1.0)
+        r = luxemburg_norm(N, beyond)
+        assert r.value == math.inf
+        assert r.trace["note"] == _WEAK_ABOVE
+        assert r.trace["start"] == (1e30, "plateau end")
+        assert r.trace["modular_evaluations"] == 1
+
+    def test_large_plateau_starts_at_its_end(self):
+        # min(1, (t/1e10)^-8) under power(1.5): the norm is
+        # 1e10 (8/6.5)^(1/1.5) = 1.148464971328384e10.  Read at 1, the
+        # modular 1.23e15 came out 3.9e-15 low, which put k 23 floats below
+        # the norm, past the float walk, and raised NonConvergence; at the
+        # plateau end 1e10 the modular is about 1.23
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 1e10) ** -8.0)), 1.0)
+        r = luxemburg_norm(power_young(1.5), f)
+        assert r.value == pytest.approx(1.148464971328384e10, rel=1e-12)
+        assert r.trace["start"] == (1e10, "plateau end")
+        assert lebesgue_norm(f, 1.5).value == pytest.approx(1.148464971328384e10, rel=1e-12)
+
+    def test_overflow_at_the_weak_start_is_not_evaluable(self):
+        # min(1, (t/1e3)^-203) under power(200): N'(t/k) = 200 (t/k)^199
+        # overflows past t/k = 35, so the modular at the plateau end 1e3,
+        # which is also the weak-norm start, is divergent with no ladder
+        # points.  That is no evidence of +inf (the norm is
+        # 1e3 (203/3)^(1/200) = 1021.3), so both norms raise NonEvaluable,
+        # where the strong norm read k = s inf^(1/p) = +inf
+        f = TailRepFunction(AnalyticTail(lambda t: min(1.0, (t / 1e3) ** -203.0)), 1.0)
+        with pytest.raises(NonEvaluable, match="weak-norm start s=1000"):
+            luxemburg_norm(power_young(200.0), f)
+        with pytest.raises(NonEvaluable, match="weak-norm start s=1000"):
+            lebesgue_norm(f, 200.0)
 
     def test_power_norm_whose_weak_start_modular_has_a_late_support(self):
         # at the weak-norm start w = 5413.4 the integrand's support on the
@@ -862,11 +896,15 @@ class TestLebesgueNorm:
 
     def test_closed_form_is_one_modular(self):
         # the Lebesgue norm is s modular(s)^(1/p) under power(p), bit for bit,
-        # at s = 1 on an analytic tail and at the largest value on a step tail
+        # on an analytic tail at its plateau end t_p where 1 < t_p and at 1
+        # otherwise, and at the largest value on a step tail
         cases = power_start_cases()
         cases += [(p, f) for p in (1.0, 50.0) for _, f in power_start_cases()]
         for p, f in cases:
-            s = f.tail.thresholds[-1] if isinstance(f.tail, StepTail) else 1.0
+            if isinstance(f.tail, StepTail):
+                s = f.tail.thresholds[-1]
+            else:
+                s = max(_support_ends(f.tail, f.total_mass)[0], 1.0)
             m = modular(_power_family(p), f, s)
             r = lebesgue_norm(f, p)
             if m.is_divergent:
