@@ -20,12 +20,23 @@ that extremal function; k0 is its Luxemburg norm.  One function,
 For exp_m on a finite mass k0 has a closed form (``expfamily``), which
 one numeric Q certifies; otherwise it is found by the crossing solver
 the Luxemburg norm uses off power.
+
+The integrals of one report sample the integrand at the same nodes t
+again and again, at different scalings.  So ``embedding_report``,
+``embedding_constant`` and ``coincidence_criterion`` each open a node
+memo for their N (``_node_scope``): a dict, by t, of the terms of N's log
+form that do not depend on the scaling, which delta's log form fills and
+reads.  It lives for that one call, is shared by the calls it makes, and
+is dropped at its end; nothing is kept on N.  The terms are the same
+floats either way, so every integral is too.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,6 +94,36 @@ def unit_threshold(N: YoungFunction, total_mass: float) -> float:
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
+# The node memo of the report, constant or criterion call under way: its
+# Young function and the dict that N.log_criterion fills with the terms
+# free of the scaling, by node.  A context variable, so that each thread
+# sees only its own call's memo.
+_NODES: ContextVar[Optional[Tuple[YoungFunction, dict]]] = ContextVar(
+    "orlicz_criterion_nodes", default=None)
+
+
+def _nodes_of(N: YoungFunction) -> Optional[dict]:
+    """The node memo open for N, or None."""
+    scope = _NODES.get()
+    return scope[1] if scope is not None and scope[0] is N else None
+
+
+@contextmanager
+def _node_scope(N: YoungFunction):
+    """Share one node memo among the criterion integrals of N in this block.
+
+    A block inside another block for the same N shares the outer memo.
+    The memo is dropped when the outermost block ends.
+    """
+    if _nodes_of(N) is not None:
+        yield
+        return
+    token = _NODES.set((N, {}))
+    try:
+        yield
+    finally:
+        _NODES.reset(token)
+
 
 def _criterion_integrand(N: YoungFunction, c: float):
     """t -> N(ct) N'(t) / N(t)^2, as one exp where N supplies its log form.
@@ -93,7 +134,7 @@ def _criterion_integrand(N: YoungFunction, c: float):
         return _IntegrandOverflow(f"integrand overflow near t={t:g} at scaling {c:g}")
 
     if N.log_criterion is not None:
-        log_f = N.log_criterion(c)
+        log_f = N.log_criterion(c, _nodes_of(N))
 
         def f(t: float) -> float:
             e = log_f(t)
@@ -152,27 +193,30 @@ def coincidence_criterion(N: YoungFunction, total_mass: float) -> CriterionResul
     of exactly 0.0 means it underflowed: that scaling is recorded as
     inconclusive, never as a finite witness.  Non-coincident requires a
     conclusive divergent verdict at every tested C; anything mixed stays
-    inconclusive, never silently resolved.
+    inconclusive, never silently resolved.  The scalings share one node
+    memo, which a calling report or constant opens and which is otherwise
+    dropped on return.
     """
     t0 = unit_threshold(N, total_mass)
     trail: List[Tuple[float, str, object]] = [(C_LADDER[0], "divergent", None)]
     saw_inconclusive = False
-    for c in C_LADDER[1:]:
-        try:
-            r = integrate(_criterion_integrand(N, c), t0, math.inf)
-        except (BudgetExceeded, Inconclusive) as exc:
-            trail.append((c, INCONCLUSIVE, str(exc)))
-            saw_inconclusive = True
-            continue
-        if r.is_finite and r.value == 0.0:
-            trail.append((c, INCONCLUSIVE, f"integral of a positive integrand underflowed "
-                                           f"to 0.0 at scaling {c:g}"))
-            saw_inconclusive = True
-            continue
-        if r.is_finite:
-            trail.append((c, "finite", r.value))
-            return CriterionResult(COINCIDENT, c, tuple(trail))
-        trail.append((c, "divergent", None))
+    with _node_scope(N):
+        for c in C_LADDER[1:]:
+            try:
+                r = integrate(_criterion_integrand(N, c), t0, math.inf)
+            except (BudgetExceeded, Inconclusive) as exc:
+                trail.append((c, INCONCLUSIVE, str(exc)))
+                saw_inconclusive = True
+                continue
+            if r.is_finite and r.value == 0.0:
+                trail.append((c, INCONCLUSIVE, f"integral of a positive integrand underflowed "
+                                               f"to 0.0 at scaling {c:g}"))
+                saw_inconclusive = True
+                continue
+            if r.is_finite:
+                trail.append((c, "finite", r.value))
+                return CriterionResult(COINCIDENT, c, tuple(trail))
+            trail.append((c, "divergent", None))
     if saw_inconclusive:
         return CriterionResult(INCONCLUSIVE, None, tuple(trail))
     return CriterionResult(NON_COINCIDENT, None, tuple(trail))
@@ -212,7 +256,10 @@ def _k0_search(
     Q is memoised by k, +inf standing for a divergent Q.  Q(1/C) is
     already known at every scaling C of the criterion trail, and those
     values are reused; every new Q evaluation is appended to ``trace`` as
-    (k, tag, value).  exp_m on a finite mass takes k0 = alpha*(M)^(-1/m)
+    (k, tag, value).  Each new Q goes through ``embedding_modular``, and
+    its integrand reads the node memo of the calling report or constant:
+    at a node that the criterion or an earlier Q sampled, delta's terms
+    free of the scaling cost one dict read.  exp_m on a finite mass takes k0 = alpha*(M)^(-1/m)
     from ``expfamily`` and evaluates Q once, at k0; the returned Q(k0)
     satisfies |Q(k0) - 1| <= Q_TOL, on either side of 1.  Every other
     family (a relabelled copy of exp_m included) runs the shared crossing
@@ -268,13 +315,14 @@ def embedding_constant(N: YoungFunction, total_mass: float) -> float:
     constant is then infinite) and NonConvergence when Q cannot be
     settled on the way to k0.
     """
-    crit = coincidence_criterion(N, total_mass)
-    verdict, _, _ = _resolve_verdict(N, total_mass, crit.verdict)
-    if verdict != COINCIDENT:
-        raise DivergentModular(
-            f"criterion verdict for {N.describe()} at mass {total_mass:g} is {verdict}"
-        )
-    k0, _ = _k0_search(N, total_mass, crit.trail, [])
+    with _node_scope(N):
+        crit = coincidence_criterion(N, total_mass)
+        verdict, _, _ = _resolve_verdict(N, total_mass, crit.verdict)
+        if verdict != COINCIDENT:
+            raise DivergentModular(
+                f"criterion verdict for {N.describe()} at mass {total_mass:g} is {verdict}"
+            )
+        k0, _ = _k0_search(N, total_mass, crit.trail, [])
     if k0 <= 1.0:
         raise NonConvergence(f"computed embedding constant {k0!r} not above 1")
     return k0
@@ -344,17 +392,17 @@ def embedding_report(N: YoungFunction, total_mass: float) -> EmbeddingReport:
     inconclusive, with no constant; ``q_trace`` then ends with the
     unsettled evaluation as (k, "inconclusive", reason).
     """
-    crit = coincidence_criterion(N, total_mass)
-    verdict, override, agreement = _resolve_verdict(N, total_mass, crit.verdict)
-
     k0 = None
     q_at_k0 = None
     trace: List[Tuple[float, str, object]] = []
-    if verdict == COINCIDENT:
-        try:
-            k0, q_at_k0 = _k0_search(N, total_mass, crit.trail, trace)
-        except NonConvergence:
-            verdict = INCONCLUSIVE
+    with _node_scope(N):
+        crit = coincidence_criterion(N, total_mass)
+        verdict, override, agreement = _resolve_verdict(N, total_mass, crit.verdict)
+        if verdict == COINCIDENT:
+            try:
+                k0, q_at_k0 = _k0_search(N, total_mass, crit.trail, trace)
+            except NonConvergence:
+                verdict = INCONCLUSIVE
 
     return EmbeddingReport(
         family=N.family,

@@ -154,17 +154,22 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119)
 _WG_CENTER = 0.417959183673469
 
 
+def _reject(v: float, x: float) -> None:
+    """Raise NonEvaluable for a sample v at x that failed 0 <= v < inf."""
+    if v != v:
+        raise NonEvaluable(f"integrand returned NaN at x={x!r}")
+    if v < 0.0:
+        raise NonEvaluable(f"integrand returned a negative value {v!r} at x={x!r}")
+    raise NonEvaluable(f"integrand overflowed at x={x!r}")
+
+
 def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
     """f, raising NonEvaluable at each x where f(x) is NaN, negative or +inf."""
 
     def checked(x: float) -> float:
         v = f(x)
-        if v != v:
-            raise NonEvaluable(f"integrand returned NaN at x={x!r}")
-        if v < 0.0:
-            raise NonEvaluable(f"integrand returned a negative value {v!r} at x={x!r}")
-        if v == math.inf:
-            raise NonEvaluable(f"integrand overflowed at x={x!r}")
+        if not 0.0 <= v < math.inf:
+            _reject(v, x)
         return v
 
     return checked
@@ -174,21 +179,34 @@ def _panel(f, a, b):
     """Kronrod value and Kronrod-vs-Gauss error estimate on [a, b].
 
     f is checked (``_checked`` or ``_log_axis``), so its samples are
-    summed as they come.
+    summed as they come.  The 7-15 sums are written out: the samples are
+    taken, and the terms added, in the order of a loop over the node
+    pairs from the outermost in, with the centre first, so that every
+    panel is the same float as that loop gives.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
+    x0, x1, x2, x3, x4, x5, x6 = _XGK
+    w0, w1, w2, w3, w4, w5, w6 = _WGK
+    g1, g3, g5 = _WG
     fc = f(c)
-    resk = _WGK_CENTER * fc
-    resg = _WG_CENTER * fc
-    for i in range(7):
-        dx = h * _XGK[i]
-        v = f(c - dx) + f(c + dx)
-        resk += _WGK[i] * v
-        if i % 2 == 1:
-            resg += _WG[i // 2] * v
-    resk *= h
-    resg *= h
+    dx = h * x0
+    v0 = f(c - dx) + f(c + dx)
+    dx = h * x1
+    v1 = f(c - dx) + f(c + dx)
+    dx = h * x2
+    v2 = f(c - dx) + f(c + dx)
+    dx = h * x3
+    v3 = f(c - dx) + f(c + dx)
+    dx = h * x4
+    v4 = f(c - dx) + f(c + dx)
+    dx = h * x5
+    v5 = f(c - dx) + f(c + dx)
+    dx = h * x6
+    v6 = f(c - dx) + f(c + dx)
+    resk = (_WGK_CENTER * fc + w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4
+            + w5 * v5 + w6 * v6) * h
+    resg = (_WG_CENTER * fc + g1 * v1 + g3 * v3 + g5 * v5) * h
     if not math.isfinite(resk):
         raise NonEvaluable(f"panel sum overflowed on [{a!r}, {b!r}]")
     return resk, abs(resk - resg)
@@ -249,15 +267,19 @@ def _log_axis(f):
     """g(s) = f(e^s) e^s: the integral of f over [lo, hi] is that of g over
     [ln lo, ln hi], and a power t^-a becomes the smooth e^((1-a)s).
 
-    f is checked (``_checked``), and g checks the product, raising
-    NonEvaluable where it is not finite."""
+    f is the integrand itself: g checks each sample f(t) as ``_checked``
+    does, and then the product, raising NonEvaluable where f(t) t
+    overflows.  A node thus costs one call above f, not two."""
+    exp = math.exp
+    inf = math.inf
 
     def g(s: float) -> float:
-        t = math.exp(s)
-        v = f(t) * t
-        if not v < math.inf:
-            if v != v:  # 0 * t where e^s overflows to t = inf
-                raise NonEvaluable(f"integrand returned NaN at x={s!r}")
+        t = exp(s)
+        v = f(t)
+        if not 0.0 <= v < inf:
+            _reject(v, t)
+        v *= t
+        if v == inf:
             raise NonEvaluable(f"integrand times t overflowed at t={t!r}")
         return v
 
@@ -267,7 +289,8 @@ def _log_axis(f):
 def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
     """Sweep the decade segments defined by ``cuts`` and classify the far end.
 
-    f is checked (``_checked``); so are its probes at the cutoffs.
+    f is the integrand itself: ``_log_axis`` checks its samples and
+    ``_checked`` its probes at the cutoffs.
 
     ``cuts`` runs away from the bulk of the integral: increasing for an
     upper tail, decreasing toward zero for a lower endpoint.  Each segment
@@ -294,6 +317,7 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
     every decade swept.
     """
     g = _log_axis(f)
+    f = _checked(f)
     prev_probe = f(cuts[0])
     end = cuts[-1]
     last = min(SUB_DECADES, len(cuts) - 1) if downward else len(cuts) - 1
@@ -470,10 +494,9 @@ def integrate(
             return FiniteOrDivergent.finite(0.0)
         raise ValueError("integration bounds must satisfy a < b")
     _check_breaks(breaks)
-    f = _checked(f)
     try:
         if b <= LADDER[0] or (a < 0.0 and b < math.inf):
-            value, _ = _adaptive_finite(f, a, b, ABS_TOL, breaks)
+            value, _ = _adaptive_finite(_checked(f), a, b, ABS_TOL, breaks)
             return FiniteOrDivergent.finite(value)
         parts = 0.0
         if a == 0.0:

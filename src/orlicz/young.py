@@ -73,6 +73,11 @@ class YoungFunction:
     log space, as the sum of the two log differences log N(cu) - log N(u)
     and log N'(u) - log N(u) written without cancellation, so that it
     stays exact where N itself overflows.  Custom functions leave it None.
+    The library may pass an optional second argument, a dict it owns for
+    one report, that keeps the terms free of c by u across calls with
+    different c.  delta uses it, since its terms cost more than a dict
+    read; power and exp_m ignore it.  Either way the log form is the same
+    float, and nothing is kept on N.
     """
 
     family: str
@@ -133,7 +138,7 @@ def _power_family(p: float) -> YoungFunction:
             return 0.0
         return p * u ** (p - 1.0)
 
-    def log_criterion(c):
+    def log_criterion(c, nodes=None):
         # N(cu)/N(u) = c^p and N'(u)/N(u) = p/u
         const = p * math.log(c) + math.log(p)
         return lambda u: const - math.log(u)
@@ -163,7 +168,7 @@ def _exp_family(m: float) -> YoungFunction:
 
     log_m = math.log(m)
 
-    def log_criterion(c):
+    def log_criterion(c, nodes=None):
         # N = e^x (1 - e^-x) with x = u^m/m, and N(cu) has x scaled by c^m:
         #   log N(cu) - log N(u) = (c^m - 1) x + l(c^m x) - l(x)
         #   log N'(u) - log N(u) = (m - 1) ln u - l(x),  l(y) = log(1 - e^-y)
@@ -212,23 +217,37 @@ def _delta_family(d: float) -> YoungFunction:
 
     log_d = math.log(d)
 
-    def log_criterion(c):
+    def log_criterion(c, nodes=None):
         # N = e^x (1 - e^-x) with x = L^d, L = ln(1 + u); under u -> cu, L
         # shifts by log1p((c - 1) u / (1 + u)) and x grows by the factor
         # e^(d r), r = log1p(shift / L), so that
         #   log N(cu) - log N(u) = x expm1(d r) + l(x e^(d r)) - l(x)
         #   log N'(u) - log N(u) = ln d + (d - 1) ln L - L - l(x)
+        # The terms free of c (1 + u, L, log x, x, (d - 1) ln L and l(x))
+        # are kept in the dict ``nodes`` by u, where one is passed, so that
+        # the scalings of one report compute them once per node; the sums
+        # take them in the same order either way.
         cm1 = c - 1.0
 
         def g(u):
-            L = math.log1p(u)
-            log_L = math.log(L)
-            dr = d * math.log1p(math.log1p(cm1 * u / (1.0 + u)) / L)
-            log_x = d * log_L
-            e = math.exp(log_x) * math.expm1(dr) + log_d + (d - 1.0) * log_L - L
+            terms = None if nodes is None else nodes.get(u)
+            if terms is None:
+                L = math.log1p(u)
+                log_L = math.log(L)
+                one_u = 1.0 + u
+                log_x = d * log_L
+                x = math.exp(log_x)
+                dl = (d - 1.0) * log_L
+                l_x = _log1mexp(log_x)
+                if nodes is not None:
+                    nodes[u] = (one_u, L, log_x, x, dl, l_x)
+            else:
+                one_u, L, log_x, x, dl, l_x = terms
+            dr = d * math.log1p(math.log1p(cm1 * u / one_u) / L)
+            e = x * math.expm1(dr) + log_d + dl - L
             # the l terms vanish below rounding once x and x e^(d r) exceed 40
             if min(log_x, log_x + dr) <= _LOG1MEXP_NEGLIGIBLE:
-                e += _log1mexp(log_x + dr) - 2.0 * _log1mexp(log_x)
+                e += _log1mexp(log_x + dr) - 2.0 * l_x
             return e
 
         return g

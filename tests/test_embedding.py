@@ -10,7 +10,9 @@ from orlicz.embedding import (
     INCONCLUSIVE,
     NON_COINCIDENT,
     Q_TOL,
+    _NODES,
     _k0_search,
+    _node_scope,
     coincidence_criterion,
     embedding_constant,
     embedding_modular,
@@ -21,7 +23,7 @@ from orlicz.embedding import (
 from orlicz.errors import BadParameter, DivergentModular, NonEvaluable
 from orlicz.expfamily import exp_embedding_constant, exp_embedding_modular
 from orlicz.norms import luxemburg_norm, modular, weak_norm
-from orlicz.young import custom_young, delta_young, exp_young, power_young
+from orlicz.young import custom_young, delta_young, exp_young, make_young, power_young
 
 from oracle_values import DELTA2_CRITERION_T_FORM, DELTA2_K0, EXP_K0_BY_MASS, K0_EXP, Y0_EXP2
 
@@ -355,3 +357,143 @@ class TestReport:
         rep_inf = embedding_report(exp_young(2.0), math.inf)
         decoded = json.loads(json.dumps(rep_inf.to_dict()))
         assert decoded["total_mass"] == "inf"
+
+
+# (family, param, mass), verdict, embedding_constant,
+# embedding_constant_modular and q_trace of reports drawn with
+# random.Random(27) (delta D in [1.9, 3], exp_m m in [1, 3], masses in
+# [0.25, 4]), plus delta(1.3), which is inconclusive, and one infinite mass;
+# computed by the code as it stood before the node memo, and compared with ==
+FROZEN_REPORTS = [
+    (("delta", 2.613, 1.748), "coincident", 1.8640559834531623, 0.9999999999999993, (
+        (1.5, "finite", 1.9940662272838134),
+        (1.8902980896729151, "finite", 0.9614546908616269),
+        (1.863922659593174, "finite", 1.0002022328089222),
+        (1.864057648992621, "finite", 0.9999974740422687),
+        (1.8640559835596824, "finite", 0.9999999998384511),
+        (1.8640559834531623, "finite", 0.9999999999999993),
+        (1.8640559834531605, "finite", 1.0000000000000022),
+    )),
+    (("delta", 2.953, 0.431), "coincident", 1.5389062418201371, 0.9999999999999992, (
+        (1.5, "finite", 1.1107579236454885),
+        (1.5521951315704463, "finite", 0.9662749925928755),
+        (1.5393450688415815, "finite", 0.9988556223874211),
+        (1.5389061574077998, "finite", 1.0000002203385814),
+        (1.5389062418512292, "finite", 0.9999999999188415),
+        (1.5389062418201371, "finite", 0.9999999999999992),
+        (1.5389062418201356, "finite", 1.0000000000000036),
+    )),
+    (("delta", 1.972, 2.457), "coincident", 2.472147518526328, 0.9999999999999998, (
+        (4.0, "finite", 0.37855627826008414),
+        (2.685251846174599, "finite", 0.8360229284582597),
+        (2.5061891665965033, "finite", 0.9702878209758249),
+        (2.4719644985640286, "finite", 1.0001639347534648),
+        (2.472149490630351, "finite", 0.9999982337961061),
+        (2.472147518641209, "finite", 0.999999999897113),
+        (2.472147518526328, "finite", 0.9999999999999998),
+        (2.4721475185263255, "finite", 1.0000000000000022),
+    )),
+    (("delta", 2.266, 0.702), "coincident", 1.916906974143959, 0.9999999999999972, (
+        (1.5, "finite", 2.3052524467955284),
+        (1.937280710693369, "finite", 0.9701464365665241),
+        (1.916781405437779, "finite", 1.000188821456632),
+        (1.916908314184764, "finite", 0.9999979852670084),
+        (1.9169069742325315, "finite", 0.9999999998668297),
+        (1.9169069741439573, "finite", 1.0000000000000002),
+        (1.916906974143959, "finite", 0.9999999999999972),
+    )),
+    (("delta", 2.796, 0.416), "coincident", 1.5818646913951462, 0.9999999999999967, (
+        (1.5, "finite", 1.2377215757874056),
+        (1.606741004068656, "finite", 0.9424187326615803),
+        (1.583517039497299, "finite", 0.9959970622446229),
+        (1.5818635129274459, "finite", 1.0000028644079917),
+        (1.581864692937963, "finite", 0.9999999962500031),
+        (1.5818646913951462, "finite", 0.9999999999999967),
+        (1.5818646913951446, "finite", 1.0000000000000007),
+    )),
+    (("delta", 2.901, 0.976), "coincident", 1.6578586094838061, 1.0, (
+        (1.5, "finite", 1.4322177263823057),
+        (1.6913684856752065, "finite", 0.935616886051598),
+        (1.6614572183978358, "finite", 0.9927443139567477),
+        (1.6578550472126903, "finite", 1.0000072253273014),
+        (1.6578586177271324, "finite", 0.9999999832802235),
+        (1.6578586094838252, "finite", 0.9999999999999611),
+        (1.6578586094838061, "finite", 1.0),
+    )),
+    (("exp_m", 1.143, 3.185), "coincident", 2.6124925526782756, 0.9999999999999968, (
+        (2.6124925526782756, "finite", 0.9999999999999968),
+    )),
+    (("exp_m", 2.146, 0.311), "coincident", 1.3388557548379467, 0.9999999999999986, (
+        (1.3388557548379467, "finite", 0.9999999999999986),
+    )),
+    (("exp_m", 2.677, 2.142), "coincident", 1.456652376157494, 0.999999999999997, (
+        (1.456652376157494, "finite", 0.999999999999997),
+    )),
+    (("exp_m", 2.48, 1.548), "coincident", 1.4572905478249, 0.9999999999999973, (
+        (1.4572905478249, "finite", 0.9999999999999973),
+    )),
+    (("delta", 1.3, 1.0), "inconclusive", None, None, (
+        (4.0, "inconclusive", "cutoff ladder exhausted without convergence or a divergence verdict"),
+    )),
+    (("delta", 2.0, math.inf), "non-coincident", None, None, ()),
+]
+
+
+class TestNodeMemo:
+    # a report, a constant and a criterion each share one memo of delta's
+    # scaling-free terms among their integrals; every Q stays the same float
+    @pytest.mark.parametrize("case, verdict, k0, q_at_k0, q_trace", FROZEN_REPORTS)
+    def test_reports_match_the_frozen_table(self, case, verdict, k0, q_at_k0, q_trace):
+        fam, par, mass = case
+        rep = embedding_report(make_young(fam, par), mass)
+        assert (rep.verdict, rep.embedding_constant, rep.embedding_constant_modular,
+                rep.q_trace) == (verdict, k0, q_at_k0, q_trace)
+
+    @pytest.mark.parametrize("mass", [0.5, 1.0])
+    def test_successive_reports_agree_and_leave_no_memo(self, mass):
+        N = delta_young(2.3)
+        first = embedding_report(N, mass)
+        assert embedding_report(N, mass) == first
+        assert embedding_constant(N, mass) == first.embedding_constant
+        assert coincidence_criterion(N, mass) == coincidence_criterion(delta_young(2.3), mass)
+        assert _NODES.get() is None
+        # N keeps no memo: its log form closes over no dict
+        for cell in N.log_criterion.__closure__:
+            assert not isinstance(cell.cell_contents, dict)
+
+    @pytest.mark.parametrize("d, mass", [(2.0, 1.0), (2.7, 0.3)])
+    def test_q_trace_matches_a_fresh_modular(self, d, mass):
+        N = delta_young(d)
+        rep = embedding_report(N, mass)
+        assert len(rep.q_trace) >= 5
+        for k, tag, value in rep.q_trace:
+            fresh = embedding_modular(N, k, mass)
+            assert (fresh.tag, fresh.value) == (tag, value)
+
+    def test_memo_is_shared_within_a_scope_and_dropped_after(self):
+        N = delta_young(2.3)
+        with _node_scope(N):
+            coincidence_criterion(N, 1.0)
+            nodes = _NODES.get()[1]
+            seen = len(nodes)
+            assert seen > 0
+            # a nested call for the same N reuses the outer memo
+            embedding_report(N, 1.0)
+            assert _NODES.get()[1] is nodes
+            assert len(nodes) > seen
+            # another Young function gets a memo of its own
+            seen = len(nodes)
+            embedding_report(delta_young(2.5), 1.0)
+            assert _NODES.get()[1] is nodes
+            assert len(nodes) == seen
+        assert _NODES.get() is None
+
+    def test_log_form_is_the_same_with_and_without_a_memo(self):
+        N = delta_young(2.3)
+        nodes = {}
+        us = [10.0 ** (j / 4.0) for j in range(-40, 60)]
+        for c in (0.5, 0.25, 1.0 / 1.7):
+            plain, kept = N.log_criterion(c), N.log_criterion(c, nodes)
+            for u in us:
+                assert kept(u) == plain(u)
+        assert len(nodes) == len(us)

@@ -12,10 +12,10 @@ import math
 
 import pytest
 
-from orlicz.embedding import extremal_function
+from orlicz.embedding import coincidence_criterion, embedding_modular, extremal_function
 from orlicz.norms import lebesgue_norm, modular, weak_norm
 from orlicz.tails import AnalyticTail, TailRepFunction
-from orlicz.young import delta_young, power_young
+from orlicz.young import delta_young, exp_young, power_young
 
 
 @pytest.mark.xfail(strict=True, reason="FOUND: an `AnalyticTail` with a kink it does not "
@@ -56,3 +56,37 @@ def test_delta3_extremal_lebesgue_norm_at_p200():
     # the mpmath value; the norm reads 1.0e-9 low
     r = lebesgue_norm(extremal_function(delta_young(3.0), 1.0), 200.0)
     assert r.value == pytest.approx(236.12986917594407, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `embedding_modular(delta_young(2.0), k, 1.0)` "
+                                       "returns \"divergent\" for k ≤ 1.1")
+def test_delta2_embedding_modular_near_one():
+    # the mpmath value; the ladder raises BudgetExceeded at k = 1.2
+    r = embedding_modular(delta_young(2.0), 1.2, 1.0)
+    assert r.value == pytest.approx(15.807191058972247, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `coincidence_criterion(delta_young(D), 1.0)` "
+                                       "reports C = 1/2 as \"divergent\"")
+def test_delta13_criterion_never_calls_a_finite_integral_divergent():
+    # the integral at C = 1/2 is finite: "finite" or "inconclusive" is right
+    trail = {c: tag for c, tag, _ in coincidence_criterion(delta_young(1.3), 1.0).trail}
+    assert trail[0.5] in ("finite", "inconclusive")
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `norms.modular` on an analytic tail returns a "
+                                       "finite value where the modular diverges at large k")
+def test_exp_m_power_tail_modular_diverges_at_large_k():
+    # N'(t/k) outgrows every power of t, so the modular is +inf for every k;
+    # at k = 792.8 it reads finite 6.62e-08
+    q = 4.948772313618792
+    f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -q)), 1.0)
+    assert modular(exp_young(2.4444304256819116), f, 792.8).is_divergent
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `lebesgue_norm` of the delta extremal functions "
+                                       "at p = 50 still reads \"divergent\"")
+def test_delta2_extremal_lebesgue_norm_at_p50():
+    # the mpmath value; the norm reads "divergent"
+    r = lebesgue_norm(extremal_function(delta_young(2.0), 1.0), 50.0)
+    assert r.value == pytest.approx(293516.0961866015, rel=1e-9, abs=0.0)

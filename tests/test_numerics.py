@@ -10,12 +10,18 @@ import orlicz
 from orlicz.errors import BudgetExceeded, NoSignChange, NonConvergence, NonEvaluable
 from orlicz.expfamily import gauge_quadrature
 from orlicz.numerics import (
+    _WG,
+    _WG_CENTER,
+    _WGK,
+    _WGK_CENTER,
+    _XGK,
     NORM_CAP,
     NORM_REL_TOL,
     SLOPE_MARGIN,
     FiniteOrDivergent,
     LadderPoint,
     LadderTrace,
+    _panel,
     _unit_crossing,
     find_root,
     integrate,
@@ -114,7 +120,7 @@ class TestSemiInfinite:
         # the sweep goes on while its partial sum is 0, and then takes its
         # usual decades from there
         r = integrate(lambda t: 1.0 if t < c else 0.0, 0.0, math.inf)
-        assert r.value == pytest.approx(c, rel=1e-12)
+        assert r.value == pytest.approx(c, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("c", [100.0, 1e4])
     @pytest.mark.parametrize("a, b", [(1.0, math.inf), (0.0, math.inf), (1.0, 1e6)],
@@ -230,6 +236,85 @@ class TestLogAxisAndBreaks:
         with pytest.raises(NonEvaluable) as err:
             integrate(lambda t: math.nan if t > 50.0 else t ** -2.0, 1.0, math.inf)
         assert float(str(err.value).rsplit("=", 1)[1]) > 50.0
+
+
+def loop_panel(f, a, b):
+    """The 7-15 panel as a loop over the node pairs, outermost first: the
+    reference whose samples and sums ``numerics._panel`` writes out."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    resk = _WGK_CENTER * fc
+    resg = _WG_CENTER * fc
+    for i in range(7):
+        dx = h * _XGK[i]
+        v = f(c - dx) + f(c + dx)
+        resk += _WGK[i] * v
+        if i % 2 == 1:
+            resg += _WG[i // 2] * v
+    resk *= h
+    resg *= h
+    return resk, abs(resk - resg)
+
+
+class TestPanel:
+    def test_written_out_panel_is_the_loop_bit_for_bit(self):
+        rng = random.Random(27)
+        for _ in range(50):
+            a = rng.uniform(-5.0, 5.0)
+            b = a + 10.0 ** rng.uniform(-6.0, 2.0)
+            amp, rate, freq, curv = (rng.uniform(0.1, 10.0) for _ in range(4))
+
+            def f(x, seen):
+                seen.append(x)
+                return amp * math.exp(-rate * x * x) + abs(math.sin(freq * x)) + curv * x * x
+
+            got_x, want_x = [], []
+            got = _panel(lambda x: f(x, got_x), a, b)
+            want = loop_panel(lambda x: f(x, want_x), a, b)
+            assert got == want
+            assert got_x == want_x
+
+
+# the messages a bad sample raises, on the t-axis (the first sample of
+# integrate(f, 0, 1) is at the centre 0.5), on the log axis (f is fine at the
+# probe t = 1, and the first sample is at the centre of [ln 1, ln 10]) and at
+# a probe of the ladder (t = 1)
+LOG_AXIS_T = 3.1622776601683795
+BAD_SAMPLES = {
+    "nan": (math.nan, "integrand returned NaN at x={!r}"),
+    "negative": (-1.0, "integrand returned a negative value -1.0 at x={!r}"),
+    "inf": (math.inf, "integrand overflowed at x={!r}"),
+}
+
+
+class TestSampleChecks:
+    @pytest.mark.parametrize("kind", sorted(BAD_SAMPLES))
+    def test_t_axis(self, kind):
+        bad, message = BAD_SAMPLES[kind]
+        with pytest.raises(NonEvaluable) as err:
+            integrate(lambda t: bad, 0.0, 1.0)
+        assert str(err.value) == message.format(0.5)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_SAMPLES))
+    def test_log_axis(self, kind):
+        bad, message = BAD_SAMPLES[kind]
+        with pytest.raises(NonEvaluable) as err:
+            integrate(lambda t: 1.0 if t == 1.0 else bad, 1.0, math.inf)
+        assert str(err.value) == message.format(LOG_AXIS_T)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_SAMPLES))
+    def test_ladder_probe(self, kind):
+        bad, message = BAD_SAMPLES[kind]
+        with pytest.raises(NonEvaluable) as err:
+            integrate(lambda t: bad if t == 1.0 else t ** -2.0, 1.0, math.inf)
+        assert str(err.value) == message.format(1.0)
+
+    def test_log_axis_product_overflow(self):
+        # f(t) is a float, but f(t) t is not
+        with pytest.raises(NonEvaluable) as err:
+            integrate(lambda t: 1.0 if t == 1.0 else 1e308, 1.0, math.inf)
+        assert str(err.value) == f"integrand times t overflowed at t={LOG_AXIS_T!r}"
 
 
 class TestFindRoot:

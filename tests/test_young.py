@@ -98,7 +98,7 @@ class TestConstruction:
                 log_f = N.log_criterion(c)
                 for u in (1e-3, 0.5, 1.0, 4.0, 10.0):
                     direct = (N(c * u) / N(u)) * (N.derivative(u) / N(u))
-                    assert math.exp(log_f(u)) == pytest.approx(direct, rel=1e-11)
+                    assert math.exp(log_f(u)) == pytest.approx(direct, rel=1e-11, abs=0.0)
         assert custom_young(lambda u: u * u, math.sqrt).log_criterion is None
 
     def test_custom_requires_consistent_inverse(self):
