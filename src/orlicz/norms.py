@@ -16,7 +16,6 @@ import math
 import struct
 import sys
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -276,10 +275,13 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     put on ``YoungFunction.__call__`` that many times the number of
     pieces.  On an analytic tail the plateau end t_p and the zero start
     t_z (``_support_ends``) are found once, after the cap test on w where
-    one runs first.  Every modular takes the plateau (0, t_p] in closed
-    form and integrates only over the support (t_p, t_z], and the
-    modulars read the tail through one dict from t to T(t) that lives for
-    this call, so a node an earlier modular read is not read again.
+    one runs first; a plateau that ends at exactly 1, as that of every
+    power tail min(1, t^-q) on unit mass does, costs 4 tail reads there,
+    and any other at most 64 plus the zero start's.  Every modular takes
+    the plateau (0, t_p] in closed form and integrates only over the
+    support (t_p, t_z], and the modulars read the tail through one dict
+    from t to T(t) that lives for this call, so a node an earlier modular
+    read is not read again.
 
     Either way a cap that decides the norm is recorded in the trace as
     ``note``.  Modular values are cached by k.  The trace records
@@ -402,10 +404,13 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     nodes.  T is nonincreasing, so on each stretch of nodes the ones with
     T(t) >= cap (the plateau) form a prefix and those with T(t) = 0 a
     suffix; both ends are found by bisection on the node index, and there
-    g is filled in without evaluating T, in one list each: t / u(cap) on
-    the plateau, where u(T(t)) = u(cap), and 0 on the zero run.  The last
-    plateau node and the first zero node appear as ``plateau_end_t`` and
-    ``zero_start_t`` (None where a run is absent).
+    T is not evaluated: g is t / u(cap) on the plateau, where u(T(t)) =
+    u(cap), and 0 on the zero run.  Neither run is written out.  t / u(cap)
+    rises strictly with t (but for a run of +inf, where u(cap) is 0 or the
+    quotient overflows), so the plateau enters the bookkeeping below only
+    through its first and last samples, and the zero run through its
+    bounds.  The last plateau node and the first zero node appear as
+    ``plateau_end_t`` and ``zero_start_t`` (None where a run is absent).
 
     Between the runs, u(T(t)) is nondecreasing, so g(t_k) <= t_k / u_i at
     every node t_k past a node t_i, with u_i = u(T(t_i)).  The last node
@@ -414,47 +419,56 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     bound t_k / u_i lies below top / (1 + NORM_REL_TOL)^2 is skipped, top
     being the largest sample known (earlier stretches, the last plateau
     node and the nodes read).  The nodes are increasing, so the skipped
-    ones form a run, whose end ``bisect_left`` finds; the run keeps its
-    bounds as its samples, assigned as one slice.  Both a skipped node's
-    bound and its true value lie below the largest sample by more than the
-    factor 1 + NORM_REL_TOL, with room left for rounding in u, so neither
-    can be the first largest sample, change a growth test or move the
-    refined cell below: the result is the one a read of every node gives.
-    Where the next node is not skipped this costs one comparison, so a
-    flat g is not slowed.  A tail value at a filled or skipped node is
-    never read or validated.
+    ones form a run, whose end ``bisect_left`` finds.  The samples between
+    the runs are kept as one list of floats, the middle, in which a
+    skipped node holds 0.0.  A skipped node's bound, its true value and
+    that 0.0 all lie below a real sample by more than the factor 1 +
+    NORM_REL_TOL, with room left for rounding in u, so none of them can be
+    the first largest sample, change a growth test or move the refined
+    cell below: the result is the one a read of every node gives.  Where
+    the next node is not skipped this costs one comparison, so a flat g is
+    not slowed.  A tail value at a plateau, zero-run or skipped node is
+    never read or validated.  A stretch is summed up by its first sample,
+    its last, and the largest sample strictly between them, taken from the
+    plateau's last inner node, the largest read and the middle's ends; its
+    largest sample is the largest of the three, and ``first_at`` finds the
+    first node holding it (the plateau's last node, the first node of a
+    run of +inf there by bisection, or ``index`` on the middle).
 
     Any one sample above NORM_CAP proves the sup +inf, so the first
     grid's fill runs a cap certificate (``certified``) right after the
     two bisections and the read of the last node before the zero run,
-    before any other node is read.  It runs where T(1e16) > 0 and g at
-    1e16 exceeds g at the first node past the plateau (whose T the
-    bisection read) by more than the factor 1 + NORM_REL_TOL: g is read
-    at the grid nodes 1, 2, 4, 8, ... decades past 1e16 (t = 1e17, 1e18,
-    1e20, 1e24, ..., the last at 1e300) while each sample exceeds the one
-    before by that factor.  At the first sample above NORM_CAP the result
-    is +inf, its node the argmax and the probes counted among the
-    evaluations; no other node is read and no decade is added.  Where no
-    probe passes NORM_CAP, the grid runs as without them (a probe changes
-    no sample, and its read is not shared with a later fill), so a finite
-    result keeps its value and argmax.  A g that does not rise across the
-    grid pays no probe.  The low end has no certificate: there g grows
-    past 2^64 only on an infinite (or huge) mass, and the grid climbs it.
+    before any other node is read or any list is built.  It runs where
+    T(1e16) > 0 and g at 1e16 exceeds g at the first node past the
+    plateau (whose T the bisection read) by more than the factor 1 +
+    NORM_REL_TOL: g is read at the grid nodes 1, 2, 4, 8, ... decades past
+    1e16 (t = 1e17, 1e18, 1e20, 1e24, ..., the last at 1e300) while each
+    sample exceeds the one before by that factor.  At the first sample
+    above NORM_CAP the result is +inf, its node the argmax and the probes
+    counted among the evaluations; no other node is read and no decade is
+    added.  Where no probe passes NORM_CAP, the grid runs as without them
+    (a probe changes no sample, and its read is not shared with a later
+    fill), so a finite result keeps its value and argmax.  A g that does
+    not rise across the grid pays no probe.  The low end has no
+    certificate: there g grows past 2^64 only on an infinite (or huge)
+    mass, and the grid climbs it.
 
     While the sample at an end node exceeds every other sample by more
     than the factor 1 + NORM_REL_TOL (so rounding noise on a flat g does
     not count), the grid grows by a whole decade at that end, up to t =
-    1e+-300, through the same fill; a running maximum of the interior
-    nodes makes each step cost only the new decade.  Each fill updates
-    the largest sample with one ``max`` over its samples, and ``index``
-    finds its node.  Past the last node where T vanishes g is 0, so the
-    upper end stops there by itself.  A golden-section search (Kiefer, 1953) then refines over the two cells
-    beside the largest node until they are NORM_REL_TOL wide in t.  The
-    largest value evaluated is returned, +inf once it exceeds NORM_CAP.
-    On ties the grid node that joined the grid first wins: the first
-    grid, then each added decade in turn, each in ascending t (``index``
-    returns the first of equal samples, and a later fill replaces the
-    largest sample only when it exceeds it).
+    1e+-300, through the same fill.  The growth tests read only the two
+    end samples of the grid and a running maximum of all the others, which
+    each added decade updates from its own summary, so a step costs only
+    the new decade.  Each fill updates the largest sample from its
+    stretch's largest sample.  Past the last node where T vanishes g is
+    0, so the upper end stops there by itself.  A golden-section search
+    (Kiefer, 1953) then refines over the two cells beside the first
+    largest node in ascending t, found in the first stretch whose largest
+    sample it is, until they are NORM_REL_TOL wide in t.  The largest
+    value evaluated is returned, +inf once it exceeds NORM_CAP.  On ties
+    the grid node that joined the grid first is the argmax: the first
+    grid, then each added decade in turn, each in ascending t (a later
+    fill replaces the largest sample only when it exceeds it).
 
     The result is the sup to NORM_REL_TOL when g is unimodal near its
     largest node.  Otherwise a peak in another cell can be missed, but as
@@ -469,6 +483,10 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     u_cap = u(cap)
     margin = 1.0 + NORM_REL_TOL
     skip_margin = margin * margin
+
+    def flat(t: float) -> float:
+        """g on the plateau: t / u(cap), +inf where u(cap) is 0."""
+        return t / u_cap if u_cap > 0.0 else math.inf
 
     def g(t: float, y: float) -> float:
         """t / u(y): 0 where y is 0, +inf where u(y) is 0."""
@@ -498,8 +516,21 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         best, argmax = v, t
         return True
 
-    def fill(a: int, b: int) -> Optional[List[float]]:
-        """g on the nodes j = a..b, in ascending order; None where ``certified``."""
+    def first_at(nodes: Sequence[float], p: int, mid: List[float], m: float) -> int:
+        """The index of the first sample m of a stretch, m its largest sample."""
+        if p and flat(nodes[p - 1]) == m:
+            if p == 1 or flat(nodes[p - 2]) < m:
+                return p - 1
+            # t / u(cap) rises strictly but for a run of +inf
+            return bisect_left(range(p), m, key=lambda i: flat(nodes[i]))
+        return p + mid.index(m) if mid else 0
+
+    def fill(a: int, b: int) -> Optional[Tuple[float, float, float, tuple]]:
+        """Sample g on the nodes j = a..b; None where ``certified``.
+
+        Returns the first sample, the largest sample strictly between the
+        two ends, the last sample, and the stretch for ``stretches``.
+        """
         nonlocal best, argmax, count, plateau_end, zero_start
         if (a, b) == _GRID_FIRST:
             nodes: Sequence[float] = _FIRST_NODES
@@ -519,20 +550,20 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             plateau_end = a + p - 1
         if z < n and (zero_start is None or a + z < zero_start):
             zero_start = a + z
-        if u_cap > 0.0:
-            vals = [t / u_cap for t in nodes[:p]]
-        else:
-            vals = [math.inf] * p
-        vals += [0.0] * (n - p)
+        mid: List[float] = []  # g on [p, z): read, or 0.0 where skipped
+        inner = flat(nodes[min(p, n - 1) - 1]) if p > 1 else 0.0
         if p < z:
             last = z - 1
-            vals[last] = g(nodes[last], level_at(last))
+            v_last = g(nodes[last], level_at(last))
             # T at p was read by the plateau's bisection
             if (z == n and (a, b) == _GRID_FIRST
-                    and certified(g(nodes[p], level_at(p)), vals[last])):
+                    and certified(g(nodes[p], level_at(p)), v_last)):
                 count += len(levels)
                 return None  # +inf is proven: no other node is read
-            top = max(best, vals[p - 1] if p else 0.0, vals[last])
+            mid = [0.0] * (z - p)
+            mid[-1] = v_last
+            top = max(best, flat(nodes[p - 1]) if p else 0.0, v_last)
+            read = 0.0  # the largest sample read on [p, last)
             i = p
             get = levels.get
             while i < last:
@@ -540,22 +571,30 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
                 if y is None:
                     y = levels[i] = T(nodes[i])
                 ui = u(y) if y > 0.0 else math.inf
-                vals[i] = v = nodes[i] / ui if ui > 0.0 else math.inf
+                mid[i - p] = v = nodes[i] / ui if ui > 0.0 else math.inf
                 if v > top:
                     top = v
+                if v > read:
+                    read = v
                 # the nodes t_k < lim, where t_k / ui < top / margin^2, form
                 # a run; it is empty where ui is 0, or lim NaN (0 * inf)
                 lim = top / skip_margin * ui
                 i += 1
                 if i < last and nodes[i] < lim:
-                    j = bisect_left(nodes, lim, i + 1, last)
-                    vals[i:j] = [t / ui for t in nodes[i:j]]
-                    i = j
+                    i = bisect_left(nodes, lim, i + 1, last)
+            if p:
+                inner = max(inner, read)
+            elif z > 2:  # no plateau: the first read is the stretch's first sample
+                inner = max(mid[1:-1])
+            if 1 < z < n:
+                inner = max(inner, v_last)
         count += len(levels)
-        m = max(vals)
-        if m > best:  # index() takes the first of equal maxima, as a strict > scan does
-            best, argmax = m, nodes[vals.index(m)]
-        return vals
+        first = flat(nodes[0]) if p else (mid[0] if mid else 0.0)
+        end = 0.0 if z < n else (mid[-1] if mid else flat(nodes[-1]))
+        m = max(first, inner, end)
+        if m > best:  # the first of equal samples, as a strict > scan takes it
+            best, argmax = m, nodes[first_at(nodes, p, mid, m)]
+        return first, inner, end, (a, nodes, p, mid, m)
 
     def at(x: float) -> float:
         nonlocal best, argmax, count
@@ -570,22 +609,24 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         return None if j is None else 10.0 ** (j / step)
 
     lo, hi = _GRID_FIRST
-    block = fill(lo, hi)
-    if block is None:
+    filled = fill(lo, hi)
+    if filled is None:
         return math.inf, argmax, count, node_t(plateau_end), node_t(zero_start)
-    inner = max(block[1:-1])  # the largest sample off the two end nodes
-    vals = deque(block)
+    first, inner, end, stretch = filled
+    stretches = [stretch]  # in ascending t
     while best <= NORM_CAP:
-        if vals[0] > margin * max(inner, vals[-1]) and lo > -_GRID_LIMIT:
+        if first > margin * max(inner, end) and lo > -_GRID_LIMIT:
             lo -= step
-            block = fill(lo, lo + step - 1)
-            inner = max(inner, vals[0], *block[1:])
-            vals.extendleft(reversed(block))
-        elif vals[-1] > margin * max(vals[0], inner) and hi < _GRID_LIMIT:
-            block = fill(hi + 1, hi + step)
+            new_first, new_inner, new_end, stretch = fill(lo, lo + step - 1)
+            inner = max(inner, first, new_inner, new_end)
+            first = new_first
+            stretches.insert(0, stretch)
+        elif end > margin * max(first, inner) and hi < _GRID_LIMIT:
+            new_first, new_inner, new_end, stretch = fill(hi + 1, hi + step)
             hi += step
-            inner = max(inner, vals[-1], *block[:-1])
-            vals.extend(block)
+            inner = max(inner, end, new_first, new_inner)
+            end = new_end
+            stretches.append(stretch)
         else:
             break
 
@@ -593,9 +634,10 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     if best > NORM_CAP:
         return (math.inf, argmax, count) + runs
 
-    i = vals.index(max(vals[0], inner, vals[-1]))
-    a = (lo + max(i - 1, 0)) / step
-    b = (lo + min(i + 1, len(vals) - 1)) / step
+    # the first largest sample in ascending t, which need not be the argmax
+    a, nodes, p, mid, _ = next(s for s in stretches if s[-1] == best)
+    j = a + first_at(nodes, p, mid, best)
+    a, b = max(j - 1, lo) / step, min(j + 1, hi) / step
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     gc, gd = at(c), at(d)
     width = NORM_REL_TOL / math.log(10.0)
@@ -614,6 +656,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
 _PLATEAU_FLOOR = 1e-12  # the plateau and zero searches start where the down ladder ends
 _ZERO_CEIL = LADDER[-1]  # 1e12, the ladder's top cutoff: a tail positive there has no zero start
 _FAINT = 1e-300  # a tail that falls to 0 from below this leaves the float range there
+_ABOVE_ONE = math.nextafter(1.0, math.inf)  # T is below the mass here if the plateau ends at 1
 
 
 def _float_bits(x: float) -> int:
@@ -634,11 +677,20 @@ def _support_ends(tail: AnalyticTail, mass: float) -> Tuple[float, Tuple[float, 
     vanishes on [t_z, inf) and the quadrature can stop there; it is +inf
     where T(1e12) > 0, and t_p < 1e12 otherwise, T being M at t_p.  On
     positive doubles the order of the values is the order of their bit
-    patterns, so each end is bisected over the patterns: t_p from 1e-12
-    to the largest float (at most 64 tail reads), then, only where
-    T(1e12) is 0, t_z up to 1e12 (at most 63 more), and T is read once
-    more at the float below t_z; otherwise the one read at 1e12 is all
-    the zero start costs.
+    patterns, so each end is bisected over the patterns.
+
+    T is read at 1e12 first, and both ends use that read.  Where T(1e12)
+    >= M, t_p is bisected from 1e12 to the largest float (at most 62
+    reads).  Otherwise t_p < 1e12, and before bisecting T is read at the
+    float above 1 and then at 1, since a plateau that ends at exactly 1
+    is common (min(M, t^-q) on mass M = 1, and the power extremal function
+    on unit mass): there the search costs 4 tail reads in all, 1e12's and
+    1e-12's included, where a bisection from 1e-12 to the largest float
+    took 64.  Elsewhere the two reads bound the bisection to (1e-12, 1) or
+    (1, 1e12) (at most 58 reads), so the plateau end costs at most 64
+    reads, and no tail more than that whole-range bisection did.  Then,
+    only where T(1e12) is 0, t_z is bisected up to 1e12 (at most 63 more
+    reads), and T is read once more at the float below t_z.
 
     ``faint`` says whether T falls to 0 at t_z from below 1e-300.  Such
     a fall is where the tail leaves the float range, by an underflow or
@@ -647,14 +699,24 @@ def _support_ends(tail: AnalyticTail, mass: float) -> Tuple[float, Tuple[float, 
     range there only where the integrand is negligible.
     """
     value = tail.value
+    ceil = value(_ZERO_CEIL)
     t_p = 0.0
     if mass < math.inf and value(_PLATEAU_FLOOR) >= mass:
-        # t_p is the pattern before the first one past lo where T is below the
-        # mass; +inf's stands in for a tail that stays at the mass to max_float
-        lo = _float_bits(_PLATEAU_FLOOR)
-        t_p = _bits_float(lo + bisect_left(range(lo + 1, _float_bits(math.inf)), True,
+        # T is at the mass at lo's pattern and below it at hi's, +inf's
+        # standing in for a tail that stays at the mass to max_float
+        lo, hi = _float_bits(_PLATEAU_FLOOR), _float_bits(_ZERO_CEIL)
+        if ceil >= mass:
+            lo, hi = hi, _float_bits(math.inf)
+        elif value(_ABOVE_ONE) >= mass:
+            lo = _float_bits(_ABOVE_ONE)
+        elif value(1.0) >= mass:
+            lo = hi = _float_bits(1.0)
+        else:
+            hi = _float_bits(1.0)
+        # t_p is the pattern before the first one past lo where T is below the mass
+        t_p = _bits_float(lo + bisect_left(range(lo + 1, hi), True,
                                            key=lambda b: value(_bits_float(b)) < mass))
-    if value(_ZERO_CEIL) != 0.0:
+    if ceil != 0.0:
         return t_p, (math.inf, False)
     lo, top = _float_bits(max(t_p, _PLATEAU_FLOOR)) + 1, _float_bits(_ZERO_CEIL)
     t_z = _bits_float(lo + bisect_left(range(lo, top), True,
@@ -677,16 +739,17 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     threshold.  On an analytic tail it is taken to NORM_REL_TOL by
     ``_log_t_sup``, whose docstring states what its grid can miss.  It
     relies on T being nonincreasing: g is t / N^{-1}(1/cap) wherever
-    T(t) >= cap and 0 wherever T(t) = 0, so those grid nodes are filled
-    in without evaluating T, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for
-    s < t, so a grid node where that bound from an earlier node lies
-    below the largest sample is skipped; tail values at filled and
-    skipped nodes are not validated.  The filled and skipped runs are
-    written as whole slices, and the largest sample is taken once per
-    stretch of nodes, so the Python work per node not read is a division;
-    a node that is read costs one dict lookup, the tail call and one call
-    of the inverse.  A +inf the grid would find by climbing decade by
-    decade is mostly proven by its cap certificate: where g rises across
+    T(t) >= cap and 0 wherever T(t) = 0, so T is not evaluated at those
+    grid nodes, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for s < t, so a
+    grid node where that bound from an earlier node lies below the
+    largest sample is skipped; tail values at these nodes are not
+    validated.  Neither run is written out: the grid keeps, per stretch
+    of nodes, the samples between the runs in one list of floats,
+    allocated at once, and the plateau's two end samples, and takes the
+    growth tests and the largest sample from those.  So the Python work
+    is per node read: one dict lookup, the tail call and one call of the
+    inverse.  A +inf the grid would find by climbing decade by decade is
+    mostly proven by its cap certificate: where g rises across
     the first grid, g is probed 1, 2, 4, ... decades past t = 1e16 before
     the rest of the grid is read, and one sample above 2^64 settles the
     norm.  ``N.inverse`` (and ``tail.value``) are looked up once per
@@ -695,13 +758,14 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     evaluation: one per threshold on a step tail.
     The trace records as ``evaluations`` the number of tail values read
     (on a step tail, one per threshold; on an analytic tail, the grid
-    nodes neither filled nor skipped plus the golden-section points and
-    the certificate's probes), the t where the returned value was
-    attained as ``argmax_t`` (None for 0; for a +inf the certificate
-    proves, the certificate node, whose sample passed 2^64), and the last
-    plateau node and the first zero node of the first grid's bisections
-    (and of any decade added) as ``plateau_end_t`` and ``zero_start_t``
-    (None where the run is absent, and always on a step tail).
+    nodes read, by the bisections or between the runs, plus the
+    golden-section points and the certificate's probes), the t where
+    the returned value was attained as ``argmax_t`` (None for 0; for a
+    +inf the certificate proves, the certificate node, whose sample
+    passed 2^64), and the last plateau node and the first zero node of
+    the first grid's bisections (and of any decade added) as
+    ``plateau_end_t`` and ``zero_start_t`` (None where the run is absent,
+    and always on a step tail).
     """
     mass = f.total_mass
     tail = f.tail

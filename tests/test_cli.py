@@ -131,7 +131,7 @@ class TestNormCommand:
         )
         assert rc == 0
         assert json.loads(out)["results"]["lp(200)"]["value"] == pytest.approx(
-            EXP_L200, rel=1e-14)
+            EXP_L200, rel=1e-14, abs=0.0)
 
     def test_lp_norm_of_a_huge_value(self, capsys):
         rc, out, _ = run(

@@ -32,7 +32,7 @@ class TestUnitThreshold:
     def test_exp_family_closed_form(self):
         for m in (1.0, 1.5, 2.0, 3.0):
             got = unit_threshold(exp_young(m), 1.0)
-            assert got == pytest.approx((m * math.log(2.0)) ** (1.0 / m), rel=1e-12)
+            assert got == pytest.approx((m * math.log(2.0)) ** (1.0 / m), rel=1e-12, abs=0.0)
 
     def test_exp_two(self):
         assert unit_threshold(exp_young(2.0), 1.0) == pytest.approx(Y0_EXP2, abs=1e-12)
@@ -42,7 +42,7 @@ class TestUnitThreshold:
 
     def test_general_mass(self):
         N = power_young(2.0)
-        assert unit_threshold(N, 4.0) == pytest.approx(0.5, rel=1e-12)
+        assert unit_threshold(N, 4.0) == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_mass_whose_reciprocal_overflows(self):
         # 1/M is +inf below about 5.6e-309, so N^-1(1/M) is no threshold
@@ -230,7 +230,7 @@ class TestExtremalFunction:
     def test_exp_strong_norm_equals_k0(self, m):
         N = exp_young(m)
         assert luxemburg_norm(N, extremal_function(N, 1.0)).value == pytest.approx(
-            K0_EXP[m], rel=1e-13
+            K0_EXP[m], rel=1e-13, abs=0.0
         )
 
     @pytest.mark.parametrize("mass", sorted(DELTA2_K0))
@@ -248,7 +248,7 @@ class TestExtremalFunction:
             f = extremal_function(N, mass)
             assert f.tail.breaks == ()
             assert modular(N, f, k).value == pytest.approx(
-                exp_embedding_modular(2.0, k, mass), rel=1e-14)
+                exp_embedding_modular(2.0, k, mass), rel=1e-14, abs=0.0)
 
     def test_mass_whose_reciprocal_overflows(self):
         # its weak norm would read 0 in place of 1

@@ -90,3 +90,23 @@ def test_delta2_extremal_lebesgue_norm_at_p50():
     # the mpmath value; the norm reads "divergent"
     r = lebesgue_norm(extremal_function(delta_young(2.0), 1.0), 50.0)
     assert r.value == pytest.approx(293516.0961866015, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `norms._log_t_sup` still grows the grid one decade "
+                                       "(20 nodes) at a time")
+def test_weak_norm_of_a_tail_heavier_than_n_is_unbounded():
+    # q = 1.75 < p = 1.852: g = t^(1 - q/p) grows without bound, so the norm
+    # is +inf; the grid climbs 3,348 tail reads to t = 1.4e176, where T
+    # underflows, and reads 5,027,138,896.230971 there
+    f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -1.75)), 1.0)
+    assert weak_norm(power_young(1.852), f).value == math.inf
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `lebesgue_norm` no longer calls a heavy tail with a "
+                                       "large plateau divergent at large p")
+def test_heavy_tail_with_a_large_plateau_is_divergent_at_large_p():
+    # q = 1 < p = 200, so the integral is +inf; the modular at the plateau
+    # end t_p = 100 overflows before three ladder slopes exist, the weak
+    # norm is above 2^64, and the norm raises NonEvaluable
+    f = TailRepFunction(AnalyticTail(lambda t: min(0.01, 1.0 / t)), 0.01)
+    assert lebesgue_norm(f, 200.0).is_divergent

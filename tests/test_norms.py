@@ -1,6 +1,8 @@
 import math
 import random
+import struct
 import sys
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -72,7 +74,7 @@ def heavy():
 class TestModular:
     def test_exact_sum(self, two_piece):
         r = modular(power_young(2.0), two_piece, 1.0)
-        assert r.value == pytest.approx(1.7, rel=1e-15)
+        assert r.value == pytest.approx(1.7, rel=1e-15, abs=0.0)
 
     def test_zero_function(self):
         assert modular(power_young(2.0), step_tail([], 1.0), 1.0).value == 0.0
@@ -302,7 +304,7 @@ class TestLuxemburgNorm:
         # NonConvergence
         f = TailRepFunction(AnalyticTail(lambda t: math.exp(-1e3 * t)), 1.0)
         r = luxemburg_norm(N, f)
-        assert r.value == pytest.approx(74.90045280473883e-3, rel=1e-14)
+        assert r.value == pytest.approx(74.90045280473883e-3, rel=1e-14, abs=0.0)
         assert r.trace["start"][1] == "weak norm"
 
     def test_power_start_reads_the_plateau_end(self):
@@ -336,11 +338,11 @@ class TestLuxemburgNorm:
         expected = 100.0 * 2e-6 ** (1.0 / 200.0)
         r = luxemburg_norm(N, f)
         w = weak_norm(N, f).value
-        assert r.value == pytest.approx(expected, rel=1e-14)
+        assert r.value == pytest.approx(expected, rel=1e-14, abs=0.0)
         assert r.trace["start"] == (w, "weak norm")
         assert r.trace["weak_lower_bound"] == w
         assert r.trace["modular_evaluations"] == 3  # at 100, w and the norm
-        assert lebesgue_norm(f, 200.0).value == pytest.approx(expected, rel=1e-14)
+        assert lebesgue_norm(f, 200.0).value == pytest.approx(expected, rel=1e-14, abs=0.0)
         # a plateau that reaches the largest float is not read at its end
         # (its modular overflows at every k): the weak norm +inf decides
         everywhere = TailRepFunction(AnalyticTail(lambda t: 1.0), 1.0)
@@ -491,7 +493,7 @@ class TestWeakNorm:
         # level is capped at the mass, so the value is 1/N^{-1}(1)
         f = step_tail([(1.0, 1.0 + 1e-13)], 1.0)
         assert weak_norm(exp_young(2.0), f).value == pytest.approx(
-            0.8493218002880191, rel=1e-15
+            0.8493218002880191, rel=1e-15, abs=0.0
         )
 
     def test_never_exceeds_strong(self, two_piece):
@@ -521,7 +523,7 @@ class TestWeakNorm:
         # sup_t t / N^{-1}(e^t) = sup_t t e^(-t/2) = 2/e under power(2), at t = 2
         f = TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0)
         r = weak_norm(power_young(2.0), f)
-        assert r.value == pytest.approx(2.0 / math.e, rel=1e-12)
+        assert r.value == pytest.approx(2.0 / math.e, rel=1e-12, abs=0.0)
         assert r.trace["argmax_t"] == pytest.approx(2.0, rel=1e-5)
 
     def test_infinite_level_on_infinite_mass(self):
@@ -621,7 +623,8 @@ class TestPlateau:
         assert f.tail.value(0.1) == math.inf
         assert _support_ends(f.tail, 1.0)[0] == 1.0
         exact = math.sqrt(400.0 / 398.0)  # int |f|^2 = 1 + 2 / 398
-        assert modular(power_young(2.0), f, 1.0).value == pytest.approx(exact ** 2, rel=1e-14)
+        assert modular(power_young(2.0), f, 1.0).value == pytest.approx(
+            exact ** 2, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("f", [
         TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0)), math.inf),
@@ -651,7 +654,7 @@ class TestPlateau:
         N = exp_young(12.0)
         f = TailRepFunction(AnalyticTail(lambda t: 1.0 if t <= 1.0 else 0.0), 1.0)
         r = luxemburg_norm(N, f)
-        assert r.value == pytest.approx(1.0 / N.inverse(1.0), rel=1e-12)
+        assert r.value == pytest.approx(1.0 / N.inverse(1.0), rel=1e-12, abs=0.0)
         assert r.trace["plateau_end"] == 1.0
         assert any(n and n.startswith("plateau term M N(t_p/k) overflows") for n in notes)
         # the plateau term 1e400 of min(1, (t/1e200)^-3) overflows at k = 1,
@@ -697,10 +700,11 @@ class TestPlateau:
             t_p = mass ** (-1.0 / q)
             bracket = mass * t_p ** p + p * t_p ** (p - q) / (q - p)
             for k in (0.5, 1.0, 2.0):
-                assert modular(N, f, k).value == pytest.approx(k ** -p * bracket, rel=1e-12)
+                assert modular(N, f, k).value == pytest.approx(
+                    k ** -p * bracket, rel=1e-12, abs=0.0)
             norm = bracket ** (1.0 / p)
-            assert luxemburg_norm(N, f).value == pytest.approx(norm, rel=1e-12)
-            assert lebesgue_norm(f, p).value == pytest.approx(norm, rel=1e-12)
+            assert luxemburg_norm(N, f).value == pytest.approx(norm, rel=1e-12, abs=0.0)
+            assert lebesgue_norm(f, p).value == pytest.approx(norm, rel=1e-12, abs=0.0)
 
 
 @st.composite
@@ -753,8 +757,8 @@ class TestSupportEnd:
         N, f = power_young(p), _bounded_power_tail(M, c, q, b)
         whole = _bounded_power_modular(p, M, c, q, b)
         for k in (0.5, 1.0, 2.0):
-            assert modular(N, f, k).value == pytest.approx(k ** -p * whole, rel=1e-12)
-        assert luxemburg_norm(N, f).value == pytest.approx(whole ** (1.0 / p), rel=1e-12)
+            assert modular(N, f, k).value == pytest.approx(k ** -p * whole, rel=1e-12, abs=0.0)
+        assert luxemburg_norm(N, f).value == pytest.approx(whole ** (1.0 / p), rel=1e-12, abs=0.0)
 
     def test_a_zero_at_the_float_range_end_is_no_support_end(self):
         # the delta(2) extremal tail 1/N(t) reads 0 past t = 3.1e11, where N
@@ -813,6 +817,110 @@ class TestSupportEnd:
         assert len(seen) <= calls
 
 
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def _bisected_support_ends(tail, mass):
+    """``_support_ends`` as it was before its unit hint, kept as the reference.
+
+    t_p is bisected over the bit patterns from 1e-12 to the largest float,
+    t_z from max(t_p, 1e-12) to 1e12, and T is read at 1e12 after t_p.
+    """
+    value = tail.value
+    t_p = 0.0
+    if mass < math.inf and value(1e-12) >= mass:
+        lo = _bits(1e-12)
+        t_p = _from_bits(lo + bisect_left(range(lo + 1, _bits(math.inf)), True,
+                                          key=lambda b: value(_from_bits(b)) < mass))
+    if value(1e12) != 0.0:
+        return t_p, (math.inf, False)
+    lo, top = _bits(max(t_p, 1e-12)) + 1, _bits(1e12)
+    t_z = _from_bits(lo + bisect_left(range(lo, top), True,
+                                      key=lambda b: value(_from_bits(b)) == 0.0))
+    return t_p, (t_z, value(math.nextafter(t_z, 0.0)) < 1e-300)
+
+
+def _support_cases():
+    """(name, fn, mass): nonincreasing tails whose support ends lie where
+    the search branches."""
+    rng = random.Random(28)
+    up, down = math.nextafter(1.0, math.inf), math.nextafter(1.0, 0.0)
+
+    def stepped(t_p, mass, q, cut=math.inf):
+        # the mass up to t_p, then at most half of it, 0 past ``cut``
+        return lambda t: (mass if t <= t_p else
+                          (0.0 if t >= cut else 0.5 * mass * (t_p / t) ** q))
+
+    cases = []
+    for k in range(12):
+        mass = rng.choice((0.25, 1.0, 4.0, 10.0 ** rng.uniform(-3.0, 3.0)))
+        q = rng.uniform(0.5, 6.0)
+        cases += [
+            (f"min(M, t^-q) on M = 1, q = {q:.3g}", lambda t, q=q: min(1.0, t ** -q), 1.0),
+            (f"ends at 1, mass {mass:.3g}", stepped(1.0, mass, q), mass),
+            (f"ends above 1, mass {mass:.3g}", stepped(up, mass, q), mass),
+            (f"ends below 1, mass {mass:.3g}", stepped(down, mass, q), mass),
+        ]
+        for lo, hi in ((-12.0, 0.0), (0.0, 12.0), (12.0, 300.0)):
+            t_p = 10.0 ** rng.uniform(lo, hi)
+            cases.append((f"ends at {t_p:.3g}", stepped(t_p, mass, q), mass))
+            # a zero start within three decades past the plateau end
+            cut = t_p * 10.0 ** rng.uniform(0.0, 3.0)
+            cases.append((f"ends at {t_p:.3g}, 0 from {cut:.3g}", stepped(t_p, mass, q, cut),
+                          mass))
+            cases.append((f"ends at {t_p:.3g}, below the mass at 1e-12",
+                          lambda t, t_p=t_p, q=q, m=mass: 0.5 * m * min(1.0, (t_p / t) ** q),
+                          mass))
+        cases.append((f"infinite mass, q = {q:.3g}", lambda t, q=q: t ** -q, math.inf))
+        cases.append((f"infinite mass, 0 from 1e{k}",
+                      lambda t, k=k: 0.0 if t >= 10.0 ** k else t ** -2.0, math.inf))
+    cases += [
+        ("the mass up to the largest float", lambda t: 1.0, 1.0),
+        ("the mass up to 1e200", stepped(1e200, 2.0, 3.0), 2.0),
+        ("0 from exactly 1e12", stepped(1.0, 1.0, 2.0, 1e12), 1.0),
+        ("0 just past 1", stepped(1.0, 1.0, 2.0, up), 1.0),
+        ("a drop from the mass to 0 at 1", lambda t: 1.0 if t <= 1.0 else 0.0, 1.0),
+        ("0 everywhere", lambda t: 0.0, 1.0),
+        ("0 past 1e-13", lambda t: 1.0 if t < 1e-13 else 0.0, 1.0),
+        # faint zero starts: T leaves the float range there
+        ("exp(-t) from below 1e-300", lambda t: min(1.0, math.exp(-t)), 1.0),
+        ("exp(-t^2) on infinite mass", lambda t: math.exp(-t * t), math.inf),
+    ]
+    for N in (exp_young(1.0), exp_young(2.0), delta_young(2.0), delta_young(2.5),
+              power_young(2.0)):
+        for mass in (0.25, 1.0, 4.0, math.inf):
+            tail = chebyshev_tail(N, mass)
+            cases.append((f"{N.family}({N.param:g}) extremal on mass {mass:g}", tail.fn, mass))
+    return cases
+
+
+SUPPORT_CASES = _support_cases()
+
+
+class TestSupportSearch:
+    """``_support_ends`` against the plain bisection it replaced."""
+
+    @pytest.mark.parametrize("name, fn, mass", SUPPORT_CASES, ids=[c[0] for c in SUPPORT_CASES])
+    def test_same_ends_in_no_more_reads(self, name, fn, mass):
+        new, old = [], []
+        got = _support_ends(AnalyticTail(lambda t: new.append(t) or fn(t)), mass)
+        want = _bisected_support_ends(AnalyticTail(lambda t: old.append(t) or fn(t)), mass)
+        assert got == want
+        assert len(new) <= len(old)
+
+    def test_a_plateau_that_ends_at_one_costs_four_reads(self):
+        # T at 1e12, 1e-12, the float above 1 and 1; the bisection took 64
+        seen = []
+        tail = AnalyticTail(lambda t: seen.append(t) or min(1.0, t ** -3.3))
+        assert _support_ends(tail, 1.0) == (1.0, (math.inf, False))
+        assert sorted(seen) == [1e-12, 1.0, math.nextafter(1.0, math.inf), 1e12]
+
+
 class TestTailPastTheFloatRange:
     """A tail value whose callable raises OverflowError reads as +inf everywhere."""
 
@@ -848,7 +956,7 @@ class TestTailPastTheFloatRange:
 class TestLebesgueNorm:
     def test_exact_sum(self, two_piece):
         r = lebesgue_norm(two_piece, 2.0)
-        assert r.value == pytest.approx(math.sqrt(1.7), rel=1e-14)
+        assert r.value == pytest.approx(math.sqrt(1.7), rel=1e-14, abs=0.0)
 
     def test_step_sum_past_the_float_range(self):
         # v^p overflows at v = 1e100, p = 4 and underflows at v = 1e-3, p = 200;
@@ -856,7 +964,7 @@ class TestLebesgueNorm:
         big = lebesgue_norm(step_tail([(1e100, 0.5)], 1.0), 4.0)
         assert big.value == pytest.approx(8.408964152537145e99, rel=1e-14)
         small = lebesgue_norm(step_tail([(0.001, 0.5)], 1.0), 200.0)
-        assert small.value == pytest.approx(9.965402628278678e-4, rel=1e-14)
+        assert small.value == pytest.approx(9.965402628278678e-4, rel=1e-14, abs=0.0)
 
     def test_heavy_tail_divergent(self, heavy):
         assert lebesgue_norm(heavy, 2.0).is_divergent
@@ -892,7 +1000,7 @@ class TestLebesgueNorm:
         # p t^199 e^-t peaks near 1e373 at t = 199, and the integral
         # Gamma(201) = 7.9e374 is not a float: the modular at 1 overflows,
         # and read at the weak norm, near the norm, it is about 1
-        assert lebesgue_norm(f, 200.0).value == pytest.approx(expected, rel=1e-14)
+        assert lebesgue_norm(f, 200.0).value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_closed_form_is_one_modular(self):
         # the Lebesgue norm is s modular(s)^(1/p) under power(p), bit for bit,
@@ -915,10 +1023,11 @@ class TestLebesgueNorm:
     def test_p_equal_to_one(self, two_piece):
         # L^1: the mean of |f|, which power_young does not admit as a Young function
         e = TailRepFunction(AnalyticTail(lambda t: math.exp(-t)), 1.0)
-        assert lebesgue_norm(e, 1.0).value == pytest.approx(1.0, rel=1e-14)
+        assert lebesgue_norm(e, 1.0).value == pytest.approx(1.0, rel=1e-14, abs=0.0)
         cube = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -3.0)), 1.0)
-        assert lebesgue_norm(cube, 1.0).value == pytest.approx(1.5, rel=1e-14)
-        assert lebesgue_norm(two_piece, 1.0).value == pytest.approx(2.0 * 0.3 + 0.5, rel=1e-15)
+        assert lebesgue_norm(cube, 1.0).value == pytest.approx(1.5, rel=1e-14, abs=0.0)
+        assert lebesgue_norm(two_piece, 1.0).value == pytest.approx(
+            2.0 * 0.3 + 0.5, rel=1e-15, abs=0.0)
 
     def test_exponent_validated(self, two_piece):
         with pytest.raises(ValueError):

@@ -57,7 +57,8 @@ class TestFiniteIntegrals:
         assert gauge_quadrature(0.999) == pytest.approx(GAUGE[0.999], rel=1e-9)
 
     def test_plain_polynomial(self):
-        assert integrate(lambda z: z * z, 0.0, 1.0).value == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert integrate(lambda z: z * z, 0.0, 1.0).value == pytest.approx(
+            1.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_empty_interval_and_bad_bounds(self):
         assert integrate(lambda z: 1.0, 2.0, 2.0).value == 0.0
@@ -112,7 +113,7 @@ class TestSemiInfinite:
         # the down ladder from 1 reads zeros on [c, 1]; they settle nothing
         # while the partial sum is 0, so it goes on to the support below c
         r = integrate(lambda t: 1.0 if t < c else 0.0, 0.0, math.inf)
-        assert r.value == pytest.approx(c, rel=1e-13)
+        assert r.value == pytest.approx(c, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("c", [1e-11, 1e-13, 1e-20])
     def test_support_in_the_last_decades(self, c):
@@ -131,7 +132,7 @@ class TestSemiInfinite:
         # settled the integral at 0
         r = integrate(lambda t: t ** -2.0 if t > c else 0.0, a, b)
         expected = 1.0 / c - (1.0 / b if b < math.inf else 0.0)
-        assert r.value == pytest.approx(expected, rel=1e-12)
+        assert r.value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_zero_on_every_decade(self):
         calls = []
@@ -208,7 +209,7 @@ class TestLogAxisAndBreaks:
         # the same 33 samples as on [1, inf)
         calls = []
         r = integrate(lambda t: calls.append(t) or t ** -1.5, 1.0, 1e9)
-        assert r.value == pytest.approx(2.0 * (1.0 - 1e9 ** -0.5), rel=1e-13)
+        assert r.value == pytest.approx(2.0 * (1.0 - 1e9 ** -0.5), rel=1e-13, abs=0.0)
         assert len(calls) == 33
         # from 0, the down ladder takes the power singularity below 1
         assert integrate(lambda t: t ** -0.5, 0.0, 100.0).value == pytest.approx(20.0, rel=1e-13)
@@ -221,11 +222,11 @@ class TestLogAxisAndBreaks:
         exact = M * t1 ** p + p * t1 ** (p - q) / (q - p)
         r = integrate(lambda t: p * t ** (p - 1.0) * min(M, t ** -q), 0.0, math.inf,
                       breaks=(t1,))
-        assert r.value == pytest.approx(exact, rel=1e-13)
+        assert r.value == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_breaks_split_a_finite_interval(self):
         r = integrate(lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, breaks=(1.0 / 3.0,))
-        assert r.value == pytest.approx(5.0 / 18.0, rel=1e-14)
+        assert r.value == pytest.approx(5.0 / 18.0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("breaks", [(0.0,), (-1.0,), (math.inf,), (math.nan,), (2.0, 1.0)])
     def test_bad_breaks_rejected(self, breaks):
@@ -392,13 +393,13 @@ class TestUnitCrossing:
     @pytest.mark.parametrize("start", [0.01, 0.3, 1.0, 2.0, 7.0, 1e6])
     def test_inverse_square_from_either_side(self, start):
         lo, hi = _solve(lambda k: (2.0 / k) ** 2, start)
-        assert hi == pytest.approx(2.0, rel=1e-15)
+        assert hi == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
     def test_infinite_below_one(self):
         f = lambda k: math.inf if k <= 1.0 else 0.25 / (k - 1.0)
         for start in (0.5, 2.0, 100.0):
             lo, hi = _solve(f, start)
-            assert hi == pytest.approx(1.25, rel=1e-15)
+            assert hi == pytest.approx(1.25, rel=1e-15, abs=0.0)
 
     def test_jump_from_infinite_stops_at_rel_tol(self):
         lo, hi = _solve(lambda k: math.inf if k < 1.3 else 0.5, 1.0)
@@ -407,7 +408,7 @@ class TestUnitCrossing:
 
     def test_zero_past_a_point(self):
         lo, hi = _solve(lambda k: max(0.0, 3.5 - k), 1.0)
-        assert hi == pytest.approx(2.5, rel=1e-15)
+        assert hi == pytest.approx(2.5, rel=1e-15, abs=0.0)
 
     def test_above_one_up_to_the_cap(self):
         assert _solve(lambda k: 2.0, 1.0) == (NORM_CAP, math.inf)

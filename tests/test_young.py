@@ -20,7 +20,7 @@ FAMILIES = [power_young(2.0), power_young(1.5), exp_young(1.0), exp_young(2.0),
 class TestConstruction:
     def test_exp_values(self):
         N = exp_young(2.0)
-        assert N(1.0) == pytest.approx(math.expm1(0.5), rel=1e-15)
+        assert N(1.0) == pytest.approx(math.expm1(0.5), rel=1e-15, abs=0.0)
         assert N(0.0) == 0.0
 
     def test_power_values(self):
@@ -32,7 +32,7 @@ class TestConstruction:
         # closed form (m ln 2)^(1/m) across the family
         for m in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 100.0):
             got = exp_young(m).inverse(1.0)
-            assert got == pytest.approx((m * math.log(2.0)) ** (1.0 / m), rel=1e-12)
+            assert got == pytest.approx((m * math.log(2.0)) ** (1.0 / m), rel=1e-12, abs=0.0)
 
     def test_bad_parameters(self):
         for family, bad in [("power", 1.0), ("power", 0.5), ("exp_m", 0.0),
@@ -54,7 +54,7 @@ class TestConstruction:
                 w = N(u)
                 if not math.isfinite(w) or w == 0.0:
                     continue
-                assert N.inverse(w) == pytest.approx(u, rel=1e-9)
+                assert N.inverse(w) == pytest.approx(u, rel=1e-9, abs=0.0)
 
     def test_overflow_saturates(self):
         assert exp_young(2.0)(1e6) == math.inf
@@ -111,4 +111,4 @@ class TestConstruction:
         # exp_m(1) behaves like u near 0, so its small-argument limit is 1
         # rather than 0; the family is used down to m = 1, so it is admitted
         N = exp_young(1.0)
-        assert N(1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+        assert N(1.0) == pytest.approx(math.e - 1.0, rel=1e-15, abs=0.0)
