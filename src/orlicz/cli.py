@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from .descriptors import parse_descriptor_json, FunctionDescriptor
-from .embedding import embedding_report
+from .embedding import _json_number, embedding_report
 from .errors import OrliczError
 from .expfamily import critical_alpha, gauge_quadrature, gauge_series
 from .norms import lebesgue_norm, luxemburg_norm, weak_norm
@@ -58,12 +58,16 @@ def _load_descriptor(arg: str) -> FunctionDescriptor:
     return parse_descriptor_json(text)
 
 
-def _num(x):
-    if x is None:
-        return None
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
+def _parse_mass(raw: str) -> float:
+    return math.inf if raw == "inf" else float(raw)
+
+
+def _record(value: Optional[float], **extra) -> dict:
+    """One quantity's record: its value ("divergent" where None, "inf" where +inf), the
+    extra fields, and whether the value is finite."""
+    finite = value is not None and math.isfinite(value)
+    shown = "divergent" if value is None else _json_number(value)
+    return {"value": shown, **extra, "finite": finite}
 
 
 def _emit(payload: dict, fmt: str, rows: Optional[List[List[str]]] = None) -> None:
@@ -89,42 +93,21 @@ def _cmd_norm(args) -> int:
     except OrliczError as exc:
         return _input_error(str(exc))
     if args.mass is not None:
-        mass = math.inf if args.mass == "inf" else float(args.mass)
-        desc = dataclasses.replace(desc, mass=mass)
+        desc = dataclasses.replace(desc, mass=_parse_mass(args.mass))
     try:
         f = desc.build(young)
     except OrliczError as exc:
         return _input_error(str(exc))
 
     results = {}
-    bad = False
     if kind.startswith("lp:"):
         p = float(kind[3:])
-        r = lebesgue_norm(f, p)
-        if r.is_finite:
-            finite = math.isfinite(r.value)
-            results[f"lp({p:g})"] = {"value": _num(r.value), "finite": finite}
-            bad = not finite
-        else:
-            results[f"lp({p:g})"] = {"value": "divergent", "finite": False}
-            bad = True
-    else:
-        wanted = ("strong", "weak") if kind == "both" else (kind,)
-        for w in wanted:
-            if w == "strong":
-                r = luxemburg_norm(young, f)
-                finite = math.isfinite(r.value)
-                results["strong"] = {
-                    "value": _num(r.value),
-                    "modular_at_value": r.modular_at_value,
-                    "finite": finite,
-                }
-                bad = bad or not finite
-            else:
-                r = weak_norm(young, f)
-                finite = math.isfinite(r.value)
-                results["weak"] = {"value": _num(r.value), "finite": finite}
-                bad = bad or not finite
+        results[f"lp({p:g})"] = _record(lebesgue_norm(f, p).value)
+    if kind in ("strong", "both"):
+        r = luxemburg_norm(young, f)
+        results["strong"] = _record(r.value, modular_at_value=r.modular_at_value)
+    if kind in ("weak", "both"):
+        results["weak"] = _record(weak_norm(young, f).value)
 
     payload = {
         "young": young.describe(),
@@ -134,21 +117,15 @@ def _cmd_norm(args) -> int:
     }
     rows = [["quantity", "value", "modular_at_value", "finite"]]
     for name, rec in results.items():
-        rows.append(
-            [
-                name,
-                str(rec["value"]),
-                str(rec.get("modular_at_value", "")),
-                str(rec["finite"]).lower(),
-            ]
-        )
+        rows.append([name, str(rec["value"]), str(rec.get("modular_at_value", "")),
+                     str(rec["finite"]).lower()])
     _emit(payload, args.out, rows)
-    return 2 if bad else 0
+    return 0 if all(rec["finite"] for rec in results.values()) else 2
 
 
 def _cmd_embed(args) -> int:
     young = _parse_young(args.young)
-    mass = math.inf if args.mass == "inf" else float(args.mass)
+    mass = _parse_mass(args.mass)
     if not mass > 0.0:
         return _input_error("--mass must be positive or 'inf'")
     report = embedding_report(young, mass)

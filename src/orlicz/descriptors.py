@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from .errors import DescriptorError
 from .tails import AnalyticTail, TailRepFunction, step_tail
-from .embedding import extremal_function
+from .embedding import _json_number, extremal_function
 from .young import YoungFunction
 
 __all__ = ["FunctionDescriptor", "parse_descriptor", "parse_descriptor_json"]
@@ -60,15 +60,14 @@ class FunctionDescriptor:
     p: Optional[float] = None
 
     def to_jsonable(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"kind": self.kind}
-        if self.kind == "step":
+        """The fields that are set, with the pieces as objects and an infinite mass as "inf"."""
+        out: Dict[str, object] = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None:
+                out[f.name] = _json_number(v)
+        if self.pieces is not None:
             out["pieces"] = [{"value": v, "mass": m} for v, m in self.pieces]
-        elif self.kind == "indicator":
-            out["a"] = self.a
-        elif self.kind == "analytic-tail":
-            out["family"] = self.family
-            out["p"] = self.p
-        out["mass"] = "inf" if math.isinf(self.mass) else self.mass
         return out
 
     def to_json(self) -> str:

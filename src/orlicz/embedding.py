@@ -37,7 +37,7 @@ import math
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BadParameter, BudgetExceeded, DivergentModular,
@@ -362,27 +362,17 @@ class EmbeddingReport:
             raise ValueError("embedding constant must lie in (1, inf)")
 
     def to_dict(self) -> Dict[str, object]:
-        def num(x):
-            if x is None:
-                return None
-            return "inf" if math.isinf(x) else x
+        """Every field, for JSON: each trail as a list of lists, an infinite mass as "inf"."""
+        out: Dict[str, object] = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = [list(x) for x in v] if isinstance(v, tuple) else _json_number(v)
+        return out
 
-        return {
-            "family": self.family,
-            "param": self.param,
-            "total_mass": num(self.total_mass),
-            "unit_threshold": self.unit_threshold,
-            "verdict": self.verdict,
-            "numeric_verdict": self.numeric_verdict,
-            "override_verdict": self.override_verdict,
-            "classifier_agreement": self.classifier_agreement,
-            "witness_constant": self.witness_constant,
-            "embedding_constant": self.embedding_constant,
-            "embedding_constant_modular": self.embedding_constant_modular,
-            "sharp": self.sharp,
-            "criterion_trail": [list(x) for x in self.criterion_trail],
-            "q_trace": [list(x) for x in self.q_trace],
-        }
+
+def _json_number(x):
+    """x, or "inf" where x is an infinite float, which JSON cannot hold."""
+    return "inf" if isinstance(x, float) and math.isinf(x) else x
 
 
 def embedding_report(N: YoungFunction, total_mass: float) -> EmbeddingReport:

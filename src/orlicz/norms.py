@@ -554,10 +554,13 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         inner = flat(nodes[min(p, n - 1) - 1]) if p > 1 else 0.0
         if p < z:
             last = z - 1
-            v_last = g(nodes[last], level_at(last))
-            # T at p was read by the plateau's bisection
-            if (z == n and (a, b) == _GRID_FIRST
-                    and certified(g(nodes[p], level_at(p)), v_last)):
+            v_last = v = g(nodes[last], level_at(last))
+            if p < last:  # T at p was read by the plateau's bisection
+                y = level_at(p)
+                ui = u(y) if y > 0.0 else math.inf
+                v = nodes[p] / ui if ui > 0.0 else math.inf
+            # v, g at p, is the certificate's first sample and the loop's first read
+            if z == n and (a, b) == _GRID_FIRST and certified(v, v_last):
                 count += len(levels)
                 return None  # +inf is proven: no other node is read
             mid = [0.0] * (z - p)
@@ -566,12 +569,8 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             read = 0.0  # the largest sample read on [p, last)
             i = p
             get = levels.get
-            while i < last:
-                y = get(i)
-                if y is None:
-                    y = levels[i] = T(nodes[i])
-                ui = u(y) if y > 0.0 else math.inf
-                mid[i - p] = v = nodes[i] / ui if ui > 0.0 else math.inf
+            while i < last:  # v is g at node i, and ui is u there
+                mid[i - p] = v
                 if v > top:
                     top = v
                 if v > read:
@@ -580,8 +579,16 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
                 # a run; it is empty where ui is 0, or lim NaN (0 * inf)
                 lim = top / skip_margin * ui
                 i += 1
-                if i < last and nodes[i] < lim:
-                    i = bisect_left(nodes, lim, i + 1, last)
+                if i < last:
+                    if nodes[i] < lim:
+                        i = bisect_left(nodes, lim, i + 1, last)
+                        if i == last:
+                            break
+                    y = get(i)
+                    if y is None:
+                        y = levels[i] = T(nodes[i])
+                    ui = u(y) if y > 0.0 else math.inf
+                    v = nodes[i] / ui if ui > 0.0 else math.inf
             if p:
                 inner = max(inner, read)
             elif z > 2:  # no plateau: the first read is the stretch's first sample

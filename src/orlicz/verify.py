@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Dict, List, Tuple
 
 from .embedding import (
@@ -76,6 +76,11 @@ DELTA2_K0 = {
 }
 
 
+# the columns of a check's CSV row and the keys of its JSON object; the
+# claim is written as "anchor"
+_COLUMNS = ("id", "anchor", "expected", "computed", "tol", "pass")
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     id: str
@@ -86,14 +91,7 @@ class CheckRecord:
     passed: bool
 
     def row(self) -> List[str]:
-        return [
-            self.id,
-            self.claim,
-            self.expected,
-            self.computed,
-            self.tol,
-            "pass" if self.passed else "FAIL",
-        ]
+        return [*astuple(self)[:-1], "pass" if self.passed else "FAIL"]
 
 
 @dataclass(frozen=True)
@@ -114,17 +112,7 @@ class VerifyReport:
         return {
             "suite": self.suite,
             "seed": self.seed,
-            "checks": [
-                {
-                    "id": r.id,
-                    "anchor": r.claim,
-                    "expected": r.expected,
-                    "computed": r.computed,
-                    "tol": r.tol,
-                    "pass": r.passed,
-                }
-                for r in self.records
-            ],
+            "checks": [dict(zip(_COLUMNS, astuple(r))) for r in self.records],
             "summary": {
                 "total": len(self.records),
                 "passed": self.n_pass,
@@ -133,9 +121,7 @@ class VerifyReport:
         }
 
     def csv_rows(self) -> List[List[str]]:
-        rows = [["id", "anchor", "expected", "computed", "tol", "pass"]]
-        rows.extend(r.row() for r in self.records)
-        return rows
+        return [list(_COLUMNS)] + [r.row() for r in self.records]
 
 
 def _fmt(x) -> str:
@@ -156,6 +142,15 @@ class _Collector:
     def close(self, cid, claim, expected, computed, tol):
         err = abs(computed - expected)
         self.add(cid, claim, expected, computed, tol, err <= tol)
+
+    def within(self, cid, claim, worst, tol):
+        """A check that the worst error over its cases is at most tol (expected "<= 1e-8")."""
+        bound = f"{tol:g}".replace("e-0", "e-")
+        self.add(cid, claim, f"<= {bound}", worst, tol, worst <= tol)
+
+    def holds(self, cid, claim, ok):
+        """A check of a property: ok is True."""
+        self.add(cid, claim, True, ok, "-", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +203,15 @@ def _suite_expfamily(col: _Collector, seed: int) -> None:
         abs(gauge_series(i * 0.9 / 49.0) - gauge_quadrature(i * 0.9 / 49.0))
         for i in range(50)
     )
-    col.add(
-        "EF-06", "series vs quadrature on [0, 0.9], 50 points",
-        "<= 1e-8", worst, 1e-8, worst <= 1e-8,
-    )
+    col.within("EF-06", "series vs quadrature on [0, 0.9], 50 points", worst, 1e-8)
     grid = [0.02 + 0.96 * i / 39.0 for i in range(40)]
     vals = [gauge_series(a) for a in grid]
     increasing = all(b > a for a, b in zip(vals, vals[1:]))
-    col.add("EF-07", "gauge strictly increasing on (0,1)", True, increasing, "-", increasing)
+    col.holds("EF-07", "gauge strictly increasing on (0,1)", increasing)
     lb_ok = all(
         gauge_series(a) > 2.0 ** (a - 1.0) / (1.0 - a) for a in grid
     )
-    col.add("EF-08", "gauge exceeds its half-interval lower bound", True, lb_ok, "-", lb_ok)
+    col.holds("EF-08", "gauge exceeds its half-interval lower bound", lb_ok)
     asym = gauge_quadrature(0.999)
     col.add(
         "EF-09", "gauge(0.999) within 10% of 1/(1-0.999)",
@@ -298,9 +290,9 @@ def _suite_norms(col: _Collector, seed: int) -> None:
             gap = w - s
             if gap > worst_gap:
                 worst_gap = gap
-    col.add(
+    col.within(
         "NR-01", "weak norm never exceeds strong norm (200 random step fns x 3 families)",
-        "<= 1e-8", worst_gap, 1e-8, worst_gap <= 1e-8,
+        worst_gap, 1e-8,
     )
 
     worst_rel = 0.0
@@ -315,9 +307,9 @@ def _suite_norms(col: _Collector, seed: int) -> None:
                 scaled = norm(N, fc).value
                 rel = abs(scaled - c * base) / (c * base)
                 worst_rel = max(worst_rel, rel)
-    col.add(
+    col.within(
         "NR-02", "norms are absolutely homogeneous (both kinds, 50 fns x 3 families)",
-        "<= 1e-9", worst_rel, 1e-9, worst_rel <= 1e-9,
+        worst_rel, 1e-9,
     )
 
     worst_id = 0.0
@@ -329,9 +321,9 @@ def _suite_norms(col: _Collector, seed: int) -> None:
         through_tail = modular(N, step_tail(pieces, 1.0), k).require_finite()
         if direct > 0.0:
             worst_id = max(worst_id, abs(direct - through_tail) / direct)
-    col.add(
+    col.within(
         "NR-03", "modular through the tail equals the direct sum (200 step fns)",
-        "<= 1e-12", worst_id, 1e-12, worst_id <= 1e-12,
+        worst_id, 1e-12,
     )
 
     coupling_ok = True
@@ -343,10 +335,7 @@ def _suite_norms(col: _Collector, seed: int) -> None:
             coupling_ok = False
             break
         coupling_ok = coupling_ok and rep.holds
-    col.add(
-        "NR-04", "dominated tails give dominated modulars (100 generated pairs)",
-        True, coupling_ok, "-", coupling_ok,
-    )
+    col.holds("NR-04", "dominated tails give dominated modulars (100 generated pairs)", coupling_ok)
 
     worst_ind = 0.0
     for name, N in _families():
@@ -356,10 +345,7 @@ def _suite_norms(col: _Collector, seed: int) -> None:
             s = luxemburg_norm(N, f).value
             w = weak_norm(N, f).value
             worst_ind = max(worst_ind, abs(s - closed), abs(w - closed))
-    col.add(
-        "NR-05", "indicator norms coincide and equal 1/N^{-1}(1/a)",
-        "<= 1e-8", worst_ind, 1e-8, worst_ind <= 1e-8,
-    )
+    col.within("NR-05", "indicator norms coincide and equal 1/N^{-1}(1/a)", worst_ind, 1e-8)
 
     worst_unit = 0.0
     for name, N in _families():
@@ -369,10 +355,10 @@ def _suite_norms(col: _Collector, seed: int) -> None:
         for gap in (1e-3, 0.5, 2.0):
             q = p + gap
             worst_unit = max(worst_unit, abs(weak_norm(power_young(p), _power_tail(q)).value - 1.0))
-    col.add(
+    col.within(
         "NR-06", "analytic weak norms equal 1: extremal fns (3 families x masses 0.25, 1, 4)"
         " and min(1, t^-q) under power(p), p in {1.5, 2, 3}, q - p in {1e-3, 0.5, 2}",
-        "<= 1e-12", worst_unit, 1e-12, worst_unit <= 1e-12,
+        worst_unit, 1e-12,
     )
 
     worst_strong = 0.0
@@ -405,11 +391,11 @@ def _suite_norms(col: _Collector, seed: int) -> None:
                 worst_bounded = max(worst_bounded, err)
             norm = closed ** (1.0 / p)
             worst_bounded = max(worst_bounded, abs(luxemburg_norm(N, f).value - norm) / norm)
-    col.add(
+    col.within(
         "NR-08", "bounded support: min(M, c t^-q) 1[t < b] under power(p), p in {1.5, 2, 3},"
         " on 6 finite and 3 infinite masses: modular at k in {0.5, 1, 2} and strong norm"
         " equal their closed forms",
-        "<= 1e-12", worst_bounded, 1e-12, worst_bounded <= 1e-12,
+        worst_bounded, 1e-12,
     )
 
 
@@ -423,9 +409,9 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
             generic = embedding_modular(N, k, 1.0).require_finite()
             closed = exp_embedding_modular(m, k)
             worst = max(worst, abs(generic - closed))
-    col.add(
+    col.within(
         "EM-01", "generic embedding modular matches the exp-family closed form (5x4 grid)",
-        "<= 1e-6", worst, 1e-6, worst <= 1e-6,
+        worst, 1e-6,
     )
 
     k0_2 = embedding_constant(exp_young(2.0), 1.0)
@@ -435,9 +421,9 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
     for mass, k0 in DELTA2_K0.items():
         computed = embedding_constant(delta_young(2.0), mass)
         worst_delta = max(worst_delta, abs(computed - k0) / k0)
-    col.add(
+    col.within(
         "EM-03", "embedding constant of delta(2) matches mpmath on masses 0.25, 1, 4 (rel)",
-        "<= 1e-12", worst_delta, 1e-12, worst_delta <= 1e-12,
+        worst_delta, 1e-12,
     )
 
     worst_k0 = 0.0
@@ -448,10 +434,10 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
             if mass == 1.0:
                 k0_by_m[m] = k0
             worst_k0 = max(worst_k0, abs(k0 - alpha ** (-1.0 / m)))
-    col.add(
+    col.within(
         "EM-04", "generic embedding constant matches alpha*(M)^(-1/m) (mpmath),"
         " m in {1.5, 2, 3}, masses 0.25, 1, 4",
-        "<= 1e-12", worst_k0, 1e-12, worst_k0 <= 1e-12,
+        worst_k0, 1e-12,
     )
 
     worst_att = 0.0
@@ -460,9 +446,9 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
         k0 = k0_by_m[m]
         lux = luxemburg_norm(N, extremal_function(N, 1.0)).value
         worst_att = max(worst_att, abs(lux - k0) / k0)
-    col.add(
+    col.within(
         "EM-05", "strong norm of the extremal function attains the constant (rel)",
-        "<= 1e-12", worst_att, 1e-12, worst_att <= 1e-12,
+        worst_att, 1e-12,
     )
 
     cls_ok = True
@@ -496,7 +482,7 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
     ks = [1.05 + (50.0 - 1.05) * i / 19.0 for i in range(20)]
     qs = [embedding_modular(N2, k, 1.0).require_finite() for k in ks]
     dec = all(a > b for a, b in zip(qs, qs[1:]))
-    col.add("EM-09", "embedding modular strictly decreasing on (1.05, 50)", True, dec, "-", dec)
+    col.holds("EM-09", "embedding modular strictly decreasing on (1.05, 50)", dec)
     q_low = embedding_modular(N2, 1.001, 1.0)
     big = q_low.is_divergent or q_low.value > 100.0
     col.add(
@@ -515,19 +501,13 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
         worst_lo = max(worst_lo, w - s)
         worst_hi = max(worst_hi, s - k0_2 * w * (1.0 + 1e-6))
     sandwich = worst_lo <= 1e-8 and worst_hi <= 1e-8
-    col.add(
-        "EM-12", "weak <= strong <= k0 * weak on 200 random step functions",
-        True, sandwich, "-", sandwich,
-    )
+    col.holds("EM-12", "weak <= strong <= k0 * weak on 200 random step functions", sandwich)
 
     rep2 = embedding_report(N2, 1.0)
     halved = rep2.witness_constant is not None and embedding_modular(
         N2, 2.0 / rep2.witness_constant, 1.0
     ).is_finite
-    col.add(
-        "EM-13", "halving a finite-integral witness keeps the integral finite",
-        True, halved, "-", halved,
-    )
+    col.holds("EM-13", "halving a finite-integral witness keeps the integral finite", halved)
 
     # exp_m reports take k0 from the closed form; delta still runs the
     # search, so the search is checked here against the closed form: the
@@ -542,10 +522,10 @@ def _suite_embedding(col: _Collector, seed: int) -> None:
             k0, _ = _k0_search(searched, mass, trail, [])
             closed = exp_embedding_constant(m, mass)
             worst_search = max(worst_search, abs(k0 - closed) / closed)
-    col.add(
+    col.within(
         "EM-14", "generic k0 search (crossing solver on the numeric Q) matches the closed form"
         " alpha*(M)^(-1/m), m in {1.5, 2, 3, 150, 300}, masses {0.25, 1, 4} (rel)",
-        "<= 1e-12", worst_search, 1e-12, worst_search <= 1e-12,
+        worst_search, 1e-12,
     )
 
 

@@ -38,3 +38,52 @@ def test_two_loads_are_separate_and_agree(ab):
     ops_a = work_a.build("analytic-norms", 1)[:18]
     ops_b = work_b.build("analytic-norms", 1)[:18]
     assert [ab.run(op)[0] for op in ops_a] == [ab.run(op)[0] for op in ops_b]
+
+
+@pytest.fixture
+def twice(ab, monkeypatch):
+    """``ab.main`` with this tree on both sides, each op list cut to its first six ops.
+
+    Returns the workloads built, and a set: an op list named in it gets a
+    first op whose output on side B differs from side A's.
+    """
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts bench/ on the path
+    monkeypatch.setattr(ab, "extract", lambda rev: ROOT / "src" / "orlicz")
+    load, built, changed = ab.load, [], set()
+
+    def cut(package, name):
+        lib, work = load(package, name)
+        full = work.build
+
+        def build(workload, seed):
+            ops = full(workload, seed)[:6]
+            built.append(workload)
+            if name == "orlicz_b" and workload in changed:
+                call = ops[0].call
+                ops[0].call = lambda: (call(), "changed")
+            return ops
+
+        work.build = build
+        return lib, work
+
+    monkeypatch.setattr(ab, "load", cut)
+    return built, changed
+
+
+def test_all_runs_each_workload_and_same_outputs_exit_0(ab, twice, capsys):
+    built, _ = twice
+    assert ab.main(["--base", "HEAD", "--workload", "all", "--seeds", "1", "--passes", "1"]) == 0
+    out = capsys.readouterr().out
+    assert built == [w for w in ("step-norms", "embed-report", "analytic-norms") for _ in range(2)]
+    for workload in ("step-norms", "embed-report", "analytic-norms"):
+        assert f"{workload} seed 1: " in out and f"{workload} total: " in out
+    assert "differs" not in out
+
+
+def test_a_differing_output_exits_1(ab, twice, capsys):
+    _, changed = twice
+    changed.add("analytic-norms")
+    assert ab.main(["--base", "HEAD", "--workload", "all", "--seeds", "1", "--passes", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("differs: ") == 1
+    assert "analytic-norms seed 1: " in out and "1 differ\n" in out

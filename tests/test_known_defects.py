@@ -12,8 +12,10 @@ import math
 
 import pytest
 
-from orlicz.embedding import coincidence_criterion, embedding_modular, extremal_function
-from orlicz.norms import lebesgue_norm, modular, weak_norm
+from orlicz.embedding import (NON_COINCIDENT, coincidence_criterion, embedding_modular,
+                               extremal_function)
+from orlicz.expfamily import exp_embedding_modular
+from orlicz.norms import lebesgue_norm, luxemburg_norm, modular, weak_norm
 from orlicz.tails import AnalyticTail, TailRepFunction
 from orlicz.young import delta_young, exp_young, power_young
 
@@ -110,3 +112,78 @@ def test_heavy_tail_with_a_large_plateau_is_divergent_at_large_p():
     # norm is above 2^64, and the norm raises NonEvaluable
     f = TailRepFunction(AnalyticTail(lambda t: min(0.01, 1.0 / t)), 0.01)
     assert lebesgue_norm(f, 200.0).is_divergent
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `embedding_modular(exp_young(0.5), k, M)` reads "
+                                       "\"divergent\" for k in {1.05, 1.2}")
+@pytest.mark.parametrize("k", [1.05, 1.2])
+@pytest.mark.parametrize("mass", [0.25, 1.0, 4.0])
+def test_exp_half_embedding_modular_near_one(k, mass):
+    # finite in closed form (11.301296936240378 at k = 1.2 on unit mass); the
+    # ladder calls its shallow decades divergent
+    exact = exp_embedding_modular(0.5, k, mass)
+    assert embedding_modular(exp_young(0.5), k, mass).value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `embedding_modular(delta_young(1.6), 2, 1)` raises "
+                                       "BudgetExceeded")
+def test_delta16_embedding_modular_at_two():
+    # the mpmath value, recomputed at 40 and 50 digits; the ladder is exhausted
+    r = embedding_modular(delta_young(1.6), 2.0, 1.0)
+    assert r.value == pytest.approx(3.4160633051748883, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `embedding_modular(delta_young(1.4), 2, 1)` reads "
+                                       "\"divergent\"")
+def test_delta14_embedding_modular_at_two():
+    # the mpmath value, recomputed at 40 and 50 digits; the ladder's slopes
+    # sit near -1, lifted by the slowly varying ln t factor
+    r = embedding_modular(delta_young(1.4), 2.0, 1.0)
+    assert r.value == pytest.approx(13.302692908914265, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `modular(exp_young(2), extremal_function("
+                                       "exp_young(2), 1), 1)` reads finite 700.9999999999982")
+def test_exp2_extremal_modular_at_one_is_divergent():
+    # Q(1) = log N(inf) - log N(t0) = +inf; the tail reads 1/N = 0 past N's
+    # cap, which bounds the integral
+    N = exp_young(2.0)
+    assert modular(N, extremal_function(N, 1.0), 1.0).is_divergent
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `modular(exp_young(2), extremal_function("
+                                       "exp_young(2), 1), 1.001)` reads 377.25013588159203")
+def test_exp2_extremal_modular_just_above_one():
+    # the closed form is 500.7457234052751, 25% above the value read
+    N = exp_young(2.0)
+    exact = exp_embedding_modular(2.0, 1.001, 1.0)
+    assert modular(N, extremal_function(N, 1.0), 1.001).value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `modular(exp_young(300), extremal_function("
+                                       "exp_young(300), inf), 2)` reads finite "
+                                       "2.570508291106807e-88")
+def test_exp300_extremal_modular_on_infinite_mass_is_divergent():
+    # the integrand decays like 1/t near 0; N'(t/2) underflows to 0 where T
+    # is +inf, so the integrand reads 0 there
+    N = exp_young(300.0)
+    assert modular(N, extremal_function(N, math.inf), 2.0).is_divergent
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `luxemburg_norm(power_young(2.7238), min(1, t^-q))` "
+                                       "with q − p = 0.0097 is +inf")
+def test_power_tail_strong_norm_with_q_close_to_p():
+    # the bench's known class "strong norm +inf, finite exact": the closed
+    # form (q/(q - p))^(1/p) is 7.933399740984223
+    p = 2.7238
+    q = p + 0.0097
+    f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -q)), 1.0)
+    exact = (q / (q - p)) ** (1.0 / p)
+    assert luxemburg_norm(power_young(p), f).value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `coincidence_criterion(delta_young(1.1), 1)"
+                                       ".verdict` is \"non-coincident\"")
+def test_delta11_criterion_is_not_non_coincident():
+    # the delta family is coincident: "coincident" or "inconclusive" is right
+    assert coincidence_criterion(delta_young(1.1), 1.0).verdict != NON_COINCIDENT

@@ -2,6 +2,7 @@
 
     python3 tools/ab.py --base HEAD~1 --workload analytic-norms --seeds 1,2,3 --passes 5
     python3 tools/ab.py --base HEAD --head HEAD --seeds 1,2,3,4,5        # an A/A run
+    python3 tools/ab.py --base HEAD~1 --workload all --seeds 1,2,3 --passes 1   # same outputs?
 
 Run from the root of a checkout.  ``--base`` (side A) and ``--head``
 (side B) name git revisions; each one's ``src/orlicz`` is extracted with
@@ -19,7 +20,10 @@ total op time, p50 and p90 over the per-op costs and the change from A
 to B, the change per op class, and every op whose output (its ``repr``,
 or the exception it raised) differs between the sides.  The last lines
 say on how many seeds each figure fell and give the median change.
-``--json PATH`` writes the same numbers as JSON.
+``--workload all`` runs the three workloads in turn.  ``--json PATH``
+writes the same numbers as JSON, by workload and seed.  The exit status
+is 1 where any op's output differs between the sides, else 0, so one
+pass per op checks that a change keeps every output.
 
 The two sides share the host's load at every moment, so the changes
 read here spread far less than those of separate ``bench/run.py`` runs.
@@ -136,27 +140,13 @@ def summary(m: dict) -> dict:
     return row
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True, help="git revision of side A")
-    ap.add_argument("--head", help="git revision of side B (default: the working tree)")
-    ap.add_argument("--workload", default="analytic-norms")
-    ap.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
-    ap.add_argument("--passes", type=int, default=5, help="timed passes per op and side")
-    ap.add_argument("--json", help="also write the results to this file")
-    args = ap.parse_args(argv)
-
-    sys.path.insert(0, str(BENCH))  # workloads.py imports oracles
-    head = extract(args.head) if args.head else ROOT / "src" / "orlicz"
-    sides = [load(extract(args.base), "orlicz_a")[1], load(head, "orlicz_b")[1]]
-    if args.workload not in sides[0].WORKLOADS:
-        ap.error(f"unknown workload {args.workload!r}")
-
+def compare(sides, workload: str, seeds, passes: int) -> dict:
+    """Print the A/B of one workload on each seed; its summary row by seed."""
     rows = {}
-    for seed in (int(s) for s in args.seeds.split(",")):
-        row = rows[seed] = summary(measure(sides, args.workload, seed, args.passes))
+    for seed in seeds:
+        row = rows[seed] = summary(measure(sides, workload, seed, passes))
         (ta, tb), (pa, pb), (qa, qb) = row["total_ms"], row["p50_ms"], row["p90_ms"]
-        print(f"seed {seed}: total {ta:.2f} -> {tb:.2f} ms ({row['total']:+.1f}%), "
+        print(f"{workload} seed {seed}: total {ta:.2f} -> {tb:.2f} ms ({row['total']:+.1f}%), "
               f"p50 {pa:.4f} -> {pb:.4f} ms ({row['p50']:+.1f}%), "
               f"p90 {qa:.4f} -> {qb:.4f} ms ({row['p90']:+.1f}%), {len(row['differ'])} differ")
         for kind, c in row["classes"].items():
@@ -165,13 +155,35 @@ def main(argv=None) -> int:
             print(f"    differs: {label}\n        A: {a}\n        B: {b}")
     for key in ("total", "p50", "p90"):
         changes = [row[key] for row in rows.values()]
-        print(f"{key}: B faster on {sum(c < 0 for c in changes)}/{len(changes)} seeds, "
-              f"median change {statistics.median(changes):+.1f}%")
+        print(f"{workload} {key}: B faster on {sum(c < 0 for c in changes)}/{len(changes)} "
+              f"seeds, median change {statistics.median(changes):+.1f}%")
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision of side A")
+    ap.add_argument("--head", help="git revision of side B (default: the working tree)")
+    ap.add_argument("--workload", default="analytic-norms", help="a workload, or all three")
+    ap.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
+    ap.add_argument("--passes", type=int, default=5, help="timed passes per op and side")
+    ap.add_argument("--json", help="also write the results to this file")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(BENCH))  # workloads.py imports oracles
+    head = extract(args.head) if args.head else ROOT / "src" / "orlicz"
+    sides = [load(extract(args.base), "orlicz_a")[1], load(head, "orlicz_b")[1]]
+    names = sides[0].WORKLOADS if args.workload == "all" else (args.workload,)
+    if not set(names) <= set(sides[0].WORKLOADS):
+        ap.error(f"unknown workload {args.workload!r}")
+
+    seeds = [int(s) for s in args.seeds.split(",")]
+    results = {name: compare(sides, name, seeds, args.passes) for name in names}
     if args.json:
         Path(args.json).write_text(json.dumps({
-            "base": args.base, "head": args.head or "working tree", "workload": args.workload,
-            "passes": args.passes, "seeds": rows}, indent=1) + "\n")
-    return 0
+            "base": args.base, "head": args.head or "working tree", "passes": args.passes,
+            "workloads": results}, indent=1) + "\n")
+    return 1 if any(row["differ"] for rows in results.values() for row in rows.values()) else 0
 
 
 if __name__ == "__main__":
