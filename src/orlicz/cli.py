@@ -59,7 +59,11 @@ def _load_descriptor(arg: str) -> FunctionDescriptor:
 
 
 def _parse_mass(raw: str) -> float:
-    return math.inf if raw == "inf" else float(raw)
+    """A --mass value: a positive number or 'inf'; exits with status 1 otherwise."""
+    mass = math.inf if raw == "inf" else float(raw)
+    if not mass > 0.0:
+        raise SystemExit(_input_error("--mass must be positive or 'inf'"))
+    return mass
 
 
 def _record(value: Optional[float], **extra) -> dict:
@@ -117,7 +121,8 @@ def _cmd_norm(args) -> int:
     }
     rows = [["quantity", "value", "modular_at_value", "finite"]]
     for name, rec in results.items():
-        rows.append([name, str(rec["value"]), str(rec.get("modular_at_value", "")),
+        at_value = rec.get("modular_at_value")
+        rows.append([name, str(rec["value"]), "" if at_value is None else str(at_value),
                      str(rec["finite"]).lower()])
     _emit(payload, args.out, rows)
     return 0 if all(rec["finite"] for rec in results.values()) else 2
@@ -126,8 +131,6 @@ def _cmd_norm(args) -> int:
 def _cmd_embed(args) -> int:
     young = _parse_young(args.young)
     mass = _parse_mass(args.mass)
-    if not mass > 0.0:
-        return _input_error("--mass must be positive or 'inf'")
     report = embedding_report(young, mass)
     payload = report.to_dict()
     text = json.dumps(payload, sort_keys=True, indent=2)

@@ -135,12 +135,14 @@ def _criterion_integrand(N: YoungFunction, c: float):
 
     if N.log_criterion is not None:
         log_f = N.log_criterion(c, _nodes_of(N))
+        exp = math.exp
+        top = _LOG_FLOAT_MAX
 
         def f(t: float) -> float:
             e = log_f(t)
-            if e > _LOG_FLOAT_MAX:
+            if e > top:
                 raise overflow(t)
-            return math.exp(e)
+            return exp(e)
 
         return f
 

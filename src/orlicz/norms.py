@@ -131,14 +131,18 @@ def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float
     """
     tail = f.tail
     value = tail.value
+    # looked up once per modular, on the instance, so a wrapper put on
+    # YoungFunction.derivative before the call still sees every read
+    derivative = N.derivative
+    get = reads.get
 
     def integrand(t: float) -> float:
-        T = reads.get(t)
+        T = get(t)
         if T is None:
             T = reads[t] = value(t)
         if T == 0.0:
             return 0.0
-        d = N.derivative(t / k)
+        d = derivative(t / k)
         if d == 0.0:
             return 0.0
         v = T * d / k
@@ -397,8 +401,8 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
                                     Optional[float]]:
     """Sup of g(t) = t / u(T(t)) over t > 0 (g = 0 where T is 0), sampled in x = log10 t.
 
-    Returns (sup, argmax, evaluations of T, plateau_end_t, zero_start_t),
-    the evaluations counting each node or search point where T was read.
+    Returns (sup, argmax, evaluations, plateau_end_t, zero_start_t), the
+    evaluations counting each node where T was read and each search point.
     g is sampled on the nodes x = j/20 for t in [1e-15, 1e16], which are
     taken from the table ``_FIRST_NODES``; an added decade computes its 20
     nodes.  T is nonincreasing, so on each stretch of nodes the ones with
@@ -464,10 +468,14 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     0, so the upper end stops there by itself.  A golden-section search
     (Kiefer, 1953) then refines over the two cells beside the first
     largest node in ascending t, found in the first stretch whose largest
-    sample it is, until they are NORM_REL_TOL wide in t.  The largest
-    value evaluated is returned, +inf once it exceeds NORM_CAP.  On ties
-    the grid node that joined the grid first is the argmax: the first
-    grid, then each added decade in turn, each in ascending t (a later
+    sample it is, until they are NORM_REL_TOL wide in t.  A search point
+    at or below the last plateau node has T(t) >= T there >= cap, so g is
+    t / u(cap) there, and neither T nor u is called: a power tail's g
+    peaks at its plateau end, and about a third of the points fall on the
+    plateau.  Such a point still counts among the evaluations.  The
+    largest value evaluated is returned, +inf once it exceeds NORM_CAP.
+    On ties the grid node that joined the grid first is the argmax: the
+    first grid, then each added decade in turn, each in ascending t (a later
     fill replaces the largest sample only when it exceeds it).
 
     The result is the sup to NORM_REL_TOL when g is unimodal near its
@@ -604,10 +612,11 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         return first, inner, end, (a, nodes, p, mid, m)
 
     def at(x: float) -> float:
+        """g at the search point t = 10^x, counted; flat(t) at or below plateau_t."""
         nonlocal best, argmax, count
         t = 10.0 ** x
         count += 1
-        v = g(t, T(t))
+        v = flat(t) if t <= plateau_t else g(t, T(t))
         if v > best:
             best, argmax = v, t
         return v
@@ -640,6 +649,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     runs = node_t(plateau_end), node_t(zero_start)
     if best > NORM_CAP:
         return (math.inf, argmax, count) + runs
+    plateau_t = 0.0 if plateau_end is None else runs[0]
 
     # the first largest sample in ascending t, which need not be the argmax
     a, nodes, p, mid, _ = next(s for s in stretches if s[-1] == best)
@@ -763,13 +773,14 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     call, on the instance, for both kinds of tail, so a wrapper put on
     ``YoungFunction.inverse`` before the call still sees every inverse
     evaluation: one per threshold on a step tail.
-    The trace records as ``evaluations`` the number of tail values read
-    (on a step tail, one per threshold; on an analytic tail, the grid
-    nodes read, by the bisections or between the runs, plus the
-    golden-section points and the certificate's probes), the t where
-    the returned value was attained as ``argmax_t`` (None for 0; for a
-    +inf the certificate proves, the certificate node, whose sample
-    passed 2^64), and the last plateau node and the first zero node of
+    The trace records as ``evaluations`` the number of points where g
+    was taken (on a step tail, one per threshold, each a tail value
+    read; on an analytic tail, the grid nodes read, by the bisections or
+    between the runs, plus the certificate's probes and the
+    golden-section points, of which those on the plateau read no tail
+    value), the t where the returned value was attained as ``argmax_t``
+    (None for 0; for a +inf the certificate proves, the certificate node,
+    whose sample passed 2^64), and the last plateau node and the first zero node of
     the first grid's bisections (and of any decade added) as
     ``plateau_end_t`` and ``zero_start_t`` (None where the run is absent,
     and always on a step tail).

@@ -181,9 +181,11 @@ def _exp_family(m: float) -> YoungFunction:
             e = (m - 1.0) * log_u
             if cm1:  # at c = 1 the term is 0 even where x overflows to inf
                 e += cm1 * (math.exp(log_x) if log_x < 709.0 else math.inf)
-            # the l terms vanish below rounding once x and c^m x exceed 40
-            if min(log_x, log_x + log_cm) <= _LOG1MEXP_NEGLIGIBLE:
-                e += _log1mexp(log_x + log_cm) - 2.0 * _log1mexp(log_x)
+            # the l terms vanish below rounding once x and c^m x exceed 40;
+            # two comparisons, not a min() call, on this per-node path
+            lc = log_x + log_cm
+            if log_x <= _LOG1MEXP_NEGLIGIBLE or lc <= _LOG1MEXP_NEGLIGIBLE:
+                e += _log1mexp(lc) - 2.0 * _log1mexp(log_x)
             return e
 
         return g
@@ -240,9 +242,11 @@ def _delta_family(d: float) -> YoungFunction:
                 one_u, L, log_x, x, dl, l_x = terms
             dr = d * math.log1p(math.log1p(cm1 * u / one_u) / L)
             e = x * math.expm1(dr) + log_d + dl - L
-            # the l terms vanish below rounding once x and x e^(d r) exceed 40
-            if min(log_x, log_x + dr) <= _LOG1MEXP_NEGLIGIBLE:
-                e += _log1mexp(log_x + dr) - 2.0 * l_x
+            # the l terms vanish below rounding once x and x e^(d r) exceed 40;
+            # two comparisons, not a min() call, on this per-node path
+            lc = log_x + dr
+            if log_x <= _LOG1MEXP_NEGLIGIBLE or lc <= _LOG1MEXP_NEGLIGIBLE:
+                e += _log1mexp(lc) - 2.0 * l_x
             return e
 
         return g

@@ -7,6 +7,7 @@ outputs on the benchmark's ops.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -87,3 +88,32 @@ def test_a_differing_output_exits_1(ab, twice, capsys):
     out = capsys.readouterr().out
     assert out.count("differs: ") == 1
     assert "analytic-norms seed 1: " in out and "1 differ\n" in out
+
+
+def test_json_counts_each_class_at_or_above_the_p90_of_a(ab, twice, capsys, tmp_path):
+    built, _ = twice
+    path = tmp_path / "ab.json"
+    assert ab.main(["--base", "HEAD", "--workload", "all", "--seeds", "1", "--passes", "1",
+                    "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    workloads = json.loads(path.read_text())["workloads"]
+    assert sorted(workloads) == sorted(set(built))
+    for rows in workloads.values():
+        classes = rows["1"]["classes"]
+        # six ops per list, so at most six lie at or above any cost
+        assert all(isinstance(c["at_p90_of_a"], int) for c in classes.values())
+        assert 0 <= sum(c["at_p90_of_a"] for c in classes.values()) <= 6
+    assert out.count("at or above A's p90") == sum(
+        len(rows["1"]["classes"]) for rows in workloads.values())
+
+
+def test_p90_count_per_class(ab):
+    # A's costs are 1..20 ms: its p90 is 18.9 ms, so the ops at 19 and 20
+    # ms are counted, both of class "b"; B is 10% faster everywhere
+    cost_a = [i * 1e-3 for i in range(1, 21)]
+    kinds = ["a" if i < 15 else "b" for i in range(20)]
+    row = ab.summary({"cost": [cost_a, [c * 0.9 for c in cost_a]], "kinds": kinds,
+                      "differ": []})
+    assert row["p90_ms"][0] == pytest.approx(18.9)
+    assert {k: c["at_p90_of_a"] for k, c in row["classes"].items()} == {"a": 0, "b": 2}
+    assert row["classes"]["a"]["change"] == pytest.approx(-10.0)

@@ -187,6 +187,21 @@ class TestNormCommand:
         assert lines[0] == "quantity,value,modular_at_value,finite"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("mass", ["0", "1e-400", "-1"])
+    @pytest.mark.parametrize("fn", [
+        '{"kind":"analytic-tail","family":"power","p":3,"mass":1}',
+        '{"kind":"indicator","a":1,"mass":1}',
+    ])
+    def test_mass_override_must_be_positive(self, capsys, fn, mass):
+        # as for embed: 0 and 1e-400 (which reads as 0) once ended in a
+        # ZeroDivisionError from the analytic tail, and -1 in the library's
+        # own message on an indicator
+        rc, out, err = run(
+            capsys, "norm", "--young", "exp_m:2", "--fn", fn, "--mass", mass,
+        )
+        assert rc == 1 and out == ""
+        assert err == "error: --mass must be positive or 'inf'\n"
+
     def test_bad_young_spec(self, capsys):
         rc, _, err = run(
             capsys, "norm", "--young", "exp_m", "--fn", '{"kind":"extremal","mass":1}',

@@ -79,7 +79,7 @@ NORM_OUTPUTS = [
      HEADER + "strong,1.140175425099138,0.9999999999999998,true\n"
      "weak,1.0954451150103321,,true\n"),
     (TAIL, "both", "csv", 2,
-     HEADER + "strong,inf,None,false\nweak,1.0000000000000002,,true\n"),
+     HEADER + "strong,inf,,false\nweak,1.0000000000000002,,true\n"),
     (STEP, "lp:2", "json", 0,
      '{"function": {"kind": "step", "mass": 1.0, "pieces": [{"mass": 0.3, "value": 2.0}, '
      '{"mass": 0.4, "value": 0.5}]}, "kind": "lp:2", "results": {"lp(2)": {"finite": true, '

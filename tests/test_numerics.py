@@ -1,7 +1,9 @@
+import heapq
 import math
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, astuple
 from pathlib import Path
 
 import pytest
@@ -15,12 +17,17 @@ from orlicz.numerics import (
     _WGK,
     _WGK_CENTER,
     _XGK,
+    ABS_TOL,
+    MAX_DEPTH,
+    MAX_PANELS,
     NORM_CAP,
     NORM_REL_TOL,
+    REL_TOL,
     SLOPE_MARGIN,
     FiniteOrDivergent,
     LadderPoint,
     LadderTrace,
+    _adaptive_finite,
     _panel,
     _unit_crossing,
     find_root,
@@ -277,6 +284,108 @@ class TestPanel:
             assert got_x == want_x
 
 
+def heap_adaptive(f, a, b, abs_budget, breaks=()):
+    """``numerics._adaptive_finite`` with no exit before its heap: the
+    reference whose (value, error) the first-panel exit must give bit for
+    bit, kept as the loop was written."""
+    if b <= a:
+        return 0.0, 0.0
+    ends = [a, *(x for x in breaks if a < x < b), b]
+    panels = []
+    total = toterr = 0.0
+    for pa, pb in zip(ends, ends[1:]):
+        resk, err = _panel(f, pa, pb)
+        panels.append([err, pa, pb, resk, 0])
+        total += resk
+        toterr += err
+    # max-heap of (-error, index): ties go to the lowest index
+    heap = [(-p[0], i) for i, p in enumerate(panels)]
+    heapq.heapify(heap)
+    while True:
+        tol = max(abs_budget, REL_TOL * abs(total))
+        if toterr <= tol:
+            break
+        worst = heap[0][1]
+        perr, pa, pb, pval, pdepth = panels[worst]
+        if pdepth >= MAX_DEPTH:
+            raise BudgetExceeded(
+                f"max subdivision depth {MAX_DEPTH} reached on [{pa!r}, {pb!r}]"
+            )
+        if len(panels) >= MAX_PANELS:
+            raise BudgetExceeded(f"panel budget {MAX_PANELS} exhausted")
+        mid = 0.5 * (pa + pb)
+        if not (pa < mid < pb):
+            raise BudgetExceeded(f"interval [{pa!r}, {pb!r}] no longer splittable")
+        lval, lerr = _panel(f, pa, mid)
+        rval, rerr = _panel(f, mid, pb)
+        panels[worst] = [lerr, pa, mid, lval, pdepth + 1]
+        heapq.heapreplace(heap, (-lerr, worst))
+        heapq.heappush(heap, (-rerr, len(panels)))
+        panels.append([rerr, mid, pb, rval, pdepth + 1])
+        total += lval + rval - pval
+        toterr += lerr + rerr - perr
+    panels.sort(key=lambda p: p[1])
+    value = 0.0
+    errsum = 0.0
+    for p in panels:
+        value += p[3]
+        errsum += p[0]
+    return value, errsum
+
+
+# (f, a, b, abs_budget, breaks, whether the first panels meet the tolerance)
+ADAPTIVE_CASES = {
+    "one panel": (lambda x: x ** 3 + 1.0, 0.0, 1.0, ABS_TOL, (), True),
+    "one panel, wide": (math.exp, -1.0, 2.0, ABS_TOL, (), True),
+    "breaks inside": (lambda x: abs(x - 1.0 / 3.0), 0.0, 1.0, ABS_TOL, (1.0 / 3.0,), True),
+    "breaks outside": (lambda x: x * x, 0.0, 1.0, ABS_TOL, (-1.0, 0.0, 1.0, 2.0), True),
+    "breaks inside, refined": (lambda x: abs(x - 0.3), 0.0, 1.0, ABS_TOL, (0.5, 0.75), False),
+    "refined": (math.sqrt, 0.0, 1.0, ABS_TOL, (), False),
+    "peak": (lambda x: math.exp(-400.0 * (x - 0.37) ** 2), 0.0, 1.0, ABS_TOL, (), False),
+    "absolute stop": (lambda x: 1e-6 * math.sqrt(x), 0.0, 1.0, 1e-12, (), False),
+    "relative stop": (lambda x: 1e6 * math.sqrt(x), 0.0, 1.0, ABS_TOL, (), False),
+}
+
+
+class TestAdaptiveFinite:
+    @pytest.mark.parametrize("case", sorted(ADAPTIVE_CASES))
+    def test_matches_the_heap_loop_bit_for_bit(self, case):
+        f, a, b, budget, breaks, exits = ADAPTIVE_CASES[case]
+        got_x, want_x = [], []
+        got = _adaptive_finite(lambda x: got_x.append(x) or f(x), a, b, budget, breaks)
+        want = heap_adaptive(lambda x: want_x.append(x) or f(x), a, b, budget, breaks)
+        assert got == want
+        assert got_x == want_x
+        first = 1 + sum(a < x < b for x in breaks)
+        assert (len(got_x) == 15 * first) == exits
+        value, err = got
+        if case == "absolute stop":
+            assert REL_TOL * abs(value) < budget and err <= budget
+        if case == "relative stop":
+            assert budget < err <= REL_TOL * abs(value)
+
+    def test_seeded_integrands_match_the_heap_loop(self):
+        rng = random.Random(30)
+        exits = 0
+        for _ in range(60):
+            a = rng.uniform(-3.0, 3.0)
+            b = a + 10.0 ** rng.uniform(-3.0, 1.0)
+            breaks = sorted(rng.uniform(a - 1.0, b + 1.0) for _ in range(rng.randrange(4)))
+            budget = 10.0 ** rng.uniform(-16.0, -6.0)
+            amp, rate, kink = rng.uniform(0.1, 10.0), rng.uniform(0.1, 50.0), rng.uniform(a, b)
+
+            def f(x):
+                return amp * math.exp(-rate * (x - kink) ** 2) + abs(x - kink)
+
+            got_x, want_x = [], []
+            got = _adaptive_finite(lambda x: got_x.append(x) or f(x), a, b, budget, breaks)
+            want = heap_adaptive(lambda x: want_x.append(x) or f(x), a, b, budget, breaks)
+            assert got == want
+            assert got_x == want_x
+            exits += len(got_x) == 15 * (1 + sum(a < x < b for x in breaks))
+        assert 0 < exits < 60
+
+
 # the messages a bad sample raises, on the t-axis (the first sample of
 # integrate(f, 0, 1) is at the centre 0.5), on the log axis (f is fine at the
 # probe t = 1, and the first sample is at the centre of [ln 1, ln 10]) and at
@@ -419,6 +528,47 @@ class TestUnitCrossing:
 
     def test_not_exported(self):
         assert "_unit_crossing" not in orlicz.numerics.__all__
+
+
+class TestLadderPoints:
+    """The points of a returned or raised ladder trace are LadderPoints with
+    the fields they always had, built past the frozen __init__."""
+
+    def test_divergent_result(self):
+        r = integrate(lambda t: t ** -1.04, 1.0, math.inf)
+        assert r.is_divergent
+        assert all(type(p) is LadderPoint for p in r.evidence.points)
+        assert r.evidence.points == (
+            LadderPoint(10.0, 0.09120108393559097, -1.04, 2.19972901610225),
+            LadderPoint(100.0, 0.008317637711026709, -1.04, 4.205905722433212),
+            LadderPoint(1000.0, 0.0007585775750291835, -1.04, 6.035560624270387),
+        )
+        point = r.evidence.points[0]
+        assert repr(point) == repr(LadderPoint(*astuple(point)))
+        assert hash(point) == hash(LadderPoint(*astuple(point)))
+        with pytest.raises(FrozenInstanceError):
+            point.value = 0.0
+
+    def test_budget_exceeded_trace(self):
+        # 1/(t ln(1 + t)^1.5) is integrable, but its slope creeps toward -1
+        with pytest.raises(BudgetExceeded) as err:
+            integrate(lambda t: 1.0 / (t * math.log(1.0 + t) ** 1.5), 1.0, math.inf)
+        points = err.value.trace.points
+        assert all(type(p) is LadderPoint for p in points)
+        assert [(p.cutoff, p.value, p.slope, p.partial) for p in points] == [
+            (10.0, 0.026931136598684607, -1.8085071257181302, 1.6459799216259476),
+            (100.0, 0.0010086150178381195, -1.4265292523873103, 2.0229979484658362),
+            (1000.0, 5.5068130504051524e-05, -1.262825097363926, 2.193806705268411),
+            (10000.0, 3.5774980640272095e-06, -1.187320925550686, 2.295747408941615),
+            (100000.0, 2.5598875879968873e-07, -1.1453585127974784, 2.3653205319440604),
+            (1000000.0, 1.9473747932862662e-08, -1.11877135039232, 2.4166775752193796),
+            (10000000.0, 1.5453590609019768e-09, -1.1004201413346997, 2.456592264489421),
+            (100000000.0, 1.2648571675565976e-10, -1.0869879167784977, 2.4887665703984894),
+            (1000000000.0, 1.0600166886817709e-11, -1.0767287833488604, 2.5154170195198753),
+            (10000000000.0, 9.05058115446101e-13, -1.0686362358124064, 2.5379625071874714),
+            (100000000000.0, 7.844900492509874e-14, -1.0620890277347654, 2.55735905171215),
+            (1000000000000.0, 6.8850103567520366e-15, -1.056682841333866, 2.5742774390724037),
+        ]
 
 
 def test_ladder_trace_labels_cutoffs():

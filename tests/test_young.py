@@ -4,6 +4,8 @@ import pytest
 
 from orlicz.errors import BadParameter
 from orlicz.young import (
+    _LOG1MEXP_NEGLIGIBLE,
+    _log1mexp,
     custom_young,
     delta_young,
     exp_young,
@@ -112,3 +114,94 @@ class TestConstruction:
         # rather than 0; the family is used down to m = 1, so it is admitted
         N = exp_young(1.0)
         assert N(1.0) == pytest.approx(math.e - 1.0, rel=1e-15, abs=0.0)
+
+
+def min_exp_log_form(m, c):
+    """exp_m's log form with the branch test written as min(): the reference
+    whose floats the two comparisons in ``young`` must give bit for bit."""
+    log_m = math.log(m)
+    log_cm = m * math.log(c)
+    try:
+        cm1 = math.expm1(log_cm)
+    except OverflowError:
+        cm1 = math.inf
+
+    def g(u):
+        log_u = math.log(u)
+        log_x = m * log_u - log_m
+        e = (m - 1.0) * log_u
+        if cm1:
+            e += cm1 * (math.exp(log_x) if log_x < 709.0 else math.inf)
+        if min(log_x, log_x + log_cm) <= _LOG1MEXP_NEGLIGIBLE:
+            e += _log1mexp(log_x + log_cm) - 2.0 * _log1mexp(log_x)
+        return e
+
+    return g
+
+
+def min_delta_log_form(d, c, nodes=None):
+    """delta's log form with the branch test written as min(), as above."""
+    log_d = math.log(d)
+    cm1 = c - 1.0
+
+    def g(u):
+        terms = None if nodes is None else nodes.get(u)
+        if terms is None:
+            L = math.log1p(u)
+            log_L = math.log(L)
+            one_u = 1.0 + u
+            log_x = d * log_L
+            x = math.exp(log_x)
+            dl = (d - 1.0) * log_L
+            l_x = _log1mexp(log_x)
+            if nodes is not None:
+                nodes[u] = (one_u, L, log_x, x, dl, l_x)
+        else:
+            one_u, L, log_x, x, dl, l_x = terms
+        dr = d * math.log1p(math.log1p(cm1 * u / one_u) / L)
+        e = x * math.expm1(dr) + log_d + dl - L
+        if min(log_x, log_x + dr) <= _LOG1MEXP_NEGLIGIBLE:
+            e += _log1mexp(log_x + dr) - 2.0 * l_x
+        return e
+
+    return g
+
+
+LOG_FORM_SCALINGS = (1.0 / 32.0, 0.5, 1.0 / 1.1, 1.0, 1.1)
+# log x around the branch threshold, and a wide sweep of it
+LOG_X = sorted({_LOG1MEXP_NEGLIGIBLE + k / 64.0 for k in range(-96, 97)}
+               | {k / 4.0 for k in range(-40, 41)})
+
+
+class TestLogFormBranch:
+    """The l-terms apply where log x or the scaled log x is at most 3.7:
+    two comparisons decide that as min() of the two did, on either side
+    of the threshold and across it under each scaling."""
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.0])
+    def test_exp_m_matches_the_min_branch(self, m):
+        N = exp_young(m)
+        us = [math.exp((lx + math.log(m)) / m) for lx in LOG_X]
+        for c in LOG_FORM_SCALINGS:
+            got, want, kept = N.log_criterion(c), min_exp_log_form(m, c), N.log_criterion(c, {})
+            for u in us:
+                assert got(u) == want(u) and kept(u) == want(u)
+
+    @pytest.mark.parametrize("d", [1.2, 2.0, 3.0])
+    def test_delta_matches_the_min_branch(self, d):
+        N = delta_young(d)
+        # u = e^L - 1 with L = x^(1/d), where u is a float
+        us = [math.expm1(math.exp(lx / d)) for lx in LOG_X if math.exp(lx / d) < 709.0]
+        assert max(us) > math.expm1(math.exp(_LOG1MEXP_NEGLIGIBLE / d))
+        nodes, ref_nodes = {}, {}
+        for c in LOG_FORM_SCALINGS:
+            got, want = N.log_criterion(c), min_delta_log_form(d, c)
+            kept, ref_kept = N.log_criterion(c, nodes), min_delta_log_form(d, c, ref_nodes)
+            for u in us:
+                assert got(u) == want(u)
+                assert kept(u) == ref_kept(u) == want(u)
+        assert nodes == ref_nodes
+
+    def test_nodes_lie_on_both_sides_of_the_threshold(self):
+        below = sum(lx <= _LOG1MEXP_NEGLIGIBLE for lx in LOG_X)
+        assert 0 < below < len(LOG_X)

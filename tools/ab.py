@@ -17,9 +17,11 @@ back, the side that goes first alternating from op to op and from pass
 to pass; an op's cost on a side is its fastest time over ``--passes``
 passes, as in ``bench/run.py``.  Per seed the script prints both sides'
 total op time, p50 and p90 over the per-op costs and the change from A
-to B, the change per op class, and every op whose output (its ``repr``,
-or the exception it raised) differs between the sides.  The last lines
-say on how many seeds each figure fell and give the median change.
+to B, the change per op class with the number of its ops whose cost on
+side A is at or above A's p90 (the classes that set a p90 claim), and
+every op whose output (its ``repr``, or the exception it raised) differs
+between the sides.  The last lines say on how many seeds each figure
+fell and give the median change.
 ``--workload all`` runs the three workloads in turn.  ``--json PATH``
 writes the same numbers as JSON, by workload and seed.  The exit status
 is 1 where any op's output differs between the sides, else 0, so one
@@ -120,22 +122,29 @@ def change(a: float, b: float) -> float:
     return (b / a - 1.0) * 100.0
 
 
+def p90(costs) -> float:
+    return statistics.quantiles(costs, n=10)[8]
+
+
 def summary(m: dict) -> dict:
-    """Total, p50 and p90 of each side's per-op costs (ms), and the change per op class."""
+    """Total, p50 and p90 of each side's per-op costs (ms), and per op class the
+    change and how many of its ops cost at least side A's p90."""
     row = {}
-    for key, stat in (("total_ms", sum), ("p50_ms", statistics.median),
-                      ("p90_ms", lambda c: statistics.quantiles(c, n=10)[8])):
+    for key, stat in (("total_ms", sum), ("p50_ms", statistics.median), ("p90_ms", p90)):
         a, b = (stat(c) * 1e3 for c in m["cost"])
         row[key] = [a, b]
         row[key[:-3]] = round(change(a, b), 2)
     classes = {}
+    p90_a = p90(m["cost"][0])
     for i, kind in enumerate(m["kinds"]):
-        a, b = classes.get(kind, (0.0, 0.0))
-        classes[kind] = (a + m["cost"][0][i], b + m["cost"][1][i])
+        a, b, top = classes.get(kind, (0.0, 0.0, 0))
+        cost_a = m["cost"][0][i]
+        classes[kind] = (a + cost_a, b + m["cost"][1][i], top + (cost_a >= p90_a))
     total = row["total_ms"][0] / 1e3
     row["classes"] = {kind: {"share_of_a": round(a / total * 100.0, 1),
-                             "change": round(change(a, b), 2)}
-                      for kind, (a, b) in sorted(classes.items())}
+                             "change": round(change(a, b), 2),
+                             "at_p90_of_a": top}
+                      for kind, (a, b, top) in sorted(classes.items())}
     row["differ"] = m["differ"]
     return row
 
@@ -150,7 +159,8 @@ def compare(sides, workload: str, seeds, passes: int) -> dict:
               f"p50 {pa:.4f} -> {pb:.4f} ms ({row['p50']:+.1f}%), "
               f"p90 {qa:.4f} -> {qb:.4f} ms ({row['p90']:+.1f}%), {len(row['differ'])} differ")
         for kind, c in row["classes"].items():
-            print(f"    {kind:40s} {c['share_of_a']:5.1f}% of A  {c['change']:+6.1f}%")
+            print(f"    {kind:40s} {c['share_of_a']:5.1f}% of A  {c['change']:+6.1f}%  "
+                  f"{c['at_p90_of_a']} at or above A's p90")
         for label, a, b in row["differ"]:
             print(f"    differs: {label}\n        A: {a}\n        B: {b}")
     for key in ("total", "p50", "p90"):
