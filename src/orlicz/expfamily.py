@@ -78,8 +78,6 @@ def gauge_quadrature(alpha: float) -> float:
         q = 1.0 / (1.0 - alpha)
         r = integrate(lambda s: regular(s ** q), 0.0, 0.5 ** (1.0 - alpha))
         return q * r.require_finite()
-    if alpha == 0.0:
-        return integrate(regular, 0.0, 0.5).require_finite()
     return integrate(lambda z: regular(z) * z ** (-alpha), 0.0, 0.5).require_finite()
 
 

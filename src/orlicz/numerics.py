@@ -310,7 +310,7 @@ def _log_axis(f):
     return g
 
 
-def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
+def _ladder_pass(f, cuts, downward, breaks, bounded=False):
     """Sweep the decade segments defined by ``cuts`` and classify the far end.
 
     f is the integrand itself: ``_log_axis`` checks its samples and
@@ -359,7 +359,7 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
         # max(a, b) per decade is written out as b if b > a else a, the
         # value max returns, without the call
         rel = 0.05 * REL_TOL * abs(partial)
-        seg_budget = rel if rel > abs_budget else abs_budget
+        seg_budget = rel if rel > ABS_TOL else ABS_TOL
         seg, segerr = _adaptive_finite(
             g, math.log(lo), math.log(hi), seg_budget,
             [math.log(x) for x in breaks if lo < x < hi] if breaks else (),
@@ -429,7 +429,7 @@ def _ladder_pass(f, cuts, abs_budget, downward, breaks, bounded=False):
                         if 0.0 < ratio < 0.95:
                             best = estimates[-1] + diff * ratio / (1.0 - ratio)
             rel = REL_TOL * abs(best)
-            tol_here = 0.5 * (rel if rel > abs_budget else abs_budget)
+            tol_here = 0.5 * (rel if rel > ABS_TOL else ABS_TOL)
             if diff is not None:
                 settled = abs(diff) <= tol_here or (
                     prev_accel is not None
@@ -532,15 +532,14 @@ def integrate(
         parts = 0.0
         if a == 0.0:
             base = LADDER[0]
-            down, _ = _ladder_pass(f, _DOWN_CUTS, ABS_TOL, True, breaks)
+            down, _ = _ladder_pass(f, _DOWN_CUTS, True, breaks)
             if down.is_divergent:
                 return down
             parts += down.value
             start = base
         else:
             start = a
-        up, _ = _ladder_pass(f, _up_cuts(start, b), ABS_TOL, False, breaks,
-                             bounded=b < math.inf)
+        up, _ = _ladder_pass(f, _up_cuts(start, b), False, breaks, bounded=b < math.inf)
     except _IntegrandOverflow as exc:
         return FiniteOrDivergent.divergent(LadderTrace((), note=str(exc)))
     if up.is_divergent:

@@ -93,7 +93,8 @@ NORM_OUTPUTS = [
 ]
 
 
-@pytest.mark.parametrize("fn, kind, out, code, text", NORM_OUTPUTS)
+@pytest.mark.parametrize("fn, kind, out, code, text", NORM_OUTPUTS, ids=[
+    f"{'step' if fn == STEP else 'tail'}-{kind}-{out}" for fn, kind, out, _, _ in NORM_OUTPUTS])
 def test_norm_output_text(capsys, fn, kind, out, code, text):
     rc = main(["norm", "--young", "power:2", "--fn", fn, "--kind", kind, "--out", out])
     assert (rc, capsys.readouterr().out) == (code, text)

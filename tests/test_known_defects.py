@@ -1,21 +1,26 @@
 """Ledger of known defects: each test asserts the right answer and fails today.
 
-Every test here is marked ``xfail(strict=True)`` (``xfail_strict`` is also
+Every test here but one is marked ``xfail(strict=True)`` (``xfail_strict`` is also
 set in ``pyproject.toml``), and its reason quotes the first words of the
 ``FOUND:`` line in CHANGES.md that it stands for; that line names the
 test.  A change that mends a defect turns its test into an XPASS, which
 fails the suite: the test then moves into the regular suite, without the
-mark, and the line becomes ``MENDED:``.
+mark, and the line becomes ``MENDED:``.  One test here is not marked:
+``test_log_power_grid_calls_no_divergent_integral_finite`` holds the
+half of a ledger grid that is right today, so that a mend of the other
+half cannot trade one wrong verdict for another.
 """
 
 import math
 
 import pytest
 
-from orlicz.embedding import (NON_COINCIDENT, coincidence_criterion, embedding_modular,
-                               extremal_function)
+from orlicz.embedding import (NON_COINCIDENT, _criterion_integrand, coincidence_criterion,
+                               embedding_modular, extremal_function)
+from orlicz.errors import BudgetExceeded, Inconclusive
 from orlicz.expfamily import exp_embedding_modular
 from orlicz.norms import lebesgue_norm, luxemburg_norm, modular, weak_norm
+from orlicz.numerics import integrate
 from orlicz.tails import AnalyticTail, TailRepFunction
 from orlicz.young import delta_young, exp_young, power_young
 
@@ -187,3 +192,46 @@ def test_power_tail_strong_norm_with_q_close_to_p():
 def test_delta11_criterion_is_not_non_coincident():
     # the delta family is coincident: "coincident" or "inconclusive" is right
     assert coincidence_criterion(delta_young(1.1), 1.0).verdict != NON_COINCIDENT
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `numerics.integrate` returns finite 0.0 for the "
+                                       "exp_m(300) criterion integrand")
+def test_exp300_criterion_integrand_at_one_sixteenth_is_not_zero():
+    # about 1.74e-359/t near 0, so the integral over (0, inf) diverges at 0;
+    # t f(t) underflows to 0 on every decade and the kernel reads finite 0.0
+    f = _criterion_integrand(exp_young(300.0), 1.0 / 16.0)
+    try:
+        r = integrate(f, 0.0, math.inf)
+    except Inconclusive:
+        return
+    assert r.is_divergent
+
+
+# Bertrand's integrals of t^-a (ln t)^b over (e, inf): finite iff a > 1, or
+# a = 1 and b < -1; a raised BudgetExceeded or Inconclusive is neither verdict
+LOG_POWER_GRID = [(a, b) for a in (0.9, 0.98, 1.0, 1.02, 1.05, 1.1, 1.2, 1.5, 2.0)
+                  for b in (-3.0, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0)]
+
+
+def _log_power_verdicts(finite: bool):
+    """(a, b, tag) of each grid case with the given true verdict that the kernel decides."""
+    cases = []
+    for a, b in LOG_POWER_GRID:
+        if (a > 1.0 or (a == 1.0 and b < -1.0)) != finite:
+            continue
+        try:
+            r = integrate(lambda t, a=a, b=b: t ** -a * math.log(t) ** b, math.e, math.inf)
+        except (BudgetExceeded, Inconclusive):
+            continue
+        cases.append((a, b, r.tag))
+    return cases
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `numerics.integrate` calls 19 finite integrals "
+                                       "of t^-a (ln t)^b divergent")
+def test_log_power_grid_calls_no_finite_integral_divergent():
+    assert [c for c in _log_power_verdicts(True) if c[2] != "finite"] == []
+
+
+def test_log_power_grid_calls_no_divergent_integral_finite():
+    assert [c for c in _log_power_verdicts(False) if c[2] != "divergent"] == []
