@@ -17,7 +17,7 @@ import struct
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, Inconclusive, NonConvergence, NonEvaluable,
                      NotDominated)
@@ -423,29 +423,29 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     bound t_k / u_i lies below top / (1 + NORM_REL_TOL)^2 is skipped, top
     being the largest sample known (earlier stretches, the last plateau
     node and the nodes read).  The nodes are increasing, so the skipped
-    ones form a run, whose end ``bisect_left`` finds.  The samples between
-    the runs are kept as one list of floats, the middle, in which a
-    skipped node holds 0.0.  A skipped node's bound, its true value and
-    that 0.0 all lie below a real sample by more than the factor 1 +
-    NORM_REL_TOL, with room left for rounding in u, so none of them can be
-    the first largest sample, change a growth test or move the refined
-    cell below: the result is the one a read of every node gives.  Where
-    the next node is not skipped this costs one comparison, so a flat g is
-    not slowed.  A tail value at a plateau, zero-run or skipped node is
-    never read or validated.  A stretch is summed up by its first sample,
-    its last, and the largest sample strictly between them, taken from the
-    plateau's last inner node, the largest read and the middle's ends; its
-    largest sample is the largest of the three, and ``first_at`` finds the
-    first node holding it (the plateau's last node, the first node of a
-    run of +inf there by bisection, or ``index`` on the middle).
+    ones form a run, whose end ``bisect_left`` finds.  A skipped node's
+    bound and its true value lie below a real sample by more than the
+    factor 1 + NORM_REL_TOL, with room left for rounding in u, so it can
+    neither be the first largest sample, change a growth test nor move the
+    refined cell below: the result is the one a read of every node gives.
+    Where the next node is not skipped this costs one comparison, so a flat
+    g is not slowed.  A tail value at a plateau, zero-run or skipped node
+    is never read or validated.  No sample is stored: ``fill`` sums a
+    stretch up as it reads it, for the growth tests by its first sample,
+    its last, and the largest sample strictly between them (from the
+    plateau's last inner node, the nodes read and the node before the zero
+    run), and for the search by its largest sample and the first node
+    holding it.  That node is found among the plateau's last node (or the
+    first node of a run of +inf there, by bisection), then the nodes read
+    in ascending t, then the node before the zero run, a later one taking
+    over only with a strictly larger sample.
 
     Any one sample above NORM_CAP proves the sup +inf, so the first
     grid's fill runs a cap certificate (``certified``) right after the
     two bisections and the read of the last node before the zero run,
-    before any other node is read or any list is built.  It runs where
-    T(1e16) > 0 and g at 1e16 exceeds g at the first node past the
-    plateau (whose T the bisection read) by more than the factor 1 +
-    NORM_REL_TOL: g is read at the grid nodes 1, 2, 4, 8, ... decades past
+    before any other node is read.  It runs where T(1e16) > 0 and g at
+    1e16 exceeds g at the first node past the plateau (whose T the
+    bisection read) by more than the factor 1 + NORM_REL_TOL: g is read at the grid nodes 1, 2, 4, 8, ... decades past
     1e16 (t = 1e17, 1e18, 1e20, 1e24, ..., the last at 1e300) while each
     sample exceeds the one before by that factor.  At the first sample
     above NORM_CAP the result is +inf, its node the argmax and the probes
@@ -466,13 +466,15 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     the new decade.  Each fill updates the largest sample from its
     stretch's largest sample.  Past the last node where T vanishes g is
     0, so the upper end stops there by itself.  A golden-section search
-    (Kiefer, 1953) then refines over the two cells beside the first
-    largest node in ascending t, found in the first stretch whose largest
-    sample it is, until they are NORM_REL_TOL wide in t.  A search point
-    at or below the last plateau node has T(t) >= T there >= cap, so g is
-    t / u(cap) there, and neither T nor u is called: a power tail's g
-    peaks at its plateau end, and about a third of the points fall on the
-    plateau.  Such a point still counts among the evaluations.  The
+    (Kiefer, 1953) then refines over the two cells beside the centre, the
+    first node in ascending t that holds the largest sample: a fill moves
+    the centre to its stretch's first largest node where that sample is a
+    new largest, and on a tie only where the stretch was added below the
+    grid.  The cells narrow until they are NORM_REL_TOL wide in t.  A
+    search point at or below the last plateau node has T(t) >= T there >=
+    cap, so g is t / u(cap) there, and neither T nor u is called: a power
+    tail's g peaks at its plateau end, and about a third of the points
+    fall on the plateau.  Such a point still counts among the evaluations.  The
     largest value evaluated is returned, +inf once it exceeds NORM_CAP.
     On ties the grid node that joined the grid first is the argmax: the
     first grid, then each added decade in turn, each in ascending t (a later
@@ -486,6 +488,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     past the ends of the grid is not seen.
     """
     best, argmax, count = 0.0, None, 0
+    centre = _GRID_LIMIT  # the node index the search refines around; above every node
     plateau_end, zero_start = None, None  # node indices j
     step = _GRID_PER_DECADE
     u_cap = u(cap)
@@ -524,22 +527,13 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         best, argmax = v, t
         return True
 
-    def first_at(nodes: Sequence[float], p: int, mid: List[float], m: float) -> int:
-        """The index of the first sample m of a stretch, m its largest sample."""
-        if p and flat(nodes[p - 1]) == m:
-            if p == 1 or flat(nodes[p - 2]) < m:
-                return p - 1
-            # t / u(cap) rises strictly but for a run of +inf
-            return bisect_left(range(p), m, key=lambda i: flat(nodes[i]))
-        return p + mid.index(m) if mid else 0
-
-    def fill(a: int, b: int) -> Optional[Tuple[float, float, float, tuple]]:
+    def fill(a: int, b: int) -> Optional[Tuple[float, float, float]]:
         """Sample g on the nodes j = a..b; None where ``certified``.
 
         Returns the first sample, the largest sample strictly between the
-        two ends, the last sample, and the stretch for ``stretches``.
+        two ends, and the last sample.
         """
-        nonlocal best, argmax, count, plateau_end, zero_start
+        nonlocal best, argmax, count, centre, plateau_end, zero_start
         if (a, b) == _GRID_FIRST:
             nodes: Sequence[float] = _FIRST_NODES
         else:
@@ -558,36 +552,32 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             plateau_end = a + p - 1
         if z < n and (zero_start is None or a + z < zero_start):
             zero_start = a + z
-        mid: List[float] = []  # g on [p, z): read, or 0.0 where skipped
+        # the largest sample and the first node holding it, the candidates
+        # taken in ascending t, each later one by a strict >
+        peak, peak_at = (flat(nodes[p - 1]), p - 1) if p else (0.0, 0)
         inner = flat(nodes[min(p, n - 1) - 1]) if p > 1 else 0.0
         if p < z:
             last = z - 1
-            v_last = v = g(nodes[last], level_at(last))
+            v_last = vp = g(nodes[last], level_at(last))
             if p < last:  # T at p was read by the plateau's bisection
                 y = level_at(p)
                 ui = u(y) if y > 0.0 else math.inf
-                v = nodes[p] / ui if ui > 0.0 else math.inf
-            # v, g at p, is the certificate's first sample and the loop's first read
-            if z == n and (a, b) == _GRID_FIRST and certified(v, v_last):
+                vp = nodes[p] / ui if ui > 0.0 else math.inf
+            # vp, g at p, is the certificate's first sample
+            if z == n and (a, b) == _GRID_FIRST and certified(vp, v_last):
                 count += len(levels)
                 return None  # +inf is proven: no other node is read
-            mid = [0.0] * (z - p)
-            mid[-1] = v_last
-            top = max(best, flat(nodes[p - 1]) if p else 0.0, v_last)
-            read = 0.0  # the largest sample read on [p, last)
-            i = p
-            get = levels.get
-            while i < last:  # v is g at node i, and ui is u there
-                mid[i - p] = v
-                if v > top:
-                    top = v
-                if v > read:
-                    read = v
-                # the nodes t_k < lim, where t_k / ui < top / margin^2, form
-                # a run; it is empty where ui is 0, or lim NaN (0 * inf)
-                lim = top / skip_margin * ui
-                i += 1
-                if i < last:
+            if vp > peak:
+                peak, peak_at = vp, p
+            if p < last:
+                top = max(best, peak, v_last)  # the largest sample known
+                read, j = 0.0, p  # the largest sample read on (p, last), and its node
+                i = p + 1
+                get = levels.get
+                while i < last:  # ui is u at the last node read
+                    # the nodes t_k < lim, where t_k / ui < top / margin^2, form
+                    # a run; it is empty where ui is 0, or lim NaN (0 * inf)
+                    lim = top / skip_margin * ui
                     if nodes[i] < lim:
                         i = bisect_left(nodes, lim, i + 1, last)
                         if i == last:
@@ -597,19 +587,29 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
                         y = levels[i] = T(nodes[i])
                     ui = u(y) if y > 0.0 else math.inf
                     v = nodes[i] / ui if ui > 0.0 else math.inf
-            if p:
-                inner = max(inner, read)
-            elif z > 2:  # no plateau: the first read is the stretch's first sample
-                inner = max(mid[1:-1])
+                    if v > top:
+                        top = v
+                    if v > read:
+                        read, j = v, i
+                    i += 1
+                if read > peak:
+                    peak, peak_at = read, j
+                inner = max(inner, vp, read) if p else read
+            if v_last > peak:
+                peak, peak_at = v_last, last
             if 1 < z < n:
                 inner = max(inner, v_last)
+        first = flat(nodes[0]) if p else (vp if p < z else 0.0)
+        end = 0.0 if z < n else (v_last if p < z else flat(nodes[-1]))
         count += len(levels)
-        first = flat(nodes[0]) if p else (mid[0] if mid else 0.0)
-        end = 0.0 if z < n else (mid[-1] if mid else flat(nodes[-1]))
-        m = max(first, inner, end)
-        if m > best:  # the first of equal samples, as a strict > scan takes it
-            best, argmax = m, nodes[first_at(nodes, p, mid, m)]
-        return first, inner, end, (a, nodes, p, mid, m)
+        if peak_at == p - 1 > 0 and flat(nodes[p - 2]) == peak:
+            # t / u(cap) rises strictly but for a run of +inf
+            peak_at = bisect_left(range(p), peak, key=lambda i: flat(nodes[i]))
+        if peak > best:
+            best, argmax, centre = peak, nodes[peak_at], a + peak_at
+        elif peak == best and a + peak_at < centre:  # a tie in a stretch added below
+            centre = a + peak_at
+        return first, inner, end
 
     def at(x: float) -> float:
         """g at the search point t = 10^x, counted; flat(t) at or below plateau_t."""
@@ -628,21 +628,18 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     filled = fill(lo, hi)
     if filled is None:
         return math.inf, argmax, count, node_t(plateau_end), node_t(zero_start)
-    first, inner, end, stretch = filled
-    stretches = [stretch]  # in ascending t
+    first, inner, end = filled
     while best <= NORM_CAP:
         if first > margin * max(inner, end) and lo > -_GRID_LIMIT:
             lo -= step
-            new_first, new_inner, new_end, stretch = fill(lo, lo + step - 1)
+            new_first, new_inner, new_end = fill(lo, lo + step - 1)
             inner = max(inner, first, new_inner, new_end)
             first = new_first
-            stretches.insert(0, stretch)
         elif end > margin * max(first, inner) and hi < _GRID_LIMIT:
-            new_first, new_inner, new_end, stretch = fill(hi + 1, hi + step)
+            new_first, new_inner, new_end = fill(hi + 1, hi + step)
             hi += step
             inner = max(inner, end, new_first, new_inner)
             end = new_end
-            stretches.append(stretch)
         else:
             break
 
@@ -651,10 +648,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         return (math.inf, argmax, count) + runs
     plateau_t = 0.0 if plateau_end is None else runs[0]
 
-    # the first largest sample in ascending t, which need not be the argmax
-    a, nodes, p, mid, _ = next(s for s in stretches if s[-1] == best)
-    j = a + first_at(nodes, p, mid, best)
-    a, b = max(j - 1, lo) / step, min(j + 1, hi) / step
+    a, b = max(centre - 1, lo) / step, min(centre + 1, hi) / step
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     gc, gd = at(c), at(d)
     width = NORM_REL_TOL / math.log(10.0)
@@ -760,16 +754,15 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     grid nodes, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for s < t, so a
     grid node where that bound from an earlier node lies below the
     largest sample is skipped; tail values at these nodes are not
-    validated.  Neither run is written out: the grid keeps, per stretch
-    of nodes, the samples between the runs in one list of floats,
-    allocated at once, and the plateau's two end samples, and takes the
-    growth tests and the largest sample from those.  So the Python work
-    is per node read: one dict lookup, the tail call and one call of the
-    inverse.  A +inf the grid would find by climbing decade by decade is
-    mostly proven by its cap certificate: where g rises across
-    the first grid, g is probed 1, 2, 4, ... decades past t = 1e16 before
-    the rest of the grid is read, and one sample above 2^64 settles the
-    norm.  ``N.inverse`` (and ``tail.value``) are looked up once per
+    validated.  No sample is stored: each stretch of nodes is summed up
+    as it is read, by its end samples, its largest inner sample and its
+    largest sample with the first node holding it, and the growth tests
+    and the search take those.  So the Python work is per node read: one
+    dict lookup, the tail call and one call of the inverse.  A +inf the
+    grid would find by climbing decade by decade is mostly proven by its
+    cap certificate: where g rises across the first grid, g is probed 1,
+    2, 4, ... decades past t = 1e16 before the rest of the grid is read,
+    and one sample above 2^64 settles the norm.  ``N.inverse`` (and ``tail.value``) are looked up once per
     call, on the instance, for both kinds of tail, so a wrapper put on
     ``YoungFunction.inverse`` before the call still sees every inverse
     evaluation: one per threshold on a step tail.
