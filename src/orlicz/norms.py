@@ -445,12 +445,12 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     two bisections and the read of the last node before the zero run,
     before any other node is read.  It runs where T(1e16) > 0 and g at
     1e16 exceeds g at the first node past the plateau (whose T the
-    bisection read) by more than the factor 1 + NORM_REL_TOL: g is read at the grid nodes 1, 2, 4, 8, ... decades past
-    1e16 (t = 1e17, 1e18, 1e20, 1e24, ..., the last at 1e300) while each
-    sample exceeds the one before by that factor.  At the first sample
-    above NORM_CAP the result is +inf, its node the argmax and the probes
-    counted among the evaluations; no other node is read and no decade is
-    added.  Where no probe passes NORM_CAP, the grid runs as without them
+    bisection read) by more than the factor 1 + NORM_REL_TOL: g is read
+    at the grid nodes 1, 2, 4, 8, ... decades past 1e16 (t = 1e17, 1e18,
+    1e20, 1e24, ..., the last at 1e300) while each sample exceeds the one
+    before by that factor.  At the first sample above NORM_CAP the result
+    is +inf, its node the argmax and the probes counted among the
+    evaluations; no other node is read and no decade is added.  Where no probe passes NORM_CAP, the grid runs as without them
     (a probe changes no sample, and its read is not shared with a later
     fill), so a finite result keeps its value and argmax.  A g that does
     not rise across the grid pays no probe.  The low end has no
@@ -474,8 +474,9 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     search point at or below the last plateau node has T(t) >= T there >=
     cap, so g is t / u(cap) there, and neither T nor u is called: a power
     tail's g peaks at its plateau end, and about a third of the points
-    fall on the plateau.  Such a point still counts among the evaluations.  The
-    largest value evaluated is returned, +inf once it exceeds NORM_CAP.
+    fall on the plateau.  Such a point still counts among the
+    evaluations.  The largest value evaluated is returned, +inf once it
+    exceeds NORM_CAP.
     On ties the grid node that joined the grid first is the argmax: the
     first grid, then each added decade in turn, each in ascending t (a later
     fill replaces the largest sample only when it exceeds it).
@@ -488,7 +489,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     past the ends of the grid is not seen.
     """
     best, argmax, count = 0.0, None, 0
-    centre = _GRID_LIMIT  # the node index the search refines around; above every node
+    centre = _GRID_LIMIT  # node index the search refines around; the first fill sets it
     plateau_end, zero_start = None, None  # node indices j
     step = _GRID_PER_DECADE
     u_cap = u(cap)
@@ -607,7 +608,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             peak_at = bisect_left(range(p), peak, key=lambda i: flat(nodes[i]))
         if peak > best:
             best, argmax, centre = peak, nodes[peak_at], a + peak_at
-        elif peak == best and a + peak_at < centre:  # a tie in a stretch added below
+        elif peak == best and a + peak_at < centre:  # a tie, in a stretch added below
             centre = a + peak_at
         return first, inner, end
 
@@ -762,10 +763,11 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     grid would find by climbing decade by decade is mostly proven by its
     cap certificate: where g rises across the first grid, g is probed 1,
     2, 4, ... decades past t = 1e16 before the rest of the grid is read,
-    and one sample above 2^64 settles the norm.  ``N.inverse`` (and ``tail.value``) are looked up once per
-    call, on the instance, for both kinds of tail, so a wrapper put on
-    ``YoungFunction.inverse`` before the call still sees every inverse
-    evaluation: one per threshold on a step tail.
+    and one sample above 2^64 settles the norm.  ``N.inverse`` (and
+    ``tail.value``) are looked up once per call, on the instance, for both
+    kinds of tail, so a wrapper put on ``YoungFunction.inverse`` before
+    the call still sees every inverse evaluation: one per threshold on a
+    step tail.
     The trace records as ``evaluations`` the number of points where g
     was taken (on a step tail, one per threshold, each a tail value
     read; on an analytic tail, the grid nodes read, by the bisections or

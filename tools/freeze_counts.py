@@ -66,7 +66,6 @@ def measure(seed: int = SEED) -> dict:
             }
     finally:
         tracer.uninstall()
-        tracer.reset()
     return {"seed": seed, "classes": classes}
 
 
