@@ -40,11 +40,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (BadParameter, BudgetExceeded, DivergentModular,
-                     Inconclusive, NonConvergence, NonEvaluable)
+from .errors import (BudgetExceeded, DivergentModular, Inconclusive, NonConvergence,
+                     NonEvaluable)
 from .expfamily import exp_embedding_constant
 from .numerics import FiniteOrDivergent, _IntegrandOverflow, _unit_crossing, integrate
-from .tails import TailRepFunction, chebyshev_tail
+from .tails import TailRepFunction, _check_mass, chebyshev_tail
 from .young import YoungFunction
 
 __all__ = [
@@ -83,12 +83,9 @@ def unit_threshold(N: YoungFunction, total_mass: float) -> float:
 
     This is where the Chebyshev reference tail leaves its plateau.
     """
-    if not (total_mass > 0.0):
-        raise ValueError("total mass must be positive (may be inf)")
+    _check_mass(total_mass)
     if math.isinf(total_mass):
         return 0.0
-    if math.isinf(1.0 / total_mass):
-        raise BadParameter(f"total mass {total_mass!r} is too small: 1/total_mass overflows")
     return N.inverse(1.0 / total_mass)
 
 
@@ -201,27 +198,23 @@ def coincidence_criterion(N: YoungFunction, total_mass: float) -> CriterionResul
     """
     t0 = unit_threshold(N, total_mass)
     trail: List[Tuple[float, str, object]] = [(C_LADDER[0], "divergent", None)]
-    saw_inconclusive = False
     with _node_scope(N):
         for c in C_LADDER[1:]:
             try:
                 r = integrate(_criterion_integrand(N, c), t0, math.inf)
             except (BudgetExceeded, Inconclusive) as exc:
                 trail.append((c, INCONCLUSIVE, str(exc)))
-                saw_inconclusive = True
                 continue
             if r.is_finite and r.value == 0.0:
                 trail.append((c, INCONCLUSIVE, f"integral of a positive integrand underflowed "
                                                f"to 0.0 at scaling {c:g}"))
-                saw_inconclusive = True
                 continue
             if r.is_finite:
                 trail.append((c, "finite", r.value))
                 return CriterionResult(COINCIDENT, c, tuple(trail))
             trail.append((c, "divergent", None))
-    if saw_inconclusive:
-        return CriterionResult(INCONCLUSIVE, None, tuple(trail))
-    return CriterionResult(NON_COINCIDENT, None, tuple(trail))
+    verdict = INCONCLUSIVE if any(e[1] == INCONCLUSIVE for e in trail) else NON_COINCIDENT
+    return CriterionResult(verdict, None, tuple(trail))
 
 
 def _resolve_verdict(

@@ -23,7 +23,7 @@ from .errors import (BudgetExceeded, Inconclusive, NonConvergence, NonEvaluable,
                      NotDominated)
 from .numerics import (ABS_TOL, LADDER, NORM_CAP, NORM_REL_TOL, REL_TOL, FiniteOrDivergent,
                        LadderTrace, _IntegrandOverflow, _unit_crossing, integrate)
-from .tails import AnalyticTail, StepTail, TailRepFunction, _reference_label
+from .tails import AnalyticTail, StepTail, TailRepFunction
 from .young import YoungFunction, _power_family
 
 __all__ = [
@@ -288,76 +288,66 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     read is not read again.
 
     Either way a cap that decides the norm is recorded in the trace as
-    ``note``.  Modular values are cached by k.  The trace records
-    ``modular_evaluations``, w as ``weak_lower_bound`` (None where no weak
-    norm ran), the start s and its kind as ``start`` (None where no
-    modular was read; under power, one of ``_power_start``'s kinds, and
-    the start read where no start is left), t_p as ``plateau_end`` and
-    t_z as ``zero_start`` (None on a step tail, without a plateau or a
-    zero start below 1e12, or where the cap on w decided the norm first),
-    the number of distinct tail values the modulars read as
-    ``tail_reads`` and, off power, the final ``bracket``.  An
-    inconclusive modular anywhere aborts with BudgetExceeded rather than
-    silently guessing a side; a root search that stalls raises
-    NonConvergence.
+    ``note``.  Each modular read is kept, with its evidence, by k, so no
+    k is read twice.  The trace records ``modular_evaluations``, w as
+    ``weak_lower_bound`` (None where no weak norm ran), the start s and
+    its kind as ``start`` (None where no modular was read; under power,
+    one of ``_power_start``'s kinds, and the start read where no start is
+    left), t_p as ``plateau_end`` and t_z as ``zero_start`` (None on a
+    step tail, without a plateau or a zero start below 1e12, or where the
+    cap on w decided the norm first), the number of distinct tail values
+    the modulars read as ``tail_reads`` and, off power, the final
+    ``bracket``.  An inconclusive modular anywhere aborts with
+    BudgetExceeded rather than silently guessing a side; a root search
+    that stalls raises NonConvergence.
     """
     tail = f.tail
     step = isinstance(tail, StepTail)
-    if step and tail.is_zero:
-        return NormResult(0.0, 0.0, {"modular_evaluations": 0, "weak_lower_bound": 0.0,
-                                     "start": None, "plateau_end": None, "zero_start": None,
-                                     "tail_reads": 0, "note": "zero function"})
-
-    cache: Dict[float, float] = {}
+    memo: Dict[float, FiniteOrDivergent] = {}  # each modular read, with its evidence, by k
     reads: Dict[float, float] = {}  # T(t) at the analytic modulars' nodes
     w: Optional[float] = None  # the weak norm, where one runs
     start: Optional[Tuple[float, str]] = None  # the closed form's or the search's k and its kind
     t_p: Optional[float] = None  # the analytic tail's plateau end, once found
     zero = (math.inf, False)  # and its zero start, as ``_support_ends`` gives it
-    last: Optional[FiniteOrDivergent] = None  # the latest modular, with its evidence
 
-    def mod(k: float) -> float:
-        """modular(f, k), with +inf standing for a divergent modular."""
-        nonlocal last
-        v = cache.get(k)
-        if v is None:
+    def result(value: float, at: Optional[float], **extra: object) -> NormResult:
+        return NormResult(value, at, {
+            "modular_evaluations": len(memo), "weak_lower_bound": w, "start": start,
+            "plateau_end": t_p or None, "zero_start": zero[0] if zero[0] < math.inf else None,
+            "tail_reads": len(reads), **extra})
+
+    if step and tail.is_zero:
+        w = 0.0
+        return result(0.0, 0.0, note="zero function")
+
+    def read(k: float) -> FiniteOrDivergent:
+        """The modular at k, with its evidence, read once."""
+        r = memo.get(k)
+        if r is None:
             try:
-                if step:
-                    r = modular(N, f, k)
-                else:
-                    r = _analytic_modular(N, f, k, t_p, zero, reads)
+                r = memo[k] = (modular(N, f, k) if step
+                               else _analytic_modular(N, f, k, t_p, zero, reads))
             except (BudgetExceeded, Inconclusive) as exc:
                 raise BudgetExceeded(
                     f"modular at k={k:g} could not be classified: {exc}"
                 ) from exc
-            v = cache[k] = r.value if r.is_finite else math.inf
-            last = r
-        return v
+        return r
 
-    def read(k: float) -> FiniteOrDivergent:
-        """The modular at a k not read before, with its evidence."""
-        mod(k)
-        return last
+    def mod(k: float) -> float:
+        """modular(f, k), with +inf standing for a divergent modular."""
+        r = read(k)
+        return r.value if r.tag == "finite" else math.inf
 
     def weak() -> float:
         nonlocal w
         w = weak_norm(N, f).value
         return w
 
-    def trace(**extra: object) -> Dict[str, object]:
-        return {"modular_evaluations": len(cache), "weak_lower_bound": w,
-                "start": start, "plateau_end": t_p or None,
-                "zero_start": zero[0] if zero[0] < math.inf else None,
-                "tail_reads": len(reads), **extra}
-
-    def capped(value: float, note: str) -> NormResult:
-        return NormResult(value, None, trace(note=note))
-
     power = N.family == "power"
     if not power:
         s = _weak_start(weak())
         if s is None:
-            return capped(math.inf, _WEAK_ABOVE)
+            return result(math.inf, None, note=_WEAK_ABOVE)
         start = (s, "weak norm")
     if not step:
         t_p, zero = _support_ends(tail, f.total_mass)
@@ -365,24 +355,24 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
         s, kind, r = _power_start(tail, t_p, read, weak)
         start = (s, kind)
         if r is None:
-            return capped(math.inf, _WEAK_ABOVE)
+            return result(math.inf, None, note=_WEAK_ABOVE)
         k = s * mod(s) ** (1.0 / N.param)  # +inf where the modular at s is divergent
         if k > NORM_CAP:
-            return capped(math.inf, _ABOVE)
+            return result(math.inf, None, note=_ABOVE)
         if k < 1.0 / NORM_CAP:
-            return capped(0.0, _BELOW)
+            return result(0.0, None, note=_BELOW)
         for _ in range(_POWER_WALK):
             if mod(k) <= 1.0:
-                return NormResult(k, cache[k], trace())
+                return result(k, memo[k].value)
             k = math.nextafter(k, math.inf)
         raise NonConvergence(f"modular still above 1 {_POWER_WALK} floats past the "
                              f"closed-form power norm, at k={k:g}")
     lo, hi = _unit_crossing(mod, start[0])
     if hi == math.inf:
-        return capped(math.inf, _ABOVE)
+        return result(math.inf, None, note=_ABOVE)
     if lo == 0.0:
-        return capped(0.0, _BELOW)
-    return NormResult(hi, cache[hi], trace(bracket=(lo, hi)))
+        return result(0.0, None, note=_BELOW)
+    return result(hi, memo[hi].value, bracket=(lo, hi))
 
 
 _GRID_PER_DECADE = 20  # weak-norm sample nodes t = 10^(j/20)
@@ -799,7 +789,6 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
 
         value, argmax, count, plateau_end, zero_start = _log_t_sup(tail.value, u, cap)
     return NormResult(value, None, {
-        "reference": _reference_label(N),
         "evaluations": count,
         "argmax_t": argmax,
         "plateau_end_t": plateau_end,

@@ -385,11 +385,10 @@ def _ladder_pass(f, cuts, downward, breaks, bounded=False):
         flags.append(suspicious)
 
         # "moving" guards against declaring divergence on contributions that
-        # are pure roundoff; the decay rate itself is judged by the slope
-        size = abs(partial)
-        if seg > size:
-            size = seg
-        moving = seg > 32.0 * math.ulp(size)
+        # are pure roundoff; the decay rate itself is judged by the slope.
+        # partial is a sum of non-negative panel sums, seg one of them, so
+        # partial >= seg
+        moving = seg > 32.0 * math.ulp(partial)
         if (
             moving
             and len(flags) >= PERSISTENCE
@@ -495,9 +494,9 @@ def integrate(
 ) -> FiniteOrDivergent:
     """Integrate a non-negative function over (a, b), b possibly infinite.
 
-    A b up to LADDER[0] = 1 (or any finite b over an a below 0) gets
-    adaptive Gauss-Kronrod panels on the t-axis.  A larger b, finite or
-    not, runs the decade ladder, after a downward one from 1 where a is
+    The lower limit a is finite and non-negative.  A b up to LADDER[0] = 1
+    gets adaptive Gauss-Kronrod panels on the t-axis.  A larger b, finite
+    or not, runs the decade ladder, after a downward one from 1 where a is
     0.  A finite b ends the ladder: its last cutoff is b, the partial sum
     there is the result, an earlier settle truncates its power-law
     remainder at b, and no slope calls the range divergent.  The
@@ -518,15 +517,15 @@ def integrate(
     finite(value) or divergent(trace); raises Inconclusive when the slope
     classifier cannot decide and BudgetExceeded when budgets run out.
     """
-    if not math.isfinite(a):
-        raise ValueError("lower limit must be finite")
+    if not 0.0 <= a < math.inf:  # NaN fails too
+        raise ValueError("lower limit must be finite and non-negative")
     if b <= a:
         if b == a:
             return FiniteOrDivergent.finite(0.0)
         raise ValueError("integration bounds must satisfy a < b")
     _check_breaks(breaks)
     try:
-        if b <= LADDER[0] or (a < 0.0 and b < math.inf):
+        if b <= LADDER[0]:
             value, _ = _adaptive_finite(_checked(f), a, b, ABS_TOL, breaks)
             return FiniteOrDivergent.finite(value)
         parts = 0.0

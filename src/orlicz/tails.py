@@ -157,6 +157,14 @@ class AnalyticTail:
 TailFunction = Union[StepTail, AnalyticTail]
 
 
+def _check_mass(total_mass: float) -> None:
+    """Reject a total mass that is not positive, or whose reciprocal overflows."""
+    if not (total_mass > 0.0):
+        raise ValueError("total mass must be positive (may be inf)")
+    if math.isinf(1.0 / total_mass):
+        raise BadParameter(f"total mass {total_mass!r} is too small: 1/total_mass overflows")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class TailRepFunction:
     """Canonical representation of a measurable function: tail + total mass."""
@@ -165,12 +173,7 @@ class TailRepFunction:
     total_mass: float
 
     def __post_init__(self):
-        if not (self.total_mass > 0.0):
-            raise ValueError("total mass must be positive (may be inf)")
-        if math.isinf(1.0 / self.total_mass):
-            raise BadParameter(
-                f"total mass {self.total_mass!r} is too small: 1/total_mass overflows"
-            )
+        _check_mass(self.total_mass)
         if isinstance(self.tail, StepTail) and self.tail.levels:
             if self.tail.top_level > self.total_mass * (1.0 + 1e-12):
                 raise MassOverflow(
@@ -196,8 +199,7 @@ def chebyshev_tail(N: YoungFunction, total_mass: float) -> AnalyticTail:
     the modular and the Lebesgue norm take the plateau in closed form and
     integrate only past it.
     """
-    if not (total_mass > 0.0):
-        raise ValueError("total mass must be positive (may be inf)")
+    _check_mass(total_mass)
 
     def fn(t: float) -> float:
         n = N(t)
@@ -206,11 +208,7 @@ def chebyshev_tail(N: YoungFunction, total_mass: float) -> AnalyticTail:
         inv = 1.0 / n
         return inv if inv < total_mass else total_mass
 
-    return AnalyticTail(fn, label=_reference_label(N))
-
-
-def _reference_label(N: YoungFunction) -> str:
-    return f"min(mass, 1/{N.describe()})"
+    return AnalyticTail(fn, label=f"min(mass, 1/{N.describe()})")
 
 
 def dilate(T: TailFunction, c: float) -> TailFunction:

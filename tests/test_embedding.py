@@ -350,6 +350,22 @@ class TestReport:
         assert rep.override_verdict is None
         assert rep.classifier_agreement is None
 
+    def test_unsettled_q_off_the_criterion_trail(self):
+        # delta(1.1): the k0 search reads a Q that no scaling of the
+        # criterion trail gave, and that Q raises; the report is
+        # inconclusive, with that Q last in its trace
+        rep = embedding_report(delta_young(1.1), 1.0)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.embedding_constant is None and rep.embedding_constant_modular is None
+        k, tag, reason = rep.q_trace[-1]
+        assert tag == INCONCLUSIVE and isinstance(reason, str)
+        assert k not in {1.0 / c for c, _, _ in rep.criterion_trail}
+        # "disagreed" exactly where the numeric verdict is conclusive and
+        # differs from the family's
+        conclusive = rep.numeric_verdict in (COINCIDENT, NON_COINCIDENT)
+        assert (rep.classifier_agreement == "disagreed") == (
+            conclusive and rep.numeric_verdict != rep.override_verdict)
+
     def test_report_serializes(self):
         rep = embedding_report(exp_young(2.0), 1.0)
         text = json.dumps(rep.to_dict(), sort_keys=True)

@@ -459,6 +459,17 @@ class TestLuxemburgNorm:
             assert value == expected or abs(value - expected) <= 4.0 * math.ulp(expected), (
                 p, f.tail, value, expected)
 
+    def test_crossing_capped_above(self):
+        # the exp_m(2) extremal function on infinite mass: its weak norm is
+        # about 1, and the modular stays above 1 at every doubling of k
+        # from there up to 2^64, 65 modulars in all
+        N = exp_young(2.0)
+        r = luxemburg_norm(N, extremal_function(N, math.inf))
+        assert r.value == math.inf and r.modular_at_value is None
+        assert r.trace["note"] == "modular above 1 up to cap 1.84467e+19"
+        assert r.trace["modular_evaluations"] == 65
+        assert "bracket" not in r.trace
+
 
 class TestWeakNorm:
     def test_extremal_tail_has_unit_norm(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orlicz
-from orlicz.errors import BudgetExceeded, NoSignChange, NonConvergence, NonEvaluable
+from orlicz.errors import BudgetExceeded, Inconclusive, NoSignChange, NonConvergence, NonEvaluable
 from orlicz.expfamily import gauge_quadrature
 from orlicz.numerics import (
     _WG,
@@ -94,6 +94,39 @@ class TestFiniteIntegrals:
         a = integrate(lambda z: math.exp(-z) * abs(math.sin(3 * z)) ** 0.5, 0.0, 4.0).value
         b = integrate(lambda z: math.exp(-z) * abs(math.sin(3 * z)) ** 0.5, 0.0, 4.0).value
         assert repr(a) == repr(b)
+
+
+class TestLowerLimit:
+    """integrate's one rule for a: finite and non-negative."""
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (-1.0, math.inf), (math.nan, 2.0),
+                                      (-math.inf, 2.0)])
+    def test_rejected(self, a, b):
+        with pytest.raises(ValueError, match="lower limit must be finite and non-negative"):
+            integrate(lambda t: 1.0, a, b)
+
+
+class TestLoudFailures:
+    """Each of the kernel's budgets and overflow checks, met on one input."""
+
+    def test_panel_sum_overflow(self):
+        # each sample is finite, the panel's weighted sum is not
+        with pytest.raises(NonEvaluable, match="panel sum overflowed"):
+            integrate(lambda t: 1.7e308, 0.0, 1.0)
+
+    def test_panel_budget(self):
+        # a square wave with 5,000 jumps on (0, 1): every jump takes panels
+        with pytest.raises(BudgetExceeded, match=f"panel budget {MAX_PANELS} exhausted"):
+            integrate(lambda t: float(math.floor(t * 5000.0) % 2), 0.0, 1.0)
+
+    def test_oscillating_exponent_is_inconclusive_with_its_ladder(self):
+        # in s = ln t the integrand is 1 + 0.9 sin(2s): the local exponent
+        # swings across -1 from decade to decade, and the ladder says so
+        with pytest.raises(Inconclusive, match="oscillates") as info:
+            integrate(lambda t: (1.0 + 0.9 * math.sin(2.0 * math.log(t))) / t, 1.0, math.inf)
+        trace = info.value.trace
+        assert isinstance(trace, LadderTrace) and trace.points
+        assert trace.note == "cutoff ladder exhausted without a verdict"
 
 
 class TestSemiInfinite:

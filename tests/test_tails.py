@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from orlicz.embedding import unit_threshold
 from orlicz.errors import BadParameter, MassOverflow
 from orlicz.norms import modular, weak_norm
 from orlicz.tails import (
@@ -158,6 +159,19 @@ class TestTailRep:
     def test_total_mass_whose_reciprocal_overflows(self):
         with pytest.raises(BadParameter, match="1e-310"):
             TailRepFunction(StepTail((), ()), 1e-310)
+
+    @pytest.mark.parametrize("take", [
+        lambda M: TailRepFunction(StepTail((), ()), M),
+        lambda M: chebyshev_tail(power_young(2.0), M),
+        lambda M: unit_threshold(power_young(2.0), M),
+    ], ids=["TailRepFunction", "chebyshev_tail", "unit_threshold"])
+    def test_one_mass_rule(self, take):
+        for bad in (0.0, -1.0, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="total mass must be positive"):
+                take(bad)
+        with pytest.raises(BadParameter, match="total mass 1e-310 is too small"):
+            take(1e-310)
+        take(math.inf)
 
     def test_step_respects_total(self):
         f = step_tail([(1.0, 0.4)], 0.5)

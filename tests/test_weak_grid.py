@@ -4,9 +4,9 @@
 node and rescanned the whole grid at each decade it added, kept verbatim
 as a reference.  ``weak_norm`` reads T at neither the plateau nor the
 zero run of the grid, skips every interior node whose bound from an
-earlier node lies below the running maximum, and keeps only the samples
-it reads and a summary of each stretch of nodes instead of rescanning;
-on a nonincreasing tail it must return the same floats, value and
+earlier node lies below the running maximum, and keeps no sample: it
+sums up each stretch of nodes as it reads it, instead of rescanning.
+On a nonincreasing tail it must return the same floats, value and
 argmax.  Where the value is +inf, the cap certificate may prove it at a
 node past the first grid that the climb reaches later or never; there
 the argmax is a node whose g exceeds 2^64.
