@@ -22,13 +22,14 @@ one numeric Q certifies; otherwise it is found by the crossing solver
 the Luxemburg norm uses off power.
 
 The integrals of one report sample the integrand at the same nodes t
-again and again, at different scalings.  So ``embedding_report``,
-``embedding_constant`` and ``coincidence_criterion`` each open a node
-memo for their N (``_node_scope``): a dict, by t, of the terms of N's log
-form that do not depend on the scaling, which delta's log form fills and
-reads.  It lives for that one call, is shared by the calls it makes, and
-is dropped at its end; nothing is kept on N.  The terms are the same
-floats either way, so every integral is too.
+again and again, at different scalings.  So ``embedding_report`` (whose
+constant ``embedding_constant`` returns) and ``coincidence_criterion``
+each open a node memo for their N (``_node_scope``): a dict, by t, of
+the terms of N's log form that do not depend on the scaling, which
+delta's log form fills and reads.  It lives for that one call, is
+shared by the calls it makes, and is dropped at its end; nothing is kept
+on N.  The terms are the same floats either way, so every integral is
+too.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def embedding_modular(N: YoungFunction, k: float, total_mass: float) -> FiniteOr
     diverge at the lower end and the classifier runs there too).  It is
     the criterion integral at scaling C = 1/k.
     """
-    if not (k > 0.0):
-        raise ValueError("scale k must be positive")
+    if not 0.0 < k < math.inf:
+        raise ValueError("scale k must be positive and finite")
     t0 = unit_threshold(N, total_mass)
     return integrate(_criterion_integrand(N, 1.0 / k), t0, math.inf)
 
@@ -252,7 +253,7 @@ def _k0_search(
     already known at every scaling C of the criterion trail, and those
     values are reused; every new Q evaluation is appended to ``trace`` as
     (k, tag, value).  Each new Q goes through ``embedding_modular``, and
-    its integrand reads the node memo of the calling report or constant:
+    its integrand reads the node memo of the calling report:
     at a node that the criterion or an earlier Q sampled, delta's terms
     free of the scaling cost one dict read.  exp_m on a finite mass takes k0 = alpha*(M)^(-1/m)
     from ``expfamily`` and evaluates Q once, at k0; the returned Q(k0)
@@ -306,21 +307,21 @@ def _k0_search(
 def embedding_constant(N: YoungFunction, total_mass: float) -> float:
     """The exact constant k0 in strong <= k0 * weak, when the spaces coincide.
 
-    Raises DivergentModular when the coincidence criterion fails (the
-    constant is then infinite) and NonConvergence when Q cannot be
-    settled on the way to k0.
+    It is the constant of ``embedding_report``.  Raises NonConvergence
+    where the k0 search ended on an unsettled Q (the last entry of the
+    report's ``q_trace``), and DivergentModular where the verdict is not
+    coincident (the constant is then infinite, or the verdict open) or Q
+    stays above 1 up to the crossing solver's cap.
     """
-    with _node_scope(N):
-        crit = coincidence_criterion(N, total_mass)
-        verdict, _, _ = _resolve_verdict(N, total_mass, crit.verdict)
-        if verdict != COINCIDENT:
-            raise DivergentModular(
-                f"criterion verdict for {N.describe()} at mass {total_mass:g} is {verdict}"
-            )
-        k0, _ = _k0_search(N, total_mass, crit.trail, [])
-    if k0 <= 1.0:
-        raise NonConvergence(f"computed embedding constant {k0!r} not above 1")
-    return k0
+    report = embedding_report(N, total_mass)
+    if report.embedding_constant is not None:
+        return report.embedding_constant
+    if report.q_trace:  # the k0 search ran and stopped at this unsettled Q
+        k, _, reason = report.q_trace[-1]
+        raise NonConvergence(f"embedding modular at k={k!r} unsettled: {reason}")
+    raise DivergentModular(
+        f"criterion verdict for {N.describe()} at mass {total_mass:g} is {report.verdict}"
+    )
 
 
 def extremal_function(N: YoungFunction, total_mass: float) -> TailRepFunction:

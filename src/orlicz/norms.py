@@ -400,19 +400,22 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     suffix; both ends are found by bisection on the node index, and there
     T is not evaluated: g is t / u(cap) on the plateau, where u(T(t)) =
     u(cap), and 0 on the zero run.  Neither run is written out.  t / u(cap)
-    rises strictly with t (but for a run of +inf, where u(cap) is 0 or the
-    quotient overflows), so the plateau enters the bookkeeping below only
-    through its first and last samples, and the zero run through its
-    bounds.  The last plateau node and the first zero node appear as
-    ``plateau_end_t`` and ``zero_start_t`` (None where a run is absent).
+    rises by the factor 10^(1/20) from node to node (but for a run of +inf,
+    where u(cap) is 0 or the quotient overflows), so the plateau's last
+    node exceeds every other plateau node by more than the factor 1 +
+    NORM_REL_TOL, and only it enters the order statistic below (the first
+    node of a run of +inf, found by bisection, in its place); the zero run
+    enters nothing.  The last plateau node and the first zero node appear
+    as ``plateau_end_t`` and ``zero_start_t`` (None where a run is absent).
 
     Between the runs, u(T(t)) is nondecreasing, so g(t_k) <= t_k / u_i at
     every node t_k past a node t_i, with u_i = u(T(t_i)).  The last node
     before the zero run is read first; then the nodes are read upward
     from the plateau's end, and after each one every following node whose
     bound t_k / u_i lies below top / (1 + NORM_REL_TOL)^2 is skipped, top
-    being the largest sample known (earlier stretches, the last plateau
-    node and the nodes read).  The nodes are increasing, so the skipped
+    being the largest sample known (``best``, which holds earlier
+    stretches, the last plateau node and the nodes read, and the node
+    before the zero run).  The nodes are increasing, so the skipped
     ones form a run, whose end ``bisect_left`` finds.  A skipped node's
     bound and its true value lie below a real sample by more than the
     factor 1 + NORM_REL_TOL, with room left for rounding in u, so it can
@@ -420,15 +423,19 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     refined cell below: the result is the one a read of every node gives.
     Where the next node is not skipped this costs one comparison, so a flat
     g is not slowed.  A tail value at a plateau, zero-run or skipped node
-    is never read or validated.  No sample is stored: ``fill`` sums a
-    stretch up as it reads it, for the growth tests by its first sample,
-    its last, and the largest sample strictly between them (from the
-    plateau's last inner node, the nodes read and the node before the zero
-    run), and for the search by its largest sample and the first node
-    holding it.  That node is found among the plateau's last node (or the
-    first node of a run of +inf there, by bisection), then the nodes read
-    in ascending t, then the node before the zero run, a later one taking
-    over only with a strictly larger sample.
+    is never read or validated.
+
+    No sample is stored.  Each one enters an order statistic kept across
+    fills: ``best``, the largest sample; ``second``, the largest once one
+    instance of ``best`` is left out; and ``centre``, the first node index
+    holding ``best``.  Within a fill the samples enter in ascending t: the
+    plateau's last node, the node past it, the nodes read, and last the
+    node before the zero run, though that one is read first.  A larger
+    sample takes ``best``, with its node as the argmax and its index as
+    the centre; a tie with ``best`` moves only the centre, and only to a
+    lower index, which only a stretch added below the grid gives.  The
+    centre starts at the first grid's first node, where an all-zero grid
+    refines.
 
     Any one sample above NORM_CAP proves the sup +inf, so the first
     grid's fill runs a cap certificate (``certified``) right after the
@@ -440,27 +447,22 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     1e20, 1e24, ..., the last at 1e300) while each sample exceeds the one
     before by that factor.  At the first sample above NORM_CAP the result
     is +inf, its node the argmax and the probes counted among the
-    evaluations; no other node is read and no decade is added.  Where no probe passes NORM_CAP, the grid runs as without them
-    (a probe changes no sample, and its read is not shared with a later
-    fill), so a finite result keeps its value and argmax.  A g that does
-    not rise across the grid pays no probe.  The low end has no
-    certificate: there g grows past 2^64 only on an infinite (or huge)
-    mass, and the grid climbs it.
+    evaluations; no other node is read and no decade is added.  Where no
+    probe passes NORM_CAP, the grid runs as without them (a probe changes
+    no sample, and its read is not shared with a later fill), so a finite
+    result keeps its value and argmax.  A g that does not rise across the
+    grid pays no probe.  The low end has no certificate: there g grows
+    past 2^64 only on an infinite (or huge) mass, and the grid climbs it.
 
     While the sample at an end node exceeds every other sample by more
     than the factor 1 + NORM_REL_TOL (so rounding noise on a flat g does
     not count), the grid grows by a whole decade at that end, up to t =
-    1e+-300, through the same fill.  The growth tests read only the two
-    end samples of the grid and a running maximum of all the others, which
-    each added decade updates from its own summary, so a step costs only
-    the new decade.  Each fill updates the largest sample from its
-    stretch's largest sample.  Past the last node where T vanishes g is
-    0, so the upper end stops there by itself.  A golden-section search
-    (Kiefer, 1953) then refines over the two cells beside the centre, the
-    first node in ascending t that holds the largest sample: a fill moves
-    the centre to its stretch's first largest node where that sample is a
-    new largest, and on a tie only where the stretch was added below the
-    grid.  The cells narrow until they are NORM_REL_TOL wide in t.  A
+    1e+-300, through the same fill.  That end node is then the centre,
+    and ``best`` > (1 + NORM_REL_TOL) ``second``: the growth tests read
+    the statistic alone, so a step costs only the new decade.  Past the
+    last node where T vanishes g is 0, so the upper end stops there by
+    itself.  A golden-section search (Kiefer, 1953) then refines over the
+    two cells beside the centre until they are NORM_REL_TOL wide in t.  A
     search point at or below the last plateau node has T(t) >= T there >=
     cap, so g is t / u(cap) there, and neither T nor u is called: a power
     tail's g peaks at its plateau end, and about a third of the points
@@ -469,7 +471,7 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     exceeds NORM_CAP.
     On ties the grid node that joined the grid first is the argmax: the
     first grid, then each added decade in turn, each in ascending t (a later
-    fill replaces the largest sample only when it exceeds it).
+    sample replaces ``best`` only when it exceeds it).
 
     The result is the sup to NORM_REL_TOL when g is unimodal near its
     largest node.  Otherwise a peak in another cell can be missed, but as
@@ -478,8 +480,11 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
     the sampled range.  A larger peak beyond a dip (or a flat stretch)
     past the ends of the grid is not seen.
     """
-    best, argmax, count = 0.0, None, 0
-    centre = _GRID_LIMIT  # node index the search refines around; the first fill sets it
+    # the order statistic: the largest sample, the largest once one instance
+    # of it is left out, and the first node index holding it (where an
+    # all-zero grid refines)
+    best, second, centre = 0.0, 0.0, _GRID_FIRST[0]
+    argmax, count = None, 0
     plateau_end, zero_start = None, None  # node indices j
     step = _GRID_PER_DECADE
     u_cap = u(cap)
@@ -518,13 +523,9 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         best, argmax = v, t
         return True
 
-    def fill(a: int, b: int) -> Optional[Tuple[float, float, float]]:
-        """Sample g on the nodes j = a..b; None where ``certified``.
-
-        Returns the first sample, the largest sample strictly between the
-        two ends, and the last sample.
-        """
-        nonlocal best, argmax, count, centre, plateau_end, zero_start
+    def fill(a: int, b: int) -> bool:
+        """Sample g on the nodes j = a..b into the statistic; True where ``certified``."""
+        nonlocal best, second, argmax, count, centre, plateau_end, zero_start
         if (a, b) == _GRID_FIRST:
             nodes: Sequence[float] = _FIRST_NODES
         else:
@@ -543,10 +544,23 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             plateau_end = a + p - 1
         if z < n and (zero_start is None or a + z < zero_start):
             zero_start = a + z
-        # the largest sample and the first node holding it, the candidates
-        # taken in ascending t, each later one by a strict >
-        peak, peak_at = (flat(nodes[p - 1]), p - 1) if p else (0.0, 0)
-        inner = flat(nodes[min(p, n - 1) - 1]) if p > 1 else 0.0
+
+        def enter(v: float, i: int) -> None:
+            """Let the sample v at node i in, as the read loop below does."""
+            nonlocal best, second, argmax, centre
+            if v > best:
+                best, second, argmax, centre = v, best, nodes[i], a + i
+            elif v == best:
+                second = v
+                if a + i < centre:  # a tie, in a stretch added below
+                    centre = a + i
+            elif v > second:
+                second = v
+
+        if p:  # the last plateau node, or the first of a run of +inf there
+            v = flat(nodes[p - 1])
+            enter(v, bisect_left(range(p), v, key=lambda i: flat(nodes[i]))
+                  if p > 1 and flat(nodes[p - 2]) == v else p - 1)
         if p < z:
             last = z - 1
             v_last = vp = g(nodes[last], level_at(last))
@@ -557,12 +571,10 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
             # vp, g at p, is the certificate's first sample
             if z == n and (a, b) == _GRID_FIRST and certified(vp, v_last):
                 count += len(levels)
-                return None  # +inf is proven: no other node is read
-            if vp > peak:
-                peak, peak_at = vp, p
+                return True  # +inf is proven: no other node is read
+            enter(vp, p)
             if p < last:
-                top = max(best, peak, v_last)  # the largest sample known
-                read, j = 0.0, p  # the largest sample read on (p, last), and its node
+                top = max(best, v_last)  # the largest sample known
                 i = p + 1
                 get = levels.get
                 while i < last:  # ui is u at the last node read
@@ -580,27 +592,18 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
                     v = nodes[i] / ui if ui > 0.0 else math.inf
                     if v > top:
                         top = v
-                    if v > read:
-                        read, j = v, i
+                    if v > best:  # enter(v, i) written out: a call per node read costs
+                        best, second, argmax, centre = v, best, nodes[i], a + i
+                    elif v == best:
+                        second = v
+                        if a + i < centre:
+                            centre = a + i
+                    elif v > second:
+                        second = v
                     i += 1
-                if read > peak:
-                    peak, peak_at = read, j
-                inner = max(inner, vp, read) if p else read
-            if v_last > peak:
-                peak, peak_at = v_last, last
-            if 1 < z < n:
-                inner = max(inner, v_last)
-        first = flat(nodes[0]) if p else (vp if p < z else 0.0)
-        end = 0.0 if z < n else (v_last if p < z else flat(nodes[-1]))
+                enter(v_last, last)  # read first, but the last in ascending t
         count += len(levels)
-        if peak_at == p - 1 > 0 and flat(nodes[p - 2]) == peak:
-            # t / u(cap) rises strictly but for a run of +inf
-            peak_at = bisect_left(range(p), peak, key=lambda i: flat(nodes[i]))
-        if peak > best:
-            best, argmax, centre = peak, nodes[peak_at], a + peak_at
-        elif peak == best and a + peak_at < centre:  # a tie, in a stretch added below
-            centre = a + peak_at
-        return first, inner, end
+        return False
 
     def at(x: float) -> float:
         """g at the search point t = 10^x, counted; flat(t) at or below plateau_t."""
@@ -616,21 +619,15 @@ def _log_t_sup(T: Callable[[float], float], u: Callable[[float], float],
         return None if j is None else 10.0 ** (j / step)
 
     lo, hi = _GRID_FIRST
-    filled = fill(lo, hi)
-    if filled is None:
+    if fill(lo, hi):
         return math.inf, argmax, count, node_t(plateau_end), node_t(zero_start)
-    first, inner, end = filled
-    while best <= NORM_CAP:
-        if first > margin * max(inner, end) and lo > -_GRID_LIMIT:
+    while best <= NORM_CAP and best > margin * second:
+        if centre == lo > -_GRID_LIMIT:
             lo -= step
-            new_first, new_inner, new_end = fill(lo, lo + step - 1)
-            inner = max(inner, first, new_inner, new_end)
-            first = new_first
-        elif end > margin * max(first, inner) and hi < _GRID_LIMIT:
-            new_first, new_inner, new_end = fill(hi + 1, hi + step)
+            fill(lo, lo + step - 1)
+        elif centre == hi < _GRID_LIMIT:
+            fill(hi + 1, hi + step)
             hi += step
-            inner = max(inner, end, new_first, new_inner)
-            end = new_end
         else:
             break
 
@@ -745,11 +742,11 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     grid nodes, and g(t) <= t / N^{-1}(1/min(T(s), cap)) for s < t, so a
     grid node where that bound from an earlier node lies below the
     largest sample is skipped; tail values at these nodes are not
-    validated.  No sample is stored: each stretch of nodes is summed up
-    as it is read, by its end samples, its largest inner sample and its
-    largest sample with the first node holding it, and the growth tests
-    and the search take those.  So the Python work is per node read: one
-    dict lookup, the tail call and one call of the inverse.  A +inf the
+    validated.  No sample is stored: each one enters, as it is read, one
+    order statistic (the largest sample, the largest once one instance of
+    it is left out, and the first node holding it), and the growth tests
+    and the search read only that.  So the Python work is per node read:
+    one dict lookup, the tail call and one call of the inverse.  A +inf the
     grid would find by climbing decade by decade is mostly proven by its
     cap certificate: where g rises across the first grid, g is probed 1,
     2, 4, ... decades past t = 1e16 before the rest of the grid is read,

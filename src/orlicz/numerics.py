@@ -494,16 +494,17 @@ def integrate(
 ) -> FiniteOrDivergent:
     """Integrate a non-negative function over (a, b), b possibly infinite.
 
-    The lower limit a is finite and non-negative.  A b up to LADDER[0] = 1
-    gets adaptive Gauss-Kronrod panels on the t-axis.  A larger b, finite
-    or not, runs the decade ladder, after a downward one from 1 where a is
-    0.  A finite b ends the ladder: its last cutoff is b, the partial sum
-    there is the result, an earlier settle truncates its power-law
-    remainder at b, and no slope calls the range divergent.  The
-    downward ladder goes on past decades where f is 0 until it meets
-    f's support, and then sweeps its usual 12 decades from there; an f
-    that is 0 down to 1e-307, the end of the normal floats, integrates
-    to 0.
+    The lower limit a is finite and non-negative, and b is above it (or
+    equal to it, for an integral of 0; a NaN b is rejected).  A b up to
+    LADDER[0] = 1 gets adaptive Gauss-Kronrod panels on the t-axis.  A
+    larger b, finite or not, runs the decade ladder, after a downward one
+    from 1 where a is 0.  A finite b ends the ladder: its last cutoff is
+    b, the partial sum there is the result, an earlier settle truncates
+    its power-law remainder at b, and no slope calls the range
+    divergent.  The downward ladder goes on past decades where f is 0
+    until it meets f's support, and then sweeps its usual 12 decades from
+    there; an f that is 0 down to 1e-307, the end of the normal floats,
+    integrates to 0.
 
     ``breaks`` are the points where f has a kink or a jump, positive,
     finite and increasing.  Every panel that would straddle one is split
@@ -519,7 +520,7 @@ def integrate(
     """
     if not 0.0 <= a < math.inf:  # NaN fails too
         raise ValueError("lower limit must be finite and non-negative")
-    if b <= a:
+    if not b > a:  # NaN fails too
         if b == a:
             return FiniteOrDivergent.finite(0.0)
         raise ValueError("integration bounds must satisfy a < b")
