@@ -24,21 +24,20 @@ the Luxemburg norm uses off power.
 The integrals of one report sample the integrand at the same nodes t
 again and again, at different scalings.  So ``embedding_report`` (whose
 constant ``embedding_constant`` returns) and ``coincidence_criterion``
-each open a node memo for their N (``_node_scope``): a dict, by t, of
-the terms of N's log form that do not depend on the scaling, which
-delta's log form fills and reads.  It lives for that one call, is
-shared by the calls it makes, and is dropped at its end; nothing is kept
-on N.  The terms are the same floats either way, so every integral is
-too.
+each work on a copy of N whose log form carries a node memo of its own
+(``_with_node_memo``): a dict, by t, of the terms of N's log form that do
+not depend on the scaling, which delta's log form fills and reads.  The
+copy is passed to the calls the report makes, so its criterion and k0
+search share one memo, and it is dropped with the call; the caller's N
+keeps nothing.  The terms are the same floats either way, so every
+integral is too.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetExceeded, DivergentModular, Inconclusive, NonConvergence,
@@ -92,35 +91,17 @@ def unit_threshold(N: YoungFunction, total_mass: float) -> float:
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-# The node memo of the report, constant or criterion call under way: its
-# Young function and the dict that N.log_criterion fills with the terms
-# free of the scaling, by node.  A context variable, so that each thread
-# sees only its own call's memo.
-_NODES: ContextVar[Optional[Tuple[YoungFunction, dict]]] = ContextVar(
-    "orlicz_criterion_nodes", default=None)
 
+def _with_node_memo(N: YoungFunction) -> YoungFunction:
+    """A copy of N whose log form keeps one node memo of its own, or N without one.
 
-def _nodes_of(N: YoungFunction) -> Optional[dict]:
-    """The node memo open for N, or None."""
-    scope = _NODES.get()
-    return scope[1] if scope is not None and scope[0] is N else None
-
-
-@contextmanager
-def _node_scope(N: YoungFunction):
-    """Share one node memo among the criterion integrals of N in this block.
-
-    A block inside another block for the same N shares the outer memo.
-    The memo is dropped when the outermost block ends.
+    The copy's log form ignores a memo passed to it, so a copy of the copy
+    shares the first copy's memo.
     """
-    if _nodes_of(N) is not None:
-        yield
-        return
-    token = _NODES.set((N, {}))
-    try:
-        yield
-    finally:
-        _NODES.reset(token)
+    if N.log_criterion is None:
+        return N
+    nodes: dict = {}
+    return replace(N, log_criterion=lambda c, _=None: N.log_criterion(c, nodes))
 
 
 def _criterion_integrand(N: YoungFunction, c: float):
@@ -132,7 +113,7 @@ def _criterion_integrand(N: YoungFunction, c: float):
         return _IntegrandOverflow(f"integrand overflow near t={t:g} at scaling {c:g}")
 
     if N.log_criterion is not None:
-        log_f = N.log_criterion(c, _nodes_of(N))
+        log_f = N.log_criterion(c)
         exp = math.exp
         top = _LOG_FLOAT_MAX
 
@@ -193,27 +174,27 @@ def coincidence_criterion(N: YoungFunction, total_mass: float) -> CriterionResul
     of exactly 0.0 means it underflowed: that scaling is recorded as
     inconclusive, never as a finite witness.  Non-coincident requires a
     conclusive divergent verdict at every tested C; anything mixed stays
-    inconclusive, never silently resolved.  The scalings share one node
-    memo, which a calling report or constant opens and which is otherwise
-    dropped on return.
+    inconclusive, never silently resolved.  The scalings share the node
+    memo of a copy of N (``_with_node_memo``); a report passes its own
+    copy, whose memo its k0 search then shares.
     """
+    N = _with_node_memo(N)
     t0 = unit_threshold(N, total_mass)
     trail: List[Tuple[float, str, object]] = [(C_LADDER[0], "divergent", None)]
-    with _node_scope(N):
-        for c in C_LADDER[1:]:
-            try:
-                r = integrate(_criterion_integrand(N, c), t0, math.inf)
-            except (BudgetExceeded, Inconclusive) as exc:
-                trail.append((c, INCONCLUSIVE, str(exc)))
-                continue
-            if r.is_finite and r.value == 0.0:
-                trail.append((c, INCONCLUSIVE, f"integral of a positive integrand underflowed "
-                                               f"to 0.0 at scaling {c:g}"))
-                continue
-            if r.is_finite:
-                trail.append((c, "finite", r.value))
-                return CriterionResult(COINCIDENT, c, tuple(trail))
-            trail.append((c, "divergent", None))
+    for c in C_LADDER[1:]:
+        try:
+            r = integrate(_criterion_integrand(N, c), t0, math.inf)
+        except (BudgetExceeded, Inconclusive) as exc:
+            trail.append((c, INCONCLUSIVE, str(exc)))
+            continue
+        if r.is_finite and r.value == 0.0:
+            trail.append((c, INCONCLUSIVE, f"integral of a positive integrand underflowed "
+                                           f"to 0.0 at scaling {c:g}"))
+            continue
+        if r.is_finite:
+            trail.append((c, "finite", r.value))
+            return CriterionResult(COINCIDENT, c, tuple(trail))
+        trail.append((c, "divergent", None))
     verdict = INCONCLUSIVE if any(e[1] == INCONCLUSIVE for e in trail) else NON_COINCIDENT
     return CriterionResult(verdict, None, tuple(trail))
 
@@ -252,17 +233,17 @@ def _k0_search(
     Q is memoised by k, +inf standing for a divergent Q.  Q(1/C) is
     already known at every scaling C of the criterion trail, and those
     values are reused; every new Q evaluation is appended to ``trace`` as
-    (k, tag, value).  Each new Q goes through ``embedding_modular``, and
-    its integrand reads the node memo of the calling report:
+    (k, tag, value).  Each new Q goes through ``embedding_modular`` on
+    the N it is given, which a report passes as its copy with a node memo:
     at a node that the criterion or an earlier Q sampled, delta's terms
-    free of the scaling cost one dict read.  exp_m on a finite mass takes k0 = alpha*(M)^(-1/m)
-    from ``expfamily`` and evaluates Q once, at k0; the returned Q(k0)
-    satisfies |Q(k0) - 1| <= Q_TOL, on either side of 1.  Every other
-    family (a relabelled copy of exp_m included) runs the shared crossing
-    solver on Q from k = 2, as the Luxemburg norm does off power, and k0
-    is the end of the final bracket where Q <= 1, so 1 - Q_TOL <= Q(k0)
-    <= 1.  A Q that jumps from +inf to below 1 is bisected to
-    NORM_REL_TOL and then fails Q_TOL at that end.
+    free of the scaling cost one dict read.  exp_m on a finite mass takes
+    k0 = alpha*(M)^(-1/m) from ``expfamily`` and evaluates Q once, at k0;
+    the returned Q(k0) satisfies |Q(k0) - 1| <= Q_TOL, on either side of
+    1.  Every other family (a relabelled copy of exp_m included) runs the
+    shared crossing solver on Q from k = 2, as the Luxemburg norm does off
+    power, and k0 is the end of the final bracket where Q <= 1, so
+    1 - Q_TOL <= Q(k0) <= 1.  A Q that jumps from +inf to below 1 is
+    bisected to NORM_REL_TOL and then fails Q_TOL at that end.
 
     DivergentModular is raised when Q stays above 1 up to the solver's
     cap.  When Q cannot be settled on the way (budget, inconclusive
@@ -381,14 +362,14 @@ def embedding_report(N: YoungFunction, total_mass: float) -> EmbeddingReport:
     k0 = None
     q_at_k0 = None
     trace: List[Tuple[float, str, object]] = []
-    with _node_scope(N):
-        crit = coincidence_criterion(N, total_mass)
-        verdict, override, agreement = _resolve_verdict(N, total_mass, crit.verdict)
-        if verdict == COINCIDENT:
-            try:
-                k0, q_at_k0 = _k0_search(N, total_mass, crit.trail, trace)
-            except NonConvergence:
-                verdict = INCONCLUSIVE
+    N = _with_node_memo(N)  # the criterion and the k0 search share its memo
+    crit = coincidence_criterion(N, total_mass)
+    verdict, override, agreement = _resolve_verdict(N, total_mass, crit.verdict)
+    if verdict == COINCIDENT:
+        try:
+            k0, q_at_k0 = _k0_search(N, total_mass, crit.trail, trace)
+        except NonConvergence:
+            verdict = INCONCLUSIVE
 
     return EmbeddingReport(
         family=N.family,

@@ -239,7 +239,7 @@ def _adaptive_finite(f, a, b, abs_budget: float, breaks: Sequence[float] = ()):
     The first panels end at the ``breaks`` inside (a, b), as in QUADPACK's
     QAGP; all panels then share one error budget.
     """
-    if b <= a:
+    if b <= a:  # two ladder cuts a float apart can share one log
         return 0.0, 0.0
     ends = [a, *(x for x in breaks if a < x < b), b]
     panels = []

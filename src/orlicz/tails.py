@@ -53,9 +53,10 @@ class StepTail:
             raise ValueError("thresholds must be strictly increasing")
         if any(t <= 0.0 or not math.isfinite(t) for t in self.thresholds):
             raise ValueError("thresholds must be positive and finite")
-        if any(b >= a for a, b in zip(self.levels, self.levels[1:])):
+        # negated comparisons, so that a NaN level fails them
+        if any(not b < a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly decreasing")
-        if self.levels and self.levels[-1] <= 0.0:
+        if self.levels and not self.levels[-1] > 0.0:
             raise ValueError("levels must be positive")
         if self.levels and math.isinf(1.0 / self.levels[-1]):
             raise BadParameter(f"tail level {self.levels[-1]!r} is too small: 1/level overflows")

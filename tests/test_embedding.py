@@ -1,18 +1,20 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import weakref
 
 import pytest
 
+import orlicz.embedding as embedding_module
 from orlicz.embedding import (
     COINCIDENT,
     INCONCLUSIVE,
     NON_COINCIDENT,
     Q_TOL,
-    _NODES,
     _k0_search,
-    _node_scope,
+    _with_node_memo,
     coincidence_criterion,
     embedding_constant,
     embedding_modular,
@@ -455,9 +457,17 @@ FROZEN_REPORTS = [
 ]
 
 
+def _memo_of(M):
+    """The node memo that the log form of a copy made by ``_with_node_memo`` keeps."""
+    (memo,) = [cell.cell_contents for cell in M.log_criterion.__closure__
+               if isinstance(cell.cell_contents, dict)]
+    return memo
+
+
 class TestNodeMemo:
-    # a report, a constant and a criterion each share one memo of delta's
-    # scaling-free terms among their integrals; every Q stays the same float
+    # a report, a constant and a criterion each work on a copy of N that
+    # keeps one memo of delta's scaling-free terms for their integrals;
+    # every Q stays the same float
     @pytest.mark.parametrize("case, verdict, k0, q_at_k0, q_trace", FROZEN_REPORTS)
     def test_reports_match_the_frozen_table(self, case, verdict, k0, q_at_k0, q_trace):
         fam, par, mass = case
@@ -466,13 +476,23 @@ class TestNodeMemo:
                 rep.q_trace) == (verdict, k0, q_at_k0, q_trace)
 
     @pytest.mark.parametrize("mass", [0.5, 1.0])
-    def test_successive_reports_agree_and_leave_no_memo(self, mass):
+    def test_successive_reports_agree_and_leave_no_memo(self, mass, monkeypatch):
+        # every copy with a memo that a call makes is dropped when it returns
+        copies = []
+
+        def spy(N):
+            M = _with_node_memo(N)
+            copies.append(weakref.ref(M.log_criterion))
+            return M
+
+        monkeypatch.setattr(embedding_module, "_with_node_memo", spy)
         N = delta_young(2.3)
         first = embedding_report(N, mass)
         assert embedding_report(N, mass) == first
         assert embedding_constant(N, mass) == first.embedding_constant
         assert coincidence_criterion(N, mass) == coincidence_criterion(delta_young(2.3), mass)
-        assert _NODES.get() is None
+        gc.collect()
+        assert len(copies) == 8 and all(ref() is None for ref in copies)
         # N keeps no memo: its log form closes over no dict
         for cell in N.log_criterion.__closure__:
             assert not isinstance(cell.cell_contents, dict)
@@ -486,23 +506,41 @@ class TestNodeMemo:
             fresh = embedding_modular(N, k, mass)
             assert (fresh.tag, fresh.value) == (tag, value)
 
-    def test_memo_is_shared_within_a_scope_and_dropped_after(self):
+    def test_memo_is_shared_within_a_scope_and_dropped_after(self, monkeypatch):
+        # a report's criterion and k0 search fill the one memo of the
+        # report's copy of N; the criterion's copy of that copy fills none
+        memos = []
+
+        def spy(N):
+            M = _with_node_memo(N)
+            memos.append(_memo_of(M))
+            return M
+
+        monkeypatch.setattr(embedding_module, "_with_node_memo", spy)
         N = delta_young(2.3)
-        with _node_scope(N):
-            coincidence_criterion(N, 1.0)
-            nodes = _NODES.get()[1]
-            seen = len(nodes)
-            assert seen > 0
-            # a nested call for the same N reuses the outer memo
-            embedding_report(N, 1.0)
-            assert _NODES.get()[1] is nodes
-            assert len(nodes) > seen
-            # another Young function gets a memo of its own
-            seen = len(nodes)
-            embedding_report(delta_young(2.5), 1.0)
-            assert _NODES.get()[1] is nodes
-            assert len(nodes) == seen
-        assert _NODES.get() is None
+        coincidence_criterion(N, 1.0)
+        seen = len(memos[0])
+        assert seen > 0
+        rep = embedding_report(N, 1.0)
+        assert len(rep.q_trace) >= 5
+        report_memo, criterion_memo = memos[1:]
+        assert criterion_memo == {} and len(report_memo) > seen
+        # another Young function gets a memo of its own
+        seen = len(report_memo)
+        embedding_report(delta_young(2.5), 1.0)
+        assert len(memos) == 5 and len({id(m) for m in memos}) == 5
+        assert len(report_memo) == seen and memos[3]
+
+    def test_only_a_log_form_gets_a_copy(self):
+        N = custom_young(lambda u: u * u, math.sqrt, label="sq")
+        assert _with_node_memo(N) is N
+        D = delta_young(2.3)
+        M = _with_node_memo(D)
+        assert M is not D and (M.family, M.param, M.describe()) == ("delta", 2.3, "delta(2.3)")
+        # a memo passed to the copy's log form is ignored
+        elsewhere = {}
+        M.log_criterion(0.5, elsewhere)(3.0)
+        assert elsewhere == {} and list(_memo_of(M)) == [3.0]
 
     def test_log_form_is_the_same_with_and_without_a_memo(self):
         N = delta_young(2.3)

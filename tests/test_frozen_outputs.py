@@ -1,12 +1,17 @@
-"""Outputs frozen byte for byte: the report JSON, `orlicz norm` records and verify CSV cells.
+"""Outputs frozen byte for byte: the report JSON, `orlicz norm` records and verify's CSV.
 
 The other tests decode these outputs and compare values; these compare
 the text itself, so a change in how a record is assembled (key order
 aside, which ``sort_keys`` fixes) or how +inf and None are written shows
 here.  The texts were taken from the library as of the commit that added
-this file.
+this file.  The whole CSV of ``orlicz verify --suite all`` is held by its
+SHA-256 digest, taken at a4a085c; it holds for one platform's libm.  A
+change that means to move a verify cell regenerates it with
+
+    PYTHONPATH=src python3 -m orlicz verify --suite all --format csv | sha256sum
 """
 
+import hashlib
 import json
 import math
 
@@ -107,3 +112,14 @@ def test_verify_csv_cells_of_a_tolerance_and_a_property_check(capsys):
     assert rows["EF-06"] == ('EF-06,"series vs quadrature on [0, 0.9], 50 points",<= 1e-8,'
                              '1.6042722705833512e-12,1e-08,pass')
     assert rows["EF-07"] == 'EF-07,"gauge strictly increasing on (0,1)",True,True,-,pass'
+
+
+VERIFY_ALL_CSV_SHA256 = "021fc5300922dfaa147f59dd24af5f401ea32cb7f4c1572591c1022e0b339004"
+
+
+def test_verify_all_csv_digest(capsys):
+    assert main(["verify", "--suite", "all", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    rows = out.splitlines()[1:]
+    assert len(rows) == 32 and all(row.endswith(",pass") for row in rows)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_CSV_SHA256

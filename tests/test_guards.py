@@ -6,11 +6,12 @@ would let the call go on, and return or raise something else.
 
 import math
 import re
+import struct
 
 import pytest
 
-from orlicz.embedding import (INCONCLUSIVE, embedding_constant, embedding_modular,
-                              embedding_report)
+from orlicz.embedding import (INCONCLUSIVE, _k0_search, coincidence_criterion,
+                              embedding_constant, embedding_modular, embedding_report)
 from orlicz.errors import BudgetExceeded, DivergentModular, NonConvergence
 from orlicz.norms import coupling_check
 from orlicz.numerics import MAX_DEPTH, integrate
@@ -30,6 +31,19 @@ class TestIntegrationBounds:
         # panels around it halve down to the depth cap
         with pytest.raises(BudgetExceeded, match=f"max subdivision depth {MAX_DEPTH} reached"):
             integrate(lambda t: 1.0 / math.sqrt(abs(t - 0.3) + 1e-300), 0.0, 1.0)
+
+    def test_interval_no_longer_splittable(self):
+        # 1e10 or 2e10 by the lowest bit of t's bit pattern, on an interval
+        # 4 ulps wide: the panels' error stays above the budget until a
+        # panel spans two adjacent floats and its midpoint rounds to an end
+        def f(t):
+            return 1e10 * (1 + (struct.unpack("<q", struct.pack("<d", t))[0] & 1))
+
+        b = 0.5
+        for _ in range(4):
+            b = math.nextafter(b, 1.0)
+        with pytest.raises(BudgetExceeded, match=r"interval \[.*\] no longer splittable"):
+            integrate(f, 0.5, b)
 
 
 SQUARE = custom_young(lambda t: t * t, math.sqrt, label="square")
@@ -65,6 +79,14 @@ class TestEmbeddingConstant:
         N = delta_young(2.0)
         assert embedding_constant(N, 0.25) == embedding_report(N, 0.25).embedding_constant
 
+    def test_k0_search_with_q_above_1_up_to_the_cap(self):
+        # power is not coincident: its Q stays divergent for every k, so
+        # the crossing solver reaches its cap
+        N = power_young(2.0)
+        with pytest.raises(DivergentModular,
+                           match="^embedding modular stayed above 1 up to the cap$"):
+            _k0_search(N, 1.0, coincidence_criterion(N, 1.0).trail, [])
+
 
 class TestStepTailChecks:
     @pytest.mark.parametrize("thresholds, levels, message", [
@@ -74,6 +96,10 @@ class TestStepTailChecks:
         ((1.0, math.inf), (0.5, 0.2), "thresholds must be positive and finite"),
         ((1.0, 2.0), (0.2, 0.5), "levels must be strictly decreasing"),
         ((1.0, 2.0), (0.5, 0.0), "levels must be positive"),
+        # a NaN level: every comparison with NaN is False, so each check must fail on it
+        ((1.0, 2.0), (math.nan, 0.2), "levels must be strictly decreasing"),
+        ((1.0,), (math.nan,), "levels must be positive"),
+        ((1.0, 2.0), (1.0, math.nan), "levels must be strictly decreasing"),
     ])
     def test_post_init(self, thresholds, levels, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -418,6 +418,21 @@ class TestAdaptiveFinite:
             exits += len(got_x) == 15 * (1 + sum(a < x < b for x in breaks))
         assert 0 < exits < 60
 
+    def test_empty_log_segment_takes_no_sample(self, monkeypatch):
+        # the last ladder cut of integrate(f, 0, b), b one float above 1e5,
+        # has the log of the decade before it: that segment is empty
+        segments = []
+
+        def spy(g, a, b, *rest):
+            segments.append((a, b))
+            return _adaptive_finite(g, a, b, *rest)
+
+        monkeypatch.setattr(orlicz.numerics, "_adaptive_finite", spy)
+        b = math.nextafter(1e5, math.inf)
+        assert integrate(lambda t: 1.0 if t <= 1e5 else 0.0, 0.0, b).is_finite
+        assert segments[-1] == (math.log(1e5), math.log(b))
+        assert _adaptive_finite(lambda x: 1 / 0, math.log(b), math.log(b), ABS_TOL) == (0.0, 0.0)
+
 
 # the messages a bad sample raises, on the t-axis (the first sample of
 # integrate(f, 0, 1) is at the centre 0.5), on the log axis (f is fine at the
