@@ -29,7 +29,7 @@ from .embedding import _json_number, embedding_report
 from .errors import OrliczError
 from .expfamily import critical_alpha, gauge_quadrature, gauge_series
 from .norms import lebesgue_norm, luxemburg_norm, weak_norm
-from .verify import DEFAULT_SEED, run_suite
+from .verify import DEFAULT_SEED, SUITES, run_suite
 from .young import YoungFunction, make_young
 
 __all__ = ["main", "build_parser"]
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn_impl=_cmd_beta0)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
-    p.add_argument("--suite", default="all", choices=("all", "expfamily", "norms", "embedding"))
+    p.add_argument("--suite", default="all", choices=("all", *SUITES))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn_impl=_cmd_verify)

@@ -27,7 +27,9 @@ from .young import YoungFunction
 
 __all__ = ["FunctionDescriptor", "parse_descriptor", "parse_descriptor_json"]
 
-_KINDS = ("step", "indicator", "analytic-tail", "extremal")
+# each kind's fields besides "kind" and "mass"
+_FIELDS = {"step": ("pieces",), "indicator": ("a",), "analytic-tail": ("family", "p"),
+           "extremal": ()}
 
 
 def _parse_mass(raw, where: str) -> float:
@@ -104,16 +106,9 @@ def parse_descriptor(obj: object) -> FunctionDescriptor:
     if not isinstance(obj, dict):
         raise DescriptorError("descriptor must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _KINDS:
-        raise DescriptorError(f"kind must be one of {_KINDS}, got {kind!r}")
-    allowed = {"kind", "mass"}
-    if kind == "step":
-        allowed |= {"pieces"}
-    elif kind == "indicator":
-        allowed |= {"a"}
-    elif kind == "analytic-tail":
-        allowed |= {"family", "p"}
-    unknown = set(obj) - allowed
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise DescriptorError(f"kind must be one of {tuple(_FIELDS)}, got {kind!r}")
+    unknown = set(obj) - {"kind", "mass", *_FIELDS[kind]}
     if unknown:
         raise DescriptorError(f"{kind}: unknown fields {sorted(unknown)}")
     if "mass" not in obj:

@@ -28,6 +28,7 @@ from typing import List, Tuple
 
 from .errors import BadAlpha, BadParameter, NonConvergence
 from .numerics import find_root, integrate
+from .young import _family
 
 __all__ = [
     "gauge_series",
@@ -166,16 +167,14 @@ def exp_embedding_constant(m: float, total_mass: float = 1.0) -> float:
 
     Strictly decreasing in m with limit 1 as m grows.
     """
-    if not (m > 0.0 and math.isfinite(m)):
-        raise BadParameter("exp family requires m > 0")
+    _family("exp_m", m)
     return critical_alpha_at_mass(total_mass) ** (-1.0 / m)
 
 
 def exp_embedding_modular(m: float, k: float, total_mass: float = 1.0) -> float:
     """Closed form of the embedding modular Q(k) of exp_m(m) at total mass M;
     gauge(k^(-m)) - 1 at M = 1."""
-    if not (m > 0.0 and math.isfinite(m)):
-        raise BadParameter("exp family requires m > 0")
+    _family("exp_m", m)
     if not (k > 1.0):
         raise BadParameter("closed form requires k > 1")
     if not (0.0 < total_mass < math.inf):

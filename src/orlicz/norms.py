@@ -179,7 +179,7 @@ def _analytic_modular(N: YoungFunction, f: TailRepFunction, k: float, t_p: float
     return r if r.is_divergent else FiniteOrDivergent.finite(plateau + r.value)
 
 
-_POWER_WALK = 8  # floats the closed-form power norm may step up past rounding
+_POWER_WALK = 8  # floats the closed-form power norm may step up past rounding, per reading
 # below this a modular's error is bounded by the kernel's absolute stop ABS_TOL,
 # not by its relative one REL_TOL, so it is no start for the closed form
 _POWER_START_FLOOR = ABS_TOL / REL_TOL
@@ -206,14 +206,18 @@ def _power_start(tail: StepTail | AnalyticTail, t_p: Optional[float],
     k.  ``read(k)`` is the caller's modular, ``weak()`` its weak norm and
     t_p the analytic tail's plateau end (``_support_ends``).  On a step
     tail s is its largest value top (``"largest value"``): the modular
-    there is the exact sum sum_i (v_i/top)^p m_i, whose terms do not
-    overflow, and which is exact at any scale.  An analytic tail has one
-    rule: s is the plateau end t_p (``"plateau end"``) where 1 < t_p <
-    max_float, and 1 (``"unit"``) otherwise.  At t_p the plateau term is
-    the mass M, so the modular is about M or more, well scaled where the
-    plateau term M t_p^p of the modular at 1 would dwarf the rest or
-    overflow.  A plateau that reaches the largest float is not read at its
-    end: its modular overflows at every k.
+    there is the sum sum_i (v_i/top)^p m_i, whose terms do not overflow,
+    and which is exact at any scale.  Its p-th root is not: s
+    modular(s)^(1/p) carries a relative error of about |ln modular(s)|
+    eps / p from rounding 1/p, and no start rule bounds a large modular
+    (a piece of mass 1e20 has one of 1e20), so ``luxemburg_norm`` takes
+    the closed form once more where its float walk ends.  An analytic
+    tail has one rule: s is the plateau end t_p (``"plateau end"``) where
+    1 < t_p < max_float, and 1 (``"unit"``) otherwise.  At t_p the
+    plateau term is the mass M, so the modular is about M or more, well
+    scaled where the plateau term M t_p^p of the modular at 1 would dwarf
+    the rest or overflow.  A plateau that reaches the largest float is not
+    read at its end: its modular overflows at every k.
 
     That one modular is kept where it is divergent with ladder points, or
     finite and at least ABS_TOL / REL_TOL = 1e-4.  Below that floor the
@@ -259,7 +263,12 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     NonEvaluable.  The norm is +inf if k exceeds 2^64 (NORM_CAP) and 0
     if k is below 2^-64.  Rounding may leave modular(k) just above 1; k
     then steps up one float at a time until modular(k) <= 1, for at most
-    ``_POWER_WALK`` floats, past which NonConvergence is raised.
+    ``_POWER_WALK`` floats.  Where the modular at s is far from 1, k is
+    off by about |ln modular(s)| eps / p, more than that walk covers
+    (indicator(1e-20) on unit mass under power(2.2)), so from the walk's
+    last k, where the modular is within about 1e-14 of 1, the closed form
+    k modular(k)^(1/p) is taken once more and the walk runs again; past
+    that, NonConvergence is raised.
 
     Off power, the weak norm w is a lower bound: modular(f, k) >= T(t)
     N(t/k) for every t (Chebyshev), and that exceeds 1 for some t at
@@ -361,10 +370,12 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
             return result(math.inf, None, note=_ABOVE)
         if k < 1.0 / NORM_CAP:
             return result(0.0, None, note=_BELOW)
-        for _ in range(_POWER_WALK):
-            if mod(k) <= 1.0:
-                return result(k, memo[k].value)
-            k = math.nextafter(k, math.inf)
+        for i in range(2 * _POWER_WALK):
+            m = mod(k)
+            if m <= 1.0:
+                return result(k, m)
+            # past the walk, the closed form once more, from a modular within about 1e-14 of 1
+            k = k * m ** (1.0 / N.param) if i == _POWER_WALK - 1 else math.nextafter(k, math.inf)
         raise NonConvergence(f"modular still above 1 {_POWER_WALK} floats past the "
                              f"closed-form power norm, at k={k:g}")
     lo, hi = _unit_crossing(mod, start[0])

@@ -133,8 +133,6 @@ def _power_family(p: float) -> YoungFunction:
         return w ** (1.0 / p)
 
     def der(u):
-        if u == 0.0:
-            return 0.0
         return p * u ** (p - 1.0)
 
     def log_criterion(c, nodes=None):
@@ -142,7 +140,7 @@ def _power_family(p: float) -> YoungFunction:
         const = p * math.log(c) + math.log(p)
         return lambda u: const - math.log(u)
 
-    return YoungFunction("power", p, ev, inv, der, f"power({p:g})", log_criterion)
+    return YoungFunction("power", p, ev, inv, der, log_criterion=log_criterion)
 
 
 def _exp_family(m: float) -> YoungFunction:
@@ -190,7 +188,7 @@ def _exp_family(m: float) -> YoungFunction:
 
         return g
 
-    return YoungFunction("exp_m", m, ev, inv, der, f"exp_m({m:g})", log_criterion)
+    return YoungFunction("exp_m", m, ev, inv, der, log_criterion=log_criterion)
 
 
 def _delta_family(d: float) -> YoungFunction:
@@ -204,8 +202,6 @@ def _delta_family(d: float) -> YoungFunction:
         return math.expm1(math.log1p(w) ** (1.0 / d))
 
     def der(u):
-        if u == 0.0:
-            return 0.0
         L = math.log1p(u)
         x = L ** d
         if x > _EXP_CAP:
@@ -251,7 +247,7 @@ def _delta_family(d: float) -> YoungFunction:
 
         return g
 
-    return YoungFunction("delta", d, ev, inv, der, f"delta({d:g})", log_criterion)
+    return YoungFunction("delta", d, ev, inv, der, log_criterion=log_criterion)
 
 
 def _roundtrip_check(N: YoungFunction) -> None:
@@ -265,22 +261,25 @@ def _roundtrip_check(N: YoungFunction) -> None:
             )
 
 
+# each builtin family: its builder, the bound its parameter must exceed and the rule
+_FAMILIES = {"power": (_power_family, 1.0, "power family requires p > 1"),
+             "exp_m": (_exp_family, 0.0, "exp_m family requires m > 0"),
+             "delta": (_delta_family, 1.0, "delta family requires Delta > 1")}
+
+
+def _family(family: str, param: float) -> Callable[[float], YoungFunction]:
+    """The builder of a builtin family; BadParameter for another name or a param out of range."""
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise BadParameter(f"unknown family {family!r}")
+    build, bound, rule = _FAMILIES[family]
+    if not (param > bound and math.isfinite(param)):
+        raise BadParameter(rule)
+    return build
+
+
 def make_young(family: str, param: float) -> YoungFunction:
     """Build a builtin family member; raises BadParameter out of range."""
-    if family == "power":
-        if not (param > 1.0 and math.isfinite(param)):
-            raise BadParameter("power family requires p > 1")
-        N = _power_family(float(param))
-    elif family == "exp_m":
-        if not (param > 0.0 and math.isfinite(param)):
-            raise BadParameter("exp_m family requires m > 0")
-        N = _exp_family(float(param))
-    elif family == "delta":
-        if not (param > 1.0 and math.isfinite(param)):
-            raise BadParameter("delta family requires Delta > 1")
-        N = _delta_family(float(param))
-    else:
-        raise BadParameter(f"unknown family {family!r}")
+    N = _family(family, param)(float(param))
     _roundtrip_check(N)
     return N
 

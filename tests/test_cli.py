@@ -143,6 +143,16 @@ class TestNormCommand:
         assert json.loads(out)["results"]["lp(2)"]["value"] == pytest.approx(
             1e200 * math.sqrt(0.5), rel=1e-14)
 
+    def test_strong_norm_of_a_tiny_indicator(self, capsys):
+        # the modular at the start is 1e-20: the closed form is read twice
+        rc, out, _ = run(
+            capsys, "norm", "--young", "power:2.2",
+            "--fn", '{"kind":"indicator","a":1e-20,"mass":1}', "--kind", "strong",
+        )
+        assert rc == 0
+        assert json.loads(out)["results"]["strong"]["value"] == pytest.approx(
+            8.111308307896884e-10, rel=1e-13, abs=0.0)
+
     def test_descriptor_from_file(self, capsys, tmp_path):
         path = tmp_path / "fn.json"
         path.write_text('{"kind":"indicator","a":0.5,"mass":1}')

@@ -10,13 +10,15 @@ import struct
 
 import pytest
 
+from orlicz.descriptors import parse_descriptor
 from orlicz.embedding import (INCONCLUSIVE, _k0_search, coincidence_criterion,
                               embedding_constant, embedding_modular, embedding_report)
-from orlicz.errors import BudgetExceeded, DivergentModular, NonConvergence
+from orlicz.errors import (BadParameter, BudgetExceeded, DescriptorError, DivergentModular,
+                           NonConvergence)
 from orlicz.norms import coupling_check
 from orlicz.numerics import MAX_DEPTH, integrate
 from orlicz.tails import AnalyticTail, StepTail, TailRepFunction, dilate
-from orlicz.young import custom_young, delta_young, exp_young, power_young
+from orlicz.young import custom_young, delta_young, exp_young, make_young, power_young
 
 
 class TestIntegrationBounds:
@@ -56,6 +58,27 @@ class TestEmbeddingModularScale:
     def test_scale_outside_the_positive_reals(self, N, k):
         with pytest.raises(ValueError, match="scale k must be positive and finite"):
             embedding_modular(N, k, 1.0)
+
+
+def test_criterion_integrand_overflow_without_a_log_form():
+    # N = u^2 with the derivative 1e308 has no log form: on infinite mass
+    # the direct integrand (N(t/2) / N(t)) (N'(t) / N(t)) = (1/4) (1e308 / t^2)
+    # overflows for t below about 0.75, and the integral is divergent
+    N = custom_young(lambda u: u * u, math.sqrt, lambda u: 1e308)
+    r = embedding_modular(N, 2.0, math.inf)
+    assert r.is_divergent
+    assert r.evidence.note == "integrand overflow near t=0.316228 at scaling 0.5"
+
+
+class TestNonStringNames:
+    # a list is no family or kind name, and is not hashable either
+    def test_family(self):
+        with pytest.raises(BadParameter, match=re.escape("unknown family ['power']")):
+            make_young(["power"], 2.0)
+
+    def test_descriptor_kind(self):
+        with pytest.raises(DescriptorError, match=re.escape("got ['step']")):
+            parse_descriptor({"kind": ["step"], "mass": 1})
 
 
 class TestEmbeddingConstant:

@@ -21,7 +21,7 @@ from orlicz.errors import BudgetExceeded, Inconclusive
 from orlicz.expfamily import exp_embedding_modular
 from orlicz.norms import lebesgue_norm, luxemburg_norm, modular, weak_norm
 from orlicz.numerics import integrate
-from orlicz.tails import AnalyticTail, TailRepFunction
+from orlicz.tails import AnalyticTail, TailRepFunction, step_tail
 from orlicz.young import delta_young, exp_young, power_young
 
 
@@ -185,6 +185,18 @@ def test_power_tail_strong_norm_with_q_close_to_p():
     f = TailRepFunction(AnalyticTail(lambda t: min(1.0, t ** -q)), 1.0)
     exact = (q / (q - p)) ** (1.0 / p)
     assert luxemburg_norm(power_young(p), f).value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND: `luxemburg_norm(power_young(3.9999999999999996), "
+                                       "step_tail([(1.0, 0.00390625)], 1.0))` takes 5 modulars")
+def test_power_norm_of_a_quarter_takes_at_most_four_modulars():
+    # the bound of test_power_norm_is_the_lebesgue_norm: the closed form
+    # 0.00390625^(1/p) lands 3 floats below the norm 0.25, so the norm reads
+    # the modular at the start 1, at those 3 floats and at 0.25
+    f = step_tail([(1.0, 0.00390625)], 1.0)
+    r = luxemburg_norm(power_young(3.9999999999999996), f)
+    assert r.value == 0.25
+    assert r.trace["modular_evaluations"] <= 4
 
 
 @pytest.mark.xfail(strict=True, reason="FOUND: `coincidence_criterion(delta_young(1.1), 1)"

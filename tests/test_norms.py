@@ -218,6 +218,41 @@ class TestLuxemburgNorm:
         assert r.trace["modular_evaluations"] <= 4
         assert r.modular_at_value == modular(power_young(p), f, r.value).value <= 1.0
 
+    @pytest.mark.parametrize("p, f, exact", [
+        (2.2, step_tail([(1.0, 1e-20)], 1.0), 8.111308307896884e-10),
+        (3.7, step_tail([(1.0, 1e20)], 1e20), 254334.57613046476),
+        (3.7, TailRepFunction(AnalyticTail(lambda t: 1e20 if t <= 1.0 else 0.0), 1e20),
+         254334.57613046476),
+    ], ids=["indicator-1e-20", "step-mass-1e20", "analytic-mass-1e20"])
+    def test_power_norm_far_from_a_unit_modular(self, p, f, exact):
+        # the modular at the start is 1e-20 or 1e20, so s modular(s)^(1/p) is
+        # off by about |ln modular(s)| eps / p, more than 8 floats; the closed
+        # form read again where the walk ends settles it.  exact = a^(1/p) for
+        # an indicator of mass a, from mpmath at 40 digits
+        r = luxemburg_norm(power_young(p), f)
+        assert r.value == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert r.modular_at_value <= 1.0
+
+    def test_power_norm_of_one_piece_always_settles(self):
+        # 4,000 draws of one piece of value 10^U(-3, 3) on its own mass
+        # 10^U(-40, 40) under power(p), p = U(1.2, 4) to 3 digits: the float
+        # walk alone raised NonConvergence on 435 of them.  A norm past the
+        # cap 2^64 reads +inf, and one below 2^-64 reads 0
+        rng = random.Random(5)
+        most = 0
+        for _ in range(4000):
+            p = round(rng.uniform(1.2, 4.0), 3)
+            mass = 10.0 ** rng.uniform(-40.0, 40.0)
+            value = 10.0 ** rng.uniform(-3.0, 3.0)
+            r = luxemburg_norm(power_young(p), step_tail([(value, mass)], mass))
+            exact = value * mass ** (1.0 / p)
+            if 2.0 ** -64 <= exact <= 2.0 ** 64:
+                assert r.value == pytest.approx(exact, rel=1e-13, abs=0.0)
+            else:
+                assert r.value == (math.inf if exact > 1.0 else 0.0)
+            most = max(most, r.trace["modular_evaluations"])
+        assert most <= 12
+
     def test_power_zero_modular_end(self):
         # an analytic tail that is 0 everywhere: w = 0, and the modular at
         # k = 1 is 0, so the norm is 0 after that one modular

@@ -185,6 +185,14 @@ EXAMPLES = {
         power_young(2.0),
         AnalyticTail(lambda t: min(1.0, t ** -3.0) if t <= 10.0 else 1e-320),
         math.inf),
+    # N(u) = u, so g(t) = t T(t): 3 up to rounding at and below the first
+    # grid's first node t = 1e-15, and 1.5 past it.  The grid grows below
+    # 1e-15, where interior samples tie with the largest one, and a tie in a
+    # stretch added below moves the centre down
+    "tie-below-grid": (
+        custom_young(lambda u: u, lambda w: w, lambda u: 1.0),
+        AnalyticTail(lambda t: 3.0 / t if t <= 1e-15 else 1.5 / t),
+        math.inf),
 }
 
 
@@ -289,6 +297,7 @@ FROZEN = {
     "dip-and-rise": (10.0, 74, 1000.0, 1.0, 1122.018454301963),
     "interior-inf": (1.0, 74, 1.0, 1.0, 1122.018454301963),
     "interior-inf-infinite-mass": (1.0, 375, 1.0, None, None),
+    "tie-below-grid": (3.0000000000000004, 181, 1e-15, None, None),
     "power/extremal/strong": (1.0, 384, 1.0, 1.0, None),
     "power/extremal/weak": (1.000000000000002, 384, 354813389233576.06, 1.0, None),
     "power/power-tail/strong": (1.0, 85, 1.0, 1.0, None),
