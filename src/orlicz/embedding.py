@@ -309,9 +309,19 @@ def extremal_function(N: YoungFunction, total_mass: float) -> TailRepFunction:
     """The function whose tail is exactly the Chebyshev reference tail.
 
     It has unit weak norm, and when the spaces coincide its strong norm
-    equals the embedding constant (the bound is attained).
+    equals the embedding constant (the bound is attained).  Its tail
+    carries (N, total_mass) as ``_extremal``, so that the norms use what
+    they are given: under this very N (an identity test) ``weak_norm``
+    returns exactly 1 with no grid and ``luxemburg_norm`` off power
+    starts its crossing at 1 with no weak norm run, and under any N the
+    plateau end is bisected next to t0 = N^{-1}(1/total_mass).  The tag
+    goes on here, after ``chebyshev_tail`` returns, so that a wrapper
+    that rebuilds that tail from its ``fn`` and ``label``, as
+    ``bench/tracing.py`` does, leaves it in place; ``dilate`` and
+    ``TailRepFunction(chebyshev_tail(N, 1), 4)`` carry none.
     """
-    return TailRepFunction(chebyshev_tail(N, total_mass), total_mass)
+    tail = replace(chebyshev_tail(N, total_mass), _extremal=(N, total_mass))
+    return TailRepFunction(tail, total_mass)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,19 @@ _POWER_START_FLOOR = ABS_TOL / REL_TOL
 _ABOVE = f"modular above 1 up to cap {NORM_CAP:g}"  # the notes of the caps
 _BELOW = "modular below 1 down to cap"
 _WEAK_ABOVE = f"weak norm (a lower bound) above cap {NORM_CAP:g}"
+_UNIT_WEAK = "extremal function of this N on its own mass: weak norm exactly 1"
+
+
+def _unit_weak(N: YoungFunction, f: TailRepFunction) -> bool:
+    """Whether f is the extremal function of this very N on its own mass.
+
+    That is, whether its tail's ``_extremal`` tag is (N, M) with N the
+    same object and M the mass of f.  Its weak norm is then exactly 1:
+    g(t) = t / N^{-1}(1/min(T(t), M)) is t/t0 below t0 = N^{-1}(1/M),
+    where T is M, and t / N^{-1}(N(t)) = 1 past it.
+    """
+    tag = f.tail._extremal if isinstance(f.tail, AnalyticTail) else None
+    return tag is not None and tag[0] is N and tag[1] == f.total_mass
 
 
 def _weak_start(w: float) -> Optional[float]:
@@ -272,8 +285,11 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
 
     Off power, the weak norm w is a lower bound: modular(f, k) >= T(t)
     N(t/k) for every t (Chebyshev), and that exceeds 1 for some t at
-    every k < w.  So ``weak_norm`` runs first.  If w exceeds 2^64, as it
-    does whenever it is +inf, the norm is +inf with no modular
+    every k < w.  So ``weak_norm`` runs first, except on the extremal
+    function of this very N on its own mass (``_unit_weak``): there w is
+    exactly 1 and no weak norm runs, so the crossing starts at 1 (and so
+    does the power start's fallback to the weak norm).  If w exceeds
+    2^64, as it does whenever it is +inf, the norm is +inf with no modular
     evaluated.  Otherwise the modular, non-increasing in k, goes to the
     shared crossing solver from s = w, raised to 2^-64 where w is below
     it (from 1 if w is 0; ``_weak_start``), a divergent modular counting
@@ -290,7 +306,9 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     t_z (``_support_ends``) are found once, after the cap test on w where
     one runs first; a plateau that ends at exactly 1, as that of every
     power tail min(1, t^-q) on unit mass does, costs 4 tail reads there,
-    and any other at most 64 plus the zero start's.  Every modular takes
+    that of an extremal function 8 on masses from 1/e to e (bisected
+    next to t0 = N^{-1}(1/M)), and any other at most 64 plus the zero
+    start's.  Every modular takes
     the plateau (0, t_p] in closed form and integrates only over the
     support (t_p, t_z], and the modulars read the tail through one dict
     from t to T(t) that lives for this call, so a node an earlier modular
@@ -299,7 +317,8 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     Either way a cap that decides the norm is recorded in the trace as
     ``note``.  Each modular read is kept, with its evidence, by k, so no
     k is read twice.  The trace records ``modular_evaluations``, w as
-    ``weak_lower_bound`` (None where no weak norm ran), the start s and
+    ``weak_lower_bound`` (None where no weak norm ran, 1 where
+    ``_unit_weak`` gives it), the start s and
     its kind as ``start`` (None where no modular was read; under power,
     one of ``_power_start``'s kinds, and the start read where no start is
     left), t_p as ``plateau_end`` and t_z as ``zero_start`` (None on a
@@ -349,7 +368,7 @@ def luxemburg_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
 
     def weak() -> float:
         nonlocal w
-        w = weak_norm(N, f).value
+        w = 1.0 if _unit_weak(N, f) else weak_norm(N, f).value
         return w
 
     power = N.family == "power"
@@ -667,6 +686,7 @@ _PLATEAU_FLOOR = 1e-12  # the plateau and zero searches start where the down lad
 _ZERO_CEIL = LADDER[-1]  # 1e12, the ladder's top cutoff: a tail positive there has no zero start
 _FAINT = 1e-300  # a tail that falls to 0 from below this leaves the float range there
 _ABOVE_ONE = math.nextafter(1.0, math.inf)  # T is below the mass here if the plateau ends at 1
+_T0_ULPS = 16  # floats either side of t0, plus one per unit of |ln M|: see _near_t0
 
 
 def _float_bits(x: float) -> int:
@@ -675,6 +695,53 @@ def _float_bits(x: float) -> int:
 
 def _bits_float(b: int) -> float:
     return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def _near_t0(tail: AnalyticTail, mass: float) -> Optional[Tuple[int, int]]:
+    """The bit patterns w floats below and above t0 = N^{-1}(1/M), or None.
+
+    Only the tail of ``extremal_function(N, M)``, read on its own mass M,
+    has them: its plateau ends at t0 up to rounding.  w is 16 plus one per
+    unit of |ln M|, since both the computed t0 and the float where the
+    computed T = 1/N(t) crosses M carry a relative error that grows with
+    |ln M| (power's inverse x^(1/p) scales the rounding of 1/p by ln x).
+    Over 714 seeded extremal tails of the three families on masses 1e-150
+    to 1e150, t_p lay inside the bracket every time, at most 136 floats
+    from t0 (delta on mass 1e-100).  None also where t0 is 1, which the
+    unit hint of ``_plateau_end`` settles in fewer reads, or where the
+    bracket leaves (1e-12, max_float].
+    """
+    tag = tail._extremal
+    if tag is None or tag[1] != mass or mass == math.inf:
+        return None
+    t0 = tag[0].inverse(1.0 / mass)
+    b, w = _float_bits(t0), _T0_ULPS + int(abs(math.log(mass)))
+    if t0 == 1.0 or not _float_bits(_PLATEAU_FLOOR) < b - w < b + w <= _float_bits(_FLOAT_MAX):
+        return None
+    return b - w, b + w
+
+
+def _plateau_end(tail: AnalyticTail, mass: float, ceil: float) -> float:
+    """The plateau end t_p of ``_support_ends``, given ``ceil`` = T(1e12)."""
+    value = tail.value
+    near = _near_t0(tail, mass)
+    # T is at the mass at lo's pattern and below it at hi's, +inf's
+    # standing in for a tail that stays at the mass to max_float
+    if near is not None and value(_bits_float(near[0])) >= mass > value(_bits_float(near[1])):
+        lo, hi = near
+    elif mass == math.inf or value(_PLATEAU_FLOOR) < mass:
+        return 0.0
+    elif ceil >= mass:
+        lo, hi = _float_bits(_ZERO_CEIL), _float_bits(math.inf)
+    elif value(_ABOVE_ONE) >= mass:
+        lo, hi = _float_bits(_ABOVE_ONE), _float_bits(_ZERO_CEIL)
+    elif value(1.0) >= mass:
+        lo = hi = _float_bits(1.0)
+    else:
+        lo, hi = _float_bits(_PLATEAU_FLOOR), _float_bits(1.0)
+    # t_p is the pattern before the first one past lo where T is below the mass
+    return _bits_float(lo + bisect_left(range(lo + 1, hi), True,
+                                        key=lambda b: value(_bits_float(b)) < mass))
 
 
 def _support_ends(tail: AnalyticTail, mass: float) -> Tuple[float, Tuple[float, bool]]:
@@ -689,18 +756,29 @@ def _support_ends(tail: AnalyticTail, mass: float) -> Tuple[float, Tuple[float, 
     positive doubles the order of the values is the order of their bit
     patterns, so each end is bisected over the patterns.
 
-    T is read at 1e12 first, and both ends use that read.  Where T(1e12)
-    >= M, t_p is bisected from 1e12 to the largest float (at most 62
-    reads).  Otherwise t_p < 1e12, and before bisecting T is read at the
-    float above 1 and then at 1, since a plateau that ends at exactly 1
-    is common (min(M, t^-q) on mass M = 1, and the power extremal function
-    on unit mass): there the search costs 4 tail reads in all, 1e12's and
-    1e-12's included, where a bisection from 1e-12 to the largest float
-    took 64.  Elsewhere the two reads bound the bisection to (1e-12, 1) or
-    (1, 1e12) (at most 58 reads), so the plateau end costs at most 64
-    reads, and no tail more than that whole-range bisection did.  Then,
-    only where T(1e12) is 0, t_z is bisected up to 1e12 (at most 63 more
-    reads), and T is read once more at the float below t_z.
+    T is read at 1e12 first, and both ends use that read.  The tail of
+    ``extremal_function(N, M)`` on its mass M leaves its plateau at t0 =
+    N^{-1}(1/M) up to rounding, so there (``_near_t0``) T is read at the
+    ends of a bracket of 16 + |ln M| floats either side of t0, and where
+    it is at the mass at the lower end and below it at the upper one, t_p
+    is bisected inside: 8 tail reads in all on masses from 1/e to e,
+    1e12's included, and 9 on masses 1e-6 and 1e6.  The plateau's end is
+    then the one the search below finds, bit for bit, as T is
+    nonincreasing; where either read fails, that search runs, at most 2
+    reads later.  Where t0 is 1 (the power extremal function on unit mass) the
+    unit hint below takes it.  Otherwise, where T(1e12) >= M, t_p is
+    bisected from 1e12 to the largest float (at most 62 reads).  Else t_p
+    < 1e12, and before bisecting T is read at the float above 1 and then
+    at 1, since a plateau that ends at exactly 1 is common (min(M, t^-q)
+    on mass M = 1, and the power extremal function on unit mass): there
+    the search costs 4 tail reads in all, 1e12's and 1e-12's included,
+    where a bisection from 1e-12 to the largest float took 64.  Elsewhere
+    the two reads bound the bisection to (1e-12, 1) or (1, 1e12) (at most
+    58 reads), so the plateau end costs at most 64 reads, and no tail
+    more than that whole-range bisection did (but for an extremal tail
+    whose bracket fails, at most 2 more).  Then, only where T(1e12) is 0, t_z is
+    bisected up to 1e12 (at most 63 more reads), and T is read once more
+    at the float below t_z.
 
     ``faint`` says whether T falls to 0 at t_z from below 1e-300.  Such
     a fall is where the tail leaves the float range, by an underflow or
@@ -710,22 +788,7 @@ def _support_ends(tail: AnalyticTail, mass: float) -> Tuple[float, Tuple[float, 
     """
     value = tail.value
     ceil = value(_ZERO_CEIL)
-    t_p = 0.0
-    if mass < math.inf and value(_PLATEAU_FLOOR) >= mass:
-        # T is at the mass at lo's pattern and below it at hi's, +inf's
-        # standing in for a tail that stays at the mass to max_float
-        lo, hi = _float_bits(_PLATEAU_FLOOR), _float_bits(_ZERO_CEIL)
-        if ceil >= mass:
-            lo, hi = hi, _float_bits(math.inf)
-        elif value(_ABOVE_ONE) >= mass:
-            lo = _float_bits(_ABOVE_ONE)
-        elif value(1.0) >= mass:
-            lo = hi = _float_bits(1.0)
-        else:
-            hi = _float_bits(1.0)
-        # t_p is the pattern before the first one past lo where T is below the mass
-        t_p = _bits_float(lo + bisect_left(range(lo + 1, hi), True,
-                                           key=lambda b: value(_bits_float(b)) < mass))
+    t_p = _plateau_end(tail, mass, ceil)
     if ceil != 0.0:
         return t_p, (math.inf, False)
     lo, top = _float_bits(max(t_p, _PLATEAU_FLOOR)) + 1, _float_bits(_ZERO_CEIL)
@@ -777,6 +840,15 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
     the first grid's bisections (and of any decade added) as
     ``plateau_end_t`` and ``zero_start_t`` (None where the run is absent,
     and always on a step tail).
+
+    The extremal function of this very N on its own mass M, whose tail
+    ``extremal_function(N, M)`` tags with (N, M), has weak norm exactly 1
+    (``_unit_weak``): g is t/t0 below t0 = N^{-1}(1/M) and 1 past it.
+    There the result is 1.0 with no grid run, 0 ``evaluations``,
+    ``argmax_t``, ``plateau_end_t`` and ``zero_start_t`` None, and the
+    reason as ``note``; the grid read 1 plus up to 80 ulps.  N is tested
+    by identity (``YoungFunction`` has ``eq=False``), so an equal copy of
+    N, another tail (a dilated one, say) or another mass runs the grid.
     """
     mass = f.total_mass
     tail = f.tail
@@ -791,6 +863,9 @@ def weak_norm(N: YoungFunction, f: TailRepFunction) -> NormResult:
             if v > value:
                 value, argmax = v, t
         count, plateau_end, zero_start = len(tail.thresholds), None, None
+    elif _unit_weak(N, f):
+        return NormResult(1.0, None, {"evaluations": 0, "argmax_t": None, "plateau_end_t": None,
+                                      "zero_start_t": None, "note": _UNIT_WEAK})
     else:
         def u(y: float) -> float:
             return inverse(1.0 / (cap if cap < y else y))

@@ -13,7 +13,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .errors import BadParameter, MassOverflow
 from .numerics import _check_breaks
@@ -129,11 +129,17 @@ class AnalyticTail:
     A value past the float range reads as +inf: an OverflowError that
     ``fn`` raises (t^-q near 0, say) is caught in ``value``, through
     which the library reads ``fn``, and returns +inf.
+
+    ``_extremal`` is (N, M) on the tail of ``extremal_function(N, M)``,
+    which alone sets it, and None on every other tail: the norms read it
+    (``norms.weak_norm``, ``norms.luxemburg_norm`` and
+    ``norms._support_ends``) in place of searching for what it gives.
     """
 
     fn: Callable[[float], float]
     label: str = ""
     breaks: Tuple[float, ...] = ()
+    _extremal: Optional[Tuple[YoungFunction, float]] = field(default=None, repr=False)
 
     def __post_init__(self):
         _check_breaks(self.breaks)

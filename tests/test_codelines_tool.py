@@ -1,6 +1,8 @@
 """``tools/codelines.py``: code lines outside comments and docstrings, per function."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,14 @@ def test_main_prints_modules_total_and_functions(tool, capsys):
     assert int(total.split()[0]) == sum(int(line.split()[0]) for line in modules)
     assert lines[len(modules) + 1] == "largest top-level functions:"
     assert len(lines) == len(modules) + 4
+
+
+def test_a_closed_pipe_ends_the_output_quietly():
+    # as under `| head`: the reader is gone before the first line is written
+    child = subprocess.Popen([sys.executable, str(ROOT / "tools" / "codelines.py")],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert err == b""

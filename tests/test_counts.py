@@ -8,7 +8,8 @@ frozen ones, and so must the digest of every op's output, so a change
 that adds one integrand evaluation or moves one output by one ulp fails
 here.  A change that means to move them regenerates the file with
 ``python3 tools/freeze_counts.py`` and names each moved class in
-CHANGES.md.
+CHANGES.md.  An untraced pass over analytic-norms must give the traced
+pass's outputs.
 """
 
 import importlib.util
@@ -24,7 +25,7 @@ CLASSES = sorted(FROZEN["classes"])
 
 
 @pytest.fixture(scope="module")
-def measured():
+def tool():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(ROOT / "bench"))  # workloads.py imports oracles
         spec = importlib.util.spec_from_file_location("freeze_counts",
@@ -33,10 +34,15 @@ def measured():
         spec.loader.exec_module(module)
         before = set(sys.modules)
         try:
-            yield module.measure(FROZEN["seed"])["classes"]
+            yield module
         finally:
             for name in set(sys.modules) - before:
                 del sys.modules[name]
+
+
+@pytest.fixture(scope="module")
+def measured(tool):
+    return tool.measure(FROZEN["seed"])["classes"]
 
 
 def test_same_op_classes(measured):
@@ -53,3 +59,12 @@ def test_counts_unchanged(measured, kind):
 @pytest.mark.parametrize("kind", CLASSES, ids=CLASSES)
 def test_outputs_unchanged(measured, kind):
     assert measured[kind]["outputs"] == FROZEN["classes"][kind]["outputs"]
+
+
+def test_tracing_does_not_change_analytic_outputs(tool, measured):
+    # the tracer rebuilds each reference tail from its callable and label,
+    # and the extremal function tags its tail after that: an untraced pass
+    # gives the traced outputs, the extremal weak norms of exactly 1 included
+    untraced = tool.untraced_outputs(FROZEN["seed"], "analytic-norms")
+    assert sorted(untraced) == [kind for kind in CLASSES if kind.startswith("analytic/")]
+    assert untraced == {kind: measured[kind]["outputs"] for kind in untraced}

@@ -187,6 +187,18 @@ def test_power_tail_strong_norm_with_q_close_to_p():
     assert luxemburg_norm(power_young(p), f).value == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="FOUND: `lebesgue_norm` on a step tail whose modular at "
+                                       "its start is far from 1 is off by more than a few ulps")
+def test_lebesgue_norm_of_a_tiny_indicator_is_within_two_ulps():
+    # (1e-20)^(1/2.2) is 8.11130830789688442e-10 (mpmath), whose nearest
+    # double is 8.111308307896885e-10; s modular(s)^(1/p), read once at the
+    # largest value s = 1 where the modular is 1e-20, gives
+    # 8.111308307896877e-10, 8 floats below
+    exact = 8.111308307896885e-10
+    value = lebesgue_norm(step_tail([(1.0, 1e-20)], 1.0), 2.2).value
+    assert abs(value - exact) <= 2.0 * math.ulp(exact)
+
+
 @pytest.mark.xfail(strict=True, reason="FOUND: `luxemburg_norm(power_young(3.9999999999999996), "
                                        "step_tail([(1.0, 0.00390625)], 1.0))` takes 5 modulars")
 def test_power_norm_of_a_quarter_takes_at_most_four_modulars():

@@ -15,7 +15,9 @@ Its trace is held to frozen values too: which nodes it reads
 (``evaluations``), where the maximum and the plateau and zero runs lie,
 on the explicit examples, on one input per op class of the
 analytic-norms benchmark workload, and on ``weak_corpus``, 117 inputs
-frozen from the sampler that kept the whole grid as one list.  The
+frozen from the sampler that kept the whole grid as one list.  Their
+extremal functions run on untagged copies (``untagged``), as the
+tagged ones read 1 with no grid.  The
 first grid's nodes come from a table, which must hold the floats the
 grid computed before.
 """
@@ -255,16 +257,26 @@ def test_dip_past_an_end_node(tail, sup_on_grid):
     assert r.value == pytest.approx(sup_on_grid, rel=1e-12)
 
 
+def untagged(f):
+    """f on a copy of its tail without the extremal tag, so that the grid runs.
+
+    ``weak_norm`` returns exactly 1 for ``extremal_function(N, M)`` under
+    the same N with no grid; the copy keeps the callable and the label.
+    """
+    return TailRepFunction(AnalyticTail(f.tail.fn, f.tail.label), f.total_mass)
+
+
 def _extremal(N):
-    return N, extremal_function(N, 1.0)
+    return N, untagged(extremal_function(N, 1.0))
 
 
 def _power_law(N, q):
     return N, TailRepFunction(power_tail(1.0, 1.0, q), 1.0)
 
 
-# one fixed input per op class of the analytic-norms benchmark workload; a
-# strong norm computes this weak norm first, as its lower bound
+# one fixed input per op class of the analytic-norms benchmark workload, the
+# extremal functions on untagged copies; a strong norm off power computes
+# this weak norm first, as its lower bound, on a power tail
 OP_CLASSES = {
     "power/extremal/strong": _extremal(power_young(2.5)),
     "power/extremal/weak": _extremal(power_young(3.5)),
@@ -331,15 +343,15 @@ def weak_corpus():
     """(name, N, f): at least 100 analytic weak norms, in a fixed order."""
     rng = random.Random(28)
     cases = []
-    # the analytic-norms op classes (a strong norm off power runs this weak
-    # norm first) over the benchmark's parameter ranges and three masses
+    # the analytic-norms op classes over the benchmark's parameter ranges and
+    # three masses, the extremal functions on untagged copies
     for fam, lo, hi in (("power", 1.5, 4.0), ("exp_m", 1.0, 4.0), ("delta", 1.5, 3.0)):
         for mass in (0.25, 1.0, 4.0):
             for _ in range(3):
                 par = rng.uniform(lo, hi)
                 N = make_young(fam, par)
                 cases.append((f"{fam}({par!r})/extremal/mass={mass}", N,
-                              extremal_function(N, mass)))
+                              untagged(extremal_function(N, mass))))
             for _ in range(4):
                 par, q = rng.uniform(lo, hi), rng.uniform(1.2, 6.0)
                 cases.append((f"{fam}({par!r})/min({mass}, t^-{q!r})", make_young(fam, par),
@@ -372,10 +384,11 @@ def weak_corpus():
             a = rng.uniform(0.2, 4.0)
             fn = lambda t, c=c, a=a: math.exp(-((t / c) ** a))
         cases.append((f"seeded-{k}", N, _tail(fn, mass)))
-    # flat g: extremal functions at the grid's ends of the mass range
+    # flat g: untagged extremal functions at the grid's ends of the mass range
     for N in (power_young(2.0), exp_young(2.0), delta_young(2.0)):
         for mass in (1e-6, 1e6, math.inf):
-            cases.append((f"{N.family}(2)/extremal/mass={mass:g}", N, extremal_function(N, mass)))
+            cases.append((f"{N.family}(2)/extremal/mass={mass:g}", N,
+                          untagged(extremal_function(N, mass))))
     # an all-zero grid, and a tail that is 0 past the first node
     cases.append(("zero", power_young(2.0), _tail(lambda t: 0.0, 1.0)))
     cases.append(("zero-past-1e-15", exp_young(2.0),

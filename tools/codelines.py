@@ -10,7 +10,8 @@ docstring text do not count, a string that spans lines counts on each of
 them.  A top-level function's lines run from its first decorator (or its
 ``def``) to its last line, nested functions included.  The output is one
 line per module, the total, then the largest top-level functions, each
-as ``count  path:name``.
+as ``count  path:name``.  A reader that closes the pipe early, as
+``| head`` does, ends the output quietly, with exit status 0.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -84,4 +86,12 @@ def main(argv: List[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): stop quietly, with stdout on
+        # devnull so that the flush at exit does not fail once more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)

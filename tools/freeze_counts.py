@@ -37,6 +37,24 @@ def _load(name: str, path: Path):
     return module
 
 
+def _digest(outputs) -> str:
+    return hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+
+
+def untraced_outputs(seed: int, workload: str) -> dict:
+    """Per op class of one workload, the digest of its outputs with no tracer installed.
+
+    ``measure`` writes the same digest from its traced pass, so the two
+    agree unless the tracer changes what the library computes.
+    """
+    workloads = _load("workloads", ROOT / "bench" / "workloads.py")
+    run = _load("ab_tool", ROOT / "tools" / "ab.py").run
+    by_class = {}
+    for op in workloads.build(workload, seed):
+        by_class.setdefault(op.kind, []).append(run(op)[0])
+    return {kind: _digest(outputs) for kind, outputs in by_class.items()}
+
+
 def measure(seed: int = SEED) -> dict:
     """Per op class of the three workloads: counts, calls and output digest.
 
@@ -57,12 +75,12 @@ def measure(seed: int = SEED) -> dict:
             by_class.setdefault(op.kind, []).append(op)
         for kind, members in by_class.items():
             tracer.reset()
-            outputs = "\n".join(run(op)[0] for op in members)
+            outputs = [run(op)[0] for op in members]
             classes[kind] = {
                 "ops": len(members),
                 "counts": dict(sorted(tracer.counts.items())),
                 "calls": dict(sorted(Counter(span[0] for span in tracer.spans).items())),
-                "outputs": hashlib.sha256(outputs.encode()).hexdigest(),
+                "outputs": _digest(outputs),
             }
     finally:
         tracer.uninstall()
